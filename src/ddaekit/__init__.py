@@ -7,30 +7,30 @@ classification of delay systems, and a method-of-steps time integrator.
 from .errors import (DdaeError, DataError, IllConditioned, InadmissibleHistory,
                      InconsistentInitialState, NewtonDivergence, ShapeError,
                      SingularPencil)
-from .forcing import ForcingFunction, HistoryFunction, SymbolicSignal
+from .forcing import HistoryFunction, SymbolicSignal
 from .lti import (LinearDdae, LtiDescriptor, algebraic_solution, classify_linear,
                   couple, hybrid_shifted, is_consistent,
                   regularity_theorem_check, sf_model_from_linear)
 from .pencil import (MatrixPencil, PencilReport, WeierstrassForm, analyze,
                      diff_index, equivalence_residual, is_regular, weierstrass)
 from .radau import (IntegrationOptions, SegmentProblem, SegmentSolution,
-                    integrate_segment, project_consistent)
-from .sfdae import Classification, SfDdaeModel, admissible, classify, residual
+                    integrate_segment)
+from .sfdae import Classification, SfDdaeModel, admissible, classify
 from .steps import Trajectory, evaluate, solve_itp, tau_sweep
 
 __all__ = [
     "DdaeError", "DataError", "IllConditioned", "InadmissibleHistory",
     "InconsistentInitialState", "NewtonDivergence", "ShapeError",
     "SingularPencil",
-    "ForcingFunction", "HistoryFunction", "SymbolicSignal",
+    "HistoryFunction", "SymbolicSignal",
     "MatrixPencil", "PencilReport", "WeierstrassForm", "analyze",
     "diff_index", "equivalence_residual", "is_regular", "weierstrass",
     "LinearDdae", "LtiDescriptor", "algebraic_solution", "classify_linear",
     "couple", "hybrid_shifted", "is_consistent", "regularity_theorem_check",
     "sf_model_from_linear",
     "IntegrationOptions", "SegmentProblem", "SegmentSolution",
-    "integrate_segment", "project_consistent",
-    "Classification", "SfDdaeModel", "admissible", "classify", "residual",
+    "integrate_segment",
+    "Classification", "SfDdaeModel", "admissible", "classify",
     "Trajectory", "evaluate", "solve_itp", "tau_sweep",
 ]
 

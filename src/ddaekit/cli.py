@@ -15,14 +15,15 @@ import time
 import numpy as np
 
 from . import models as model_zoo
-from .errors import (DdaeError, IllConditioned, InadmissibleHistory,
-                     SingularPencil)
+from .errors import (DataError, DdaeError, IllConditioned,
+                     InadmissibleHistory, SingularPencil)
 from .forcing import HistoryFunction
 from .lti import LinearDdae, LtiDescriptor, classify_linear, sf_model_from_linear
 from .pencil import DEFAULT_TOL, MatrixPencil, analyze
 from .radau import IntegrationOptions
 from .sfdae import SfDdaeModel, classify
-from .steps import BROKE_DOWN, audit, solve_itp, tau_sweep, write_trajectory_csv
+from .steps import (BROKE_DOWN, audit, solve_itp, sweep_deviation,
+                    sweep_reference, write_trajectory_csv)
 
 EXIT_OK = 0
 EXIT_MODEL = 2
@@ -65,11 +66,14 @@ def _parse_history(spec, tau, dim):
 def _load_json_model(path):
     with open(path) as fh:
         data = json.load(fh)
-    if "A0" in data:
-        return LinearDdae.from_json(data)
-    if "B" in data or "C" in data:
-        return LtiDescriptor.from_json(data)
-    return MatrixPencil.from_json(data)
+    kind = (LinearDdae if "A0" in data
+            else LtiDescriptor if "B" in data or "C" in data
+            else MatrixPencil)
+    try:
+        return kind.from_json(data)
+    except KeyError as exc:
+        raise DataError(
+            f"{path}: {kind.__name__} model lacks key {exc}") from exc
 
 
 def _resolve(args):
@@ -180,9 +184,6 @@ def cmd_simulate(args):
     return EXIT_BREAKDOWN if traj.status == BROKE_DOWN else EXIT_OK
 
 
-_SWEEP_FAMILIES = {"pmsd-hybrid"}
-
-
 def cmd_sweep(args):
     if not args.tau_list:
         sys.stderr.write("error: sweep needs a non-empty --tau list\n")
@@ -193,30 +194,31 @@ def cmd_sweep(args):
     if args.T is None:
         sys.stderr.write("error: sweep needs --T\n")
         return EXIT_USAGE
-    if args.model not in _SWEEP_FAMILIES:
+    entry = model_zoo.REGISTRY.get(args.model)
+    if entry is None or entry.reference is None:
+        sweepable = sorted(name for name, e in model_zoo.REGISTRY.items()
+                           if e.reference)
         raise DdaeError(
             f"model {args.model!r} has no delay parameterization with a "
-            f"reference; sweepable: {sorted(_SWEEP_FAMILIES)}")
+            f"reference; sweepable: {sweepable}")
     params = _parse_params(args.param)
-    theta0 = params.pop("theta0", 0.1)
-    y10 = params.pop("y10", 0.0)
-    base = {k: v for k, v in params.items() if k != "tau"}
-    reference = model_zoo.pmsd_coupled(
-        model_zoo.PmsdParams(**base), theta0=theta0, y10=y10)
-
-    def builder(tau):
-        return model_zoo.pmsd_hybrid_shifted(
-            model_zoo.PmsdParams(tau=tau, **base), theta0=theta0, y10=y10)
-
+    params.pop("tau", None)
+    reference = model_zoo.REGISTRY[entry.reference].make(params)
     opts = _options_from(args)
-    rows = []
-    for tau in args.tau_list:
-        try:
-            result = tau_sweep(builder, [tau], args.T, opts,
-                               reference=reference)
-            rows.append((tau, result[0][2], "ok"))
-        except (DdaeError, ValueError) as exc:
-            rows.append((tau, float("nan"), f"error: {exc}"))
+    try:
+        ref = sweep_reference(reference, args.T, opts)
+    except (DdaeError, ValueError) as exc:
+        # every delay is compared against the reference, so every row fails
+        rows = [(tau, float("nan"), f"error: {exc}") for tau in args.tau_list]
+    else:
+        rows = []
+        for tau in args.tau_list:
+            try:
+                _, dev = sweep_deviation(entry.make({**params, "tau": tau}),
+                                         ref, args.T, opts)
+                rows.append((tau, dev, "ok"))
+            except (DdaeError, ValueError) as exc:
+                rows.append((tau, float("nan"), f"error: {exc}"))
     lines = ["tau,deviation,status"]
     lines += [f"{tau:.12g},{dev:.12g},{status}" for tau, dev, status in rows]
     text = "\n".join(lines)

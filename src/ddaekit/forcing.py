@@ -148,10 +148,6 @@ class SymbolicSignal:
         return f"SymbolicSignal(dim={self.dim})"
 
 
-# Forcing terms use the signal type directly.
-ForcingFunction = SymbolicSignal
-
-
 class HistoryFunction:
     """Initial trajectory on ``[-tau, 0]`` with exact derivatives.
 

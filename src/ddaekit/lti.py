@@ -245,6 +245,7 @@ def sf_model_from_linear(ld, tol=DEFAULT_TOL):
 
     thresh = tol * (1.0 + float(np.abs(A1).max(initial=0.0)))
     terms = []          # (N^j Sa A1) for the delayed part of the recursion
+    fa_derivative_mats = []     # N^j Sa, applied to f^(j)
     Npow = np.eye(a)
     SaA1 = Sa @ A1
     K = -1
@@ -253,14 +254,9 @@ def sf_model_from_linear(ld, tol=DEFAULT_TOL):
         terms.append(M)
         if np.abs(M).max(initial=0.0) > thresh:
             K = j
-        Npow = w.N @ Npow
-    s_decl = K + 1
-
-    fa_derivative_mats = []     # N^j Sa, applied to f^(j)
-    Npow = np.eye(a)
-    for j in range(nu):
         fa_derivative_mats.append(Npow @ Sa)
         Npow = w.N @ Npow
+    s_decl = K + 1
 
     def D(t, z, zdot, ztau):
         return Sd @ (E @ zdot - A0 @ z - A1 @ ztau) - Sd @ ld.f.eval(t)

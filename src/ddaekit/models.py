@@ -10,6 +10,9 @@ selection that stays regular while the rod is not horizontal and in
 particular near the hanging rest configuration.
 """
 
+from dataclasses import asdict, dataclass
+from typing import Callable
+
 import numpy as np
 
 from .errors import ShapeError
@@ -19,6 +22,7 @@ from .pencil import MatrixPencil
 from .sfdae import SfDdaeModel
 
 
+@dataclass
 class PmsdParams:
     """Physical parameters of the pendulum-oscillator pair.
 
@@ -27,31 +31,21 @@ class PmsdParams:
     defaults are desk-scale choices, overridable from the CLI.
     """
 
-    def __init__(self, M=1.0, C=0.3, K=5.0, m=0.2, L=1.0, g=9.81, tau=0.05):
-        if min(M, m, L) <= 0:
+    M: float = 1.0
+    C: float = 0.3
+    K: float = 5.0
+    m: float = 0.2
+    L: float = 1.0
+    g: float = 9.81
+    tau: float = 0.05
+
+    def __post_init__(self):
+        if min(self.M, self.m, self.L) <= 0:
             raise ValueError("masses and rod length must be positive")
-        if min(C, K, g) < 0:
+        if min(self.C, self.K, self.g) < 0:
             raise ValueError("damping, stiffness and gravity must be >= 0")
-        if tau <= 0:
+        if self.tau <= 0:
             raise ValueError("tau must be positive")
-        self.M = float(M)
-        self.C = float(C)
-        self.K = float(K)
-        self.m = float(m)
-        self.L = float(L)
-        self.g = float(g)
-        self.tau = float(tau)
-
-    @classmethod
-    def from_dict(cls, overrides):
-        base = cls()
-        known = {"M", "C", "K", "m", "L", "g", "tau"}
-        kwargs = {k: v for k, v in overrides.items() if k in known}
-        return cls(**{**{k: getattr(base, k) for k in known}, **kwargs})
-
-    def __repr__(self):
-        return (f"PmsdParams(M={self.M}, C={self.C}, K={self.K}, m={self.m}, "
-                f"L={self.L}, g={self.g}, tau={self.tau})")
 
 
 PMSD_STATES = ["y1", "x2", "y2", "v1", "v2", "v3", "lambda"]
@@ -423,15 +417,21 @@ def ex_advanced_linear(tau=1.0):
 
 # -- registry ----------------------------------------------------------------
 
+@dataclass
 class RegistryEntry:
-    """Named constructor with typed result and default parameters."""
+    """Named constructor with typed result and default parameters.
 
-    def __init__(self, name, kind, build, defaults, description):
-        self.name = name
-        self.kind = kind
-        self.build = build
-        self.defaults = dict(defaults)
-        self.description = description
+    ``reference`` names the entry that serves as the delay-free reference
+    of a delay-parameterised model (its ``tau`` parameter); entries that
+    name one can be swept over delays.
+    """
+
+    name: str
+    kind: str
+    build: Callable
+    defaults: dict
+    description: str
+    reference: str | None = None
 
     def make(self, overrides=None):
         params = dict(self.defaults)
@@ -444,10 +444,7 @@ class RegistryEntry:
 
 
 def _pmsd_defaults():
-    base = PmsdParams()
-    return {"M": base.M, "C": base.C, "K": base.K, "m": base.m,
-            "L": base.L, "g": base.g, "tau": base.tau,
-            "theta0": 0.1, "y10": 0.0}
+    return {**asdict(PmsdParams()), "theta0": 0.1, "y10": 0.0}
 
 
 def _build_pmsd_hybrid(theta0, y10, **kw):
@@ -473,7 +470,8 @@ def worked_examples():
             "first-order pendulum with feedthrough (index analysis only)"),
         RegistryEntry(
             "pmsd-hybrid", "sf-model", _build_pmsd_hybrid, _pmsd_defaults(),
-            "shifted hybrid pendulum-oscillator model (neutral, s=1)"),
+            "shifted hybrid pendulum-oscillator model (neutral, s=1)",
+            reference="pmsd-coupled"),
         RegistryEntry(
             "pmsd-coupled", "sf-model", _build_pmsd_coupled, _pmsd_defaults(),
             "delay-free coupled pendulum-oscillator reference"),

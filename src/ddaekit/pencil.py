@@ -12,6 +12,7 @@ structure is numerically unstable.  J and N are reduced to real Schur
 
 import cmath
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -59,31 +60,33 @@ class MatrixPencil:
         return f"MatrixPencil(n={self.n})"
 
 
+@dataclass(eq=False)
 class WeierstrassForm:
     """Result of the Weierstrass-style decomposition.
 
     S E T = diag(I_d, N) and S A T = diag(J, I_a) up to the stored
     residuals; N is nilpotent with index nu; J, N are quasi-triangular.
+    ``cond_P`` is the condition number of the transformation matrix
+    P = S^-1.
     """
 
-    def __init__(self, S, T, J, N, d, a, nu, res_E, res_A, cond_S, cond_T):
-        self.S = S
-        self.T = T
-        self.J = J
-        self.N = N
-        self.d = d
-        self.a = a
-        self.nu = nu
-        self.res_E = res_E
-        self.res_A = res_A
-        self.cond_S = cond_S
-        self.cond_T = cond_T
+    S: np.ndarray
+    T: np.ndarray
+    J: np.ndarray
+    N: np.ndarray
+    d: int
+    a: int
+    nu: int
+    res_E: float
+    res_A: float
+    cond_P: float
 
     def __repr__(self):
         return (f"WeierstrassForm(d={self.d}, a={self.a}, nu={self.nu}, "
                 f"res_E={self.res_E:.2e}, res_A={self.res_A:.2e})")
 
 
+@dataclass
 class PencilReport:
     """Summary of the structural analysis of one pencil.
 
@@ -91,17 +94,15 @@ class PencilReport:
     present, otherwise 0); ``nu`` the differentiation index.
     """
 
-    def __init__(self, regular, det_samples, tol, d=None, a=None, nu=None,
-                 mu=None, res_E=None, res_A=None):
-        self.regular = regular
-        self.det_samples = det_samples
-        self.tol = tol
-        self.d = d
-        self.a = a
-        self.nu = nu
-        self.mu = mu
-        self.res_E = res_E
-        self.res_A = res_A
+    regular: bool
+    det_samples: list
+    tol: float
+    d: int | None = None
+    a: int | None = None
+    nu: int | None = None
+    mu: int | None = None
+    res_E: float | None = None
+    res_A: float | None = None
 
     def to_json(self):
         data = {
@@ -118,7 +119,7 @@ class PencilReport:
         return data
 
 
-def _det_samples(p, tol):
+def _det_samples(p):
     """Sample det(sE - A) on a circle; each sample carries a Hadamard scale."""
     n = p.n
     eps = 1e-8
@@ -136,18 +137,25 @@ def _det_samples(p, tol):
     return samples
 
 
-def is_regular(p, tol=DEFAULT_TOL):
-    """True when det(sE - A) is not the zero polynomial.
+def _regularity(p, tol):
+    """(regular, determinant samples) of the pencil.
 
     The determinant is evaluated at n+1 distinct points; a polynomial of
     degree <= n vanishing at all of them is identically zero.  Each sample
-    is compared against tol times its Hadamard row bound.
+    is compared against tol times its Hadamard row bound.  The empty pencil
+    is regular by convention.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if p.n == 0:
-        return True
-    return any(abs(det) > tol * scale for _, det, scale in _det_samples(p, tol))
+        return True, []
+    samples = _det_samples(p)
+    return any(abs(det) > tol * scale for _, det, scale in samples), samples
+
+
+def is_regular(p, tol=DEFAULT_TOL):
+    """True when det(sE - A) is not the zero polynomial."""
+    return _regularity(p, tol)[0]
 
 
 def _rank_split(sigma, tol, floor, context):
@@ -237,13 +245,18 @@ def weierstrass(p, tol=DEFAULT_TOL):
     IllConditioned when a rank decision is ambiguous or the deflating
     subspaces do not split R^n cleanly at the tolerance.
     """
-    if p.n == 0:
-        empty = np.zeros((0, 0))
-        return WeierstrassForm(empty, empty, empty, empty, 0, 0, 0,
-                               0.0, 0.0, 1.0, 1.0)
     if not is_regular(p, tol):
         raise SingularPencil("pencil is singular at the sampling tolerance")
+    return _decompose(p, tol)
+
+
+def _decompose(p, tol):
+    """Weierstrass form of a pencil that passed the regularity test."""
     E, A, n = p.E, p.A, p.n
+    if n == 0:
+        empty = np.zeros((0, 0))
+        return WeierstrassForm(empty, empty, empty, empty, 0, 0, 0,
+                               0.0, 0.0, 1.0)
     W, nu = _wong_infinite(E, A, tol)
     V = _wong_finite(E, A, tol)
     d, a = V.shape[1], W.shape[1]
@@ -252,21 +265,6 @@ def weierstrass(p, tol=DEFAULT_TOL):
             f"deflating subspaces split {n} into {d}+{a}; pencil is too close "
             f"to singular for tol={tol:g}")
 
-    # Quasi-triangularize the diagonal blocks without disturbing the split.
-    P = np.hstack([E @ V, A @ W])
-    try:
-        S = np.linalg.solve(P, np.eye(n))
-    except np.linalg.LinAlgError as exc:
-        raise IllConditioned(f"deflating bases do not span R^n: {exc}") from exc
-    if d > 0:
-        J0 = S[:d] @ A @ V
-        _, QJ = scipy.linalg.schur(J0, output="real")
-        V = V @ QJ
-    if a > 0:
-        N0 = S[d:] @ E @ W
-        _, QN = scipy.linalg.schur(N0, output="real")
-        W = W @ QN
-    T = np.hstack([V, W])
     P = np.hstack([E @ V, A @ W])
     cond_P = float(np.linalg.cond(P))
     if not np.isfinite(cond_P) or cond_P > 1e14:
@@ -274,19 +272,17 @@ def weierstrass(p, tol=DEFAULT_TOL):
             f"transformation matrix condition {cond_P:.2e}; deflating "
             f"subspaces are nearly degenerate")
     S = np.linalg.solve(P, np.eye(n))
-
-    SET = S @ E @ T
-    SAT = S @ A @ T
-    J = SAT[:d, :d].copy()
-    N = SET[d:, d:].copy()
-    target_E = np.zeros((n, n))
-    target_E[:d, :d] = np.eye(d)
-    target_E[d:, d:] = N
-    target_A = np.zeros((n, n))
-    target_A[:d, :d] = J
-    target_A[d:, d:] = np.eye(a)
-    res_E = float(np.linalg.norm(SET - target_E))
-    res_A = float(np.linalg.norm(SAT - target_A))
+    # Quasi-triangularize the diagonal blocks without disturbing the split.
+    # The Schur factors are orthogonal, so rotating the bases leaves cond(P)
+    # unchanged and rotates S = P^-1 the same way.
+    _, QJ = scipy.linalg.schur(S[:d] @ A @ V, output="real")
+    _, QN = scipy.linalg.schur(S[d:] @ E @ W, output="real")
+    V = V @ QJ
+    W = W @ QN
+    T = np.hstack([V, W])
+    S = np.vstack([QJ.T @ S[:d], QN.T @ S[d:]])
+    J = S[:d] @ A @ V
+    N = S[d:] @ E @ W
 
     # Cross-check the Wong step count against the nilpotency of N itself.
     if a > 0:
@@ -303,8 +299,9 @@ def weierstrass(p, tol=DEFAULT_TOL):
         if nil != nu:
             logger.warning("nilpotency cross-check: Wong count %d vs N-power "
                            "count %d; keeping Wong count", nu, nil)
-    cond_T = float(np.linalg.cond(T))
-    return WeierstrassForm(S, T, J, N, d, a, nu, res_E, res_A, cond_P, cond_T)
+    w = WeierstrassForm(S, T, J, N, d, a, nu, 0.0, 0.0, cond_P)
+    w.res_E, w.res_A = equivalence_residual(p, w)
+    return w
 
 
 def diff_index(p, tol=DEFAULT_TOL):
@@ -335,11 +332,9 @@ def equivalence_residual(p, w):
 
 def analyze(p, tol=DEFAULT_TOL):
     """Full PencilReport: regularity plus (d, a, nu, mu) when regular."""
-    samples = _det_samples(p, tol) if p.n else []
-    regular = True if p.n == 0 else any(
-        abs(det) > tol * scale for _, det, scale in samples)
+    regular, samples = _regularity(p, tol)
     if not regular:
         return PencilReport(False, samples, tol)
-    w = weierstrass(p, tol)
+    w = _decompose(p, tol)
     return PencilReport(True, samples, tol, d=w.d, a=w.a, nu=w.nu,
                         mu=strangeness_index(w), res_E=w.res_E, res_A=w.res_A)

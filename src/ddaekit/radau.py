@@ -12,6 +12,7 @@ preferred over error control.
 
 import logging
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,20 +45,30 @@ _L_AT_0 = np.array([
 COND_WARN = 1e12
 
 
+@dataclass
 class IntegrationOptions:
-    """Tuning knobs of the segment integrator and the method of steps."""
+    """Tuning knobs of the segment integrator and the method of steps.
 
-    def __init__(self, h=None, steps_per_segment=200, newton_tol=1e-10,
-                 res_tol=1e-8, max_newton=10, max_halvings=8,
-                 consistency_tol=1e-6, audit_points=1000):
-        self.h = h
-        self.steps_per_segment = int(steps_per_segment)
-        self.newton_tol = float(newton_tol)
-        self.res_tol = float(res_tol)
-        self.max_newton = int(max_newton)
-        self.max_halvings = int(max_halvings)
-        self.consistency_tol = float(consistency_tol)
-        self.audit_points = int(audit_points)
+    ``h`` is a fixed step size (default tau / steps_per_segment); it must be
+    finite and positive.  The residual audit needs at least two points.
+    """
+
+    h: float | None = None
+    steps_per_segment: int = 200
+    newton_tol: float = 1e-10
+    res_tol: float = 1e-8
+    max_newton: int = 10
+    max_halvings: int = 8
+    consistency_tol: float = 1e-6
+    audit_points: int = 1000
+
+    def __post_init__(self):
+        if self.h is not None and not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError(
+                f"step size h must be finite and positive, got {self.h}")
+        if self.audit_points < 2:
+            raise ValueError(
+                f"audit needs at least 2 points, got {self.audit_points}")
 
     def step_size(self, tau):
         return self.h if self.h is not None else tau / self.steps_per_segment
@@ -110,10 +121,6 @@ class SegmentSolution:
     @property
     def endpoint(self):
         return self.zs[-1]
-
-    @property
-    def endpoint_derivative(self):
-        return self.d_end[-1]
 
     def eval(self, t, order=0):
         """Dense output: state (order 0) or right derivative (order 1)."""
@@ -276,26 +283,3 @@ def integrate_segment(problem, opts=None):
     stats.pop("cond_pending")
     return SegmentSolution(np.array(ts), np.array(zs), np.array(d_start),
                            np.array(d_end), stats)
-
-
-def project_consistent(model, z_guess, t, delayed_source, tol=1e-12,
-                       max_iter=50):
-    """Nearest state satisfying the algebraic part, by Gauss-Newton.
-
-    Minimum-norm steps leave components untouched when A does not depend on
-    them (their Jacobian columns are zero), so differential components are
-    preserved exactly in that case.
-    """
-    z = np.asarray(z_guess, dtype=float).copy()
-    rows = max(1, model.s_decl)
-    zlags = np.stack([delayed_source(t, k) for k in range(rows)])
-    for _ in range(max_iter):
-        r = model.algebraic_residual(t, z, zlags)
-        if np.linalg.norm(r, ord=np.inf) <= tol * (1.0 + np.abs(z).max()):
-            return z
-        J = np.atleast_2d(model.JA_z(t, z, zlags[:model.s_decl]))
-        step, *_ = np.linalg.lstsq(J, r, rcond=None)
-        z = z - step
-    raise NewtonDivergence(
-        f"consistency projection did not converge in {max_iter} iterations",
-        t=t, iterate=z, residual=float(np.linalg.norm(r)))

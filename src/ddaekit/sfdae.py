@@ -14,12 +14,14 @@ under the method of steps.
 """
 
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
 
 
+@dataclass(frozen=True)
 class Classification:
     """Delay type of a DDAE, with the underlying delay-derivative order s."""
 
@@ -27,15 +29,16 @@ class Classification:
     NEUTRAL = "neutral"
     ADVANCED = "advanced"
 
-    def __init__(self, tag, s):
-        if tag == self.RETARDED and s != 0:
+    tag: str
+    s: int
+
+    def __post_init__(self):
+        if self.tag == self.RETARDED and self.s != 0:
             raise ValueError("retarded systems have s = 0")
-        if tag == self.NEUTRAL and s != 1:
+        if self.tag == self.NEUTRAL and self.s != 1:
             raise ValueError("neutral systems have s = 1")
-        if tag == self.ADVANCED and s < 2:
+        if self.tag == self.ADVANCED and self.s < 2:
             raise ValueError("advanced systems have s >= 2")
-        self.tag = tag
-        self.s = s
 
     @classmethod
     def retarded(cls):
@@ -48,13 +51,6 @@ class Classification:
     @classmethod
     def advanced(cls, s):
         return cls(cls.ADVANCED, s)
-
-    def __eq__(self, other):
-        return (isinstance(other, Classification)
-                and self.tag == other.tag and self.s == other.s)
-
-    def __hash__(self):
-        return hash((self.tag, self.s))
 
     def __repr__(self):
         return f"Classification({self.tag}, s={self.s})"
@@ -127,11 +123,6 @@ class SfDdaeModel:
     def __repr__(self):
         return (f"SfDdaeModel({self.name!r}, n={self.n}, d={self.d}, "
                 f"a={self.a}, tau={self.tau}, s_decl={self.s_decl})")
-
-
-def residual(m, t, z, zdot, zlags):
-    """Module-level alias for the stacked [D; A] evaluation."""
-    return m.residual(t, z, zdot, zlags)
 
 
 def admissible(m, phi, tol=1e-6):

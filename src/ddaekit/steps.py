@@ -187,34 +187,46 @@ def breakpoint_consistency(tr):
     return worst
 
 
+def sweep_reference(reference, T, opts=None, history=None, grid_points=400):
+    """Solve the delay-free reference once on [0, T].
+
+    Returns (grid, values): the shared evaluation grid and the reference
+    states on it.  The history defaults to the model's own.
+    """
+    traj = solve_itp(reference, history or reference.default_history(), T,
+                     opts)
+    grid = np.linspace(0.0, T, grid_points)
+    return grid, np.stack([evaluate(traj, t) for t in grid])
+
+
+def sweep_deviation(model, ref, T, opts=None, outputs=None):
+    """Solve one delay model from its default history and compare it with
+    the ``sweep_reference`` result ``ref``.
+
+    Returns (trajectory, max-norm difference of the designated output
+    components on the shared grid).
+    """
+    grid, ref_vals = ref
+    traj = solve_itp(model, model.default_history(), T, opts)
+    diff = np.abs(np.stack([evaluate(traj, t) for t in grid]) - ref_vals)
+    if outputs is not None:
+        diff = diff[:, list(outputs)]
+    return traj, float(diff.max())
+
+
 def tau_sweep(builder, taus, T, opts=None, reference=None,
               reference_history=None, outputs=None, grid_points=400):
     """Compare delay-coupled responses against a delay-free reference.
 
     ``builder(tau)`` yields the delay model for each tau; the reference
-    model (no delay dependence) is solved once.  The deviation per tau is
-    the max-norm difference of the designated output components on a shared
-    evaluation grid.  Histories come from each model's default when not
-    supplied.
+    model (no delay dependence) is solved once.  Returns one
+    (tau, trajectory, deviation) triple per tau.
     """
     if reference is None:
         raise ValueError("a delay-free reference model is required")
-    opts = opts or IntegrationOptions()
-    ref_phi = reference_history or reference.default_history()
-    ref_traj = solve_itp(reference, ref_phi, T, opts)
-    grid = np.linspace(0.0, T, grid_points)
-    ref_vals = np.stack([evaluate(ref_traj, t) for t in grid])
-    results = []
-    for tau in taus:
-        model = builder(tau)
-        phi = model.default_history()
-        traj = solve_itp(model, phi, T, opts)
-        vals = np.stack([evaluate(traj, t) for t in grid])
-        diff = np.abs(vals - ref_vals)
-        if outputs is not None:
-            diff = diff[:, list(outputs)]
-        results.append((tau, traj, float(diff.max())))
-    return results
+    ref = sweep_reference(reference, T, opts, reference_history, grid_points)
+    return [(tau, *sweep_deviation(builder(tau), ref, T, opts, outputs))
+            for tau in taus]
 
 
 def write_trajectory_csv(tr, path, audit_points=None):

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ddaekit import models
+from ddaekit import cli, models, steps
 
 
 def run_cli(*args):
@@ -146,6 +146,64 @@ def test_sweep_csv_and_monotone_deviation(tmp_path):
     devs = [float(r[1]) for r in rows]
     assert devs[0] > devs[1] > 0.0
     assert all(r[2] == "ok" for r in rows)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--h", "0"), ("--h", "inf"), ("--h", "-1"), ("--h", "nan"),
+    ("--audit-points", "0"), ("--audit-points", "1"),
+])
+def test_simulate_rejects_invalid_integration_options(flag, value):
+    rc, _, err = run_cli("simulate", "--model", "ex-shift", "--T", "0.1",
+                         flag, value)
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert "model error" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("analyze",), ("simulate", "--T", "0.1"),
+])
+def test_json_model_missing_key_is_a_model_error(tmp_path, command):
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({"A": [[1.0]]}))
+    rc, _, err = run_cli(command[0], "--model", str(path), *command[1:])
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert "'E'" in err
+
+
+def test_sweep_unknown_parameter_is_a_model_error():
+    rc, out, err = run_cli("sweep", "--model", "pmsd-hybrid", "--param",
+                           "foo=1", "--tau", "0.1", "--T", "0.2")
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert "foo" in err
+    assert "error:" not in out
+
+
+def test_sweep_refuses_models_without_reference():
+    rc, _, err = run_cli("sweep", "--model", "ex-shift", "--tau", "0.1",
+                         "--T", "0.2")
+    assert rc == 2
+    sweepable = sorted(name for name, entry in models.REGISTRY.items()
+                       if entry.reference)
+    assert sweepable == ["pmsd-hybrid"]
+    assert f"sweepable: {sweepable}" in err
+
+
+def test_sweep_solves_the_reference_once(monkeypatch, capsys):
+    solved = []
+    solve = steps.solve_itp
+
+    def counting(model, *args, **kwargs):
+        solved.append(model.name)
+        return solve(model, *args, **kwargs)
+
+    monkeypatch.setattr(steps, "solve_itp", counting)
+    rc = cli.main(["sweep", "--model", "pmsd-hybrid", "--tau", "0.1,0.05",
+                   "--T", "0.4"])
+    assert rc == 0, capsys.readouterr().err
+    assert solved == ["pmsd-coupled", "pmsd-hybrid", "pmsd-hybrid"]
 
 
 def test_simulate_user_linear_ddae_from_json(tmp_path):

@@ -127,8 +127,9 @@ def test_zero_coupling_decouples(rng):
 
 def _form_with_N(N):
     a = N.shape[0]
-    return WeierstrassForm(np.eye(a), np.eye(a), np.zeros((0, 0)), N,
-                           0, a, 2 if np.any(N) else 1, 0.0, 0.0, 1.0, 1.0)
+    return WeierstrassForm(S=np.eye(a), T=np.eye(a), J=np.zeros((0, 0)), N=N,
+                           d=0, a=a, nu=2 if np.any(N) else 1, res_E=0.0,
+                           res_A=0.0, cond_P=1.0)
 
 
 def test_algebraic_solution_nilpotent_chain():
@@ -161,8 +162,8 @@ def test_algebraic_solution_index_one_and_constant_input():
 def test_algebraic_solution_satisfies_recursion(rng):
     # N zdot_a - z_a - Ba u - fa = 0 for polynomial forcing up to degree 3
     N = np.array([[0.0, 2.0, -1.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
-    w = WeierstrassForm(np.eye(3), np.eye(3), np.zeros((0, 0)), N, 0, 3, 3,
-                        0.0, 0.0, 1.0, 1.0)
+    w = WeierstrassForm(S=np.eye(3), T=np.eye(3), J=np.zeros((0, 0)), N=N,
+                        d=0, a=3, nu=3, res_E=0.0, res_A=0.0, cond_P=1.0)
     Ba = rng.standard_normal((3, 2))
     u = SymbolicSignal(poly=rng.standard_normal((2, 4)).tolist())
     fa = SymbolicSignal(poly=rng.standard_normal((3, 4)).tolist())

@@ -198,6 +198,21 @@ def test_report_fields_and_json():
     assert "nu" not in rep.to_json()
 
 
+def test_analyze_samples_the_determinant_once(monkeypatch):
+    calls = []
+    sample = pencil._det_samples
+
+    def counting(p):
+        calls.append(p)
+        return sample(p)
+
+    monkeypatch.setattr(pencil, "_det_samples", counting)
+    E = np.diag([1.0, 0.0])
+    A = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert analyze(MatrixPencil(E, A)).nu == 2
+    assert len(calls) == 1
+
+
 def test_pencil_json_roundtrip():
     p = MatrixPencil(np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
     q = MatrixPencil.from_json(p.to_json())

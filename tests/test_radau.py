@@ -5,10 +5,8 @@ import pytest
 
 from ddaekit import models
 from ddaekit.errors import InconsistentInitialState, NewtonDivergence
-from ddaekit.forcing import HistoryFunction
 from ddaekit.radau import (RADAU_A, RADAU_C, IntegrationOptions,
-                           SegmentProblem, integrate_segment,
-                           project_consistent)
+                           SegmentProblem, integrate_segment)
 from ddaekit.sfdae import SfDdaeModel
 
 
@@ -137,39 +135,3 @@ def test_newton_divergence_when_constraint_loses_solutions():
     with pytest.raises(NewtonDivergence) as err:
         integrate_segment(prob)
     assert err.value.t is not None and 0.4 < err.value.t < 0.6
-
-
-# -- consistency projection ---------------------------------------------------
-
-def test_projection_fixed_point():
-    p = models.PmsdParams()
-    m = models.pmsd_hybrid_shifted(p)
-    z = models.rest_state(p, theta=0.07)
-    src = lambda t, k: z
-    out = project_consistent(m, z, 0.0, src)
-    assert np.array_equal(out, z)
-
-
-def test_projection_pendulum_off_circle():
-    p = models.PmsdParams()
-    m = models.pmsd_hybrid_shifted(p)
-    z = models.rest_state(p)
-    z_ref = z.copy()
-    src = lambda t, k: z_ref
-    z_bad = z.copy()
-    z_bad[2] += 1e-3
-    out = project_consistent(m, z_bad, 0.0, src)
-    delta = out[2] - out[0]
-    circle = out[1] ** 2 + delta ** 2 - p.L ** 2
-    assert abs(circle) <= 1e-12
-    assert np.linalg.norm(out - z_bad) <= 2e-3
-
-
-def test_projection_linear_constraint_single_step():
-    m = models.ex_shift_model(0.5)
-    phi = m.default_history()
-    src = lambda t, k: phi.eval(-0.5 + t * 0, k)
-    z = np.array([3.0, 17.0])
-    out = project_consistent(m, z, 0.0, src, max_iter=2)
-    assert out[1] == pytest.approx(m.g_signal.shift(0.5).eval(0.0)[0])
-    assert out[0] == pytest.approx(3.0)      # untouched differential component
