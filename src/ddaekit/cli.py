@@ -162,15 +162,18 @@ def cmd_simulate(args):
         return EXIT_INADMISSIBLE
     runtime = time.perf_counter() - started
 
-    _, full, _ = audit(traj, opts.audit_points)
+    audited = audit(traj, opts.audit_points)
+    max_residual = float(audited[1].max())
     summary = {
         "model": name,
         "status": traj.status,
         "T": args.T,
         "tau": model.tau,
         "breakpoints": [float(b) for b in traj.breakpoints],
-        "max_residual": float(full.max()) if full.size else 0.0,
+        "max_residual": max_residual,
+        "audit_ok": max_residual <= opts.res_tol,
         "runtime": runtime,
+        "stats": traj.stats,
     }
     if traj.status == BROKE_DOWN:
         summary["breakdown"] = {
@@ -179,7 +182,7 @@ def cmd_simulate(args):
             "residual_norm": float(np.linalg.norm(traj.breakdown_residual)),
         }
     if args.out:
-        write_trajectory_csv(traj, f"{args.out}.csv", opts.audit_points)
+        write_trajectory_csv(traj, f"{args.out}.csv", audited)
     _emit(summary, f"{args.out}.json" if args.out else None)
     return EXIT_BREAKDOWN if traj.status == BROKE_DOWN else EXIT_OK
 
@@ -202,7 +205,10 @@ def cmd_sweep(args):
             f"model {args.model!r} has no delay parameterization with a "
             f"reference; sweepable: {sweepable}")
     params = _parse_params(args.param)
-    params.pop("tau", None)
+    if "tau" in params:
+        sys.stderr.write("error: sweep takes its delays from --tau, not "
+                         "from --param tau=...\n")
+        return EXIT_USAGE
     reference = model_zoo.REGISTRY[entry.reference].make(params)
     opts = _options_from(args)
     try:

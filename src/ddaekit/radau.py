@@ -8,10 +8,19 @@ part is enforced exactly at step endpoints, which is what breakpoint
 consistency of the method of steps requires.  Steps are fixed size with
 halving only on Newton failure; reproducibility of reported numbers is
 preferred over error control.
+
+The stage equations are solved by simplified Newton: the model Jacobians
+are evaluated once per step, at the predictor of the last stage, and
+Hairer's transformation of the Radau IIA matrix (Hairer & Wanner, Solving
+ODEs II, IV.8) splits the 3n x 3n stage matrix into one real and one
+complex n x n matrix, each inverted once per step.  The continuous
+extension is the cubic Hermite of each step, stored as monomial
+coefficients when the segment is complete.
 """
 
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +42,10 @@ RADAU_A = np.array([
     [(16.0 - _S6) / 36.0, (16.0 + _S6) / 36.0, 1.0 / 9.0],
 ])
 
+# plain floats keep stage times off numpy scalars in the model callbacks
+# and the dense-output bisection
+_C = RADAU_C.tolist()
+
 # Lagrange basis of the collocation nodes evaluated at 0; the collocation
 # polynomial derivative at the step start is their combination of the
 # stage derivatives.
@@ -41,6 +54,24 @@ _L_AT_0 = np.array([
     RADAU_C[0] * RADAU_C[2] / ((RADAU_C[1] - RADAU_C[0]) * (RADAU_C[1] - RADAU_C[2])),
     RADAU_C[0] * RADAU_C[1] / ((RADAU_C[2] - RADAU_C[0]) * (RADAU_C[2] - RADAU_C[1])),
 ])
+
+# Hairer's transformation (Solving ODEs II, IV.8): inv(RADAU_A) = T L inv(T)
+# with L = [[gamma, 0, 0], [0, alpha, -beta], [0, beta, alpha]], so the
+# 3n x 3n simplified-Newton system splits into one real n x n system with
+# shift gamma and one complex one with shift alpha + i beta.
+def _radau_split():
+    """T, inv(T) @ inv(RADAU_A), gamma and alpha + i beta."""
+    ainv = np.linalg.inv(RADAU_A)
+    lam, V = np.linalg.eig(ainv)
+    # the eigenvector of alpha - i beta puts +beta at L[2, 1]
+    r, c = int(np.argmin(np.abs(lam.imag))), int(np.argmin(lam.imag))
+    T = np.column_stack([V[:, r].real, V[:, c].real, V[:, c].imag])
+    TI_AINV = np.linalg.inv(T) @ ainv
+    L = TI_AINV @ T
+    return T, TI_AINV, L[0, 0], complex(L[1, 1], L[2, 1])
+
+
+_T, _TI_AINV, _GAMMA, _ALPHA_BETA = _radau_split()
 
 COND_WARN = 1e12
 
@@ -98,106 +129,127 @@ class SegmentProblem:
 class SegmentSolution:
     """Accepted mesh with a C0 cubic-Hermite continuous extension.
 
-    Node states are reproduced exactly by the dense output; derivatives may
-    jump at interior nodes, in which case evaluation uses the step to the
-    right (time derivatives are one-sided from the right throughout).
+    The mesh ``ts`` is a list.  The Hermite cubic of step k is stored once,
+    in monomial form, as ``coeffs[k]`` (rows c0..c3): z(t) = c0 + c1 s +
+    c2 s^2 + c3 s^3 with s = (t - ts[k]) / h_k.  Node states are c0 of each
+    step plus ``endpoint``; the dense output reproduces step starts exactly.
+    Derivatives may jump at interior nodes, in which case evaluation uses
+    the step to the right (time derivatives are one-sided from the right
+    throughout).
     """
 
     def __init__(self, ts, zs, d_start, d_end, stats):
-        self.ts = np.asarray(ts)
-        self.zs = np.asarray(zs)
-        self.d_start = np.asarray(d_start)     # derivative at each step start
-        self.d_end = np.asarray(d_end)         # derivative at each step end
+        self.ts = np.asarray(ts, dtype=float).tolist()
+        zs = np.asarray(zs)
+        self.endpoint = zs[-1].copy()
         self.stats = stats
+        h = np.diff(self.ts)[:, None]
+        z0 = zs[:-1]
+        dz = zs[1:] - z0
+        hd0 = h * np.asarray(d_start)          # d_start: z' at each step start
+        hd1 = h * np.asarray(d_end)            # d_end: z' at each step end
+        self.coeffs = np.stack(
+            [z0, hd0, 3.0 * dz - 2.0 * hd0 - hd1, hd0 + hd1 - 2.0 * dz],
+            axis=1)
 
     @property
     def t_start(self):
-        return float(self.ts[0])
+        return self.ts[0]
 
     @property
     def t_end(self):
-        return float(self.ts[-1])
+        return self.ts[-1]
 
     @property
-    def endpoint(self):
-        return self.zs[-1]
+    def zs(self):
+        """Node states, one row per mesh point."""
+        return np.vstack([self.coeffs[:, 0], self.endpoint])
 
     def eval(self, t, order=0):
         """Dense output: state (order 0) or right derivative (order 1)."""
         if order not in (0, 1):
             raise ValueError("dense output supports orders 0 and 1 only")
-        slack = 1e-9 * max(1.0, abs(self.t_end))
-        if t < self.t_start - slack or t > self.t_end + slack:
+        ts = self.ts
+        slack = 1e-9 * max(1.0, abs(ts[-1]))
+        if t < ts[0] - slack or t > ts[-1] + slack:
             raise ValueError(
-                f"t={t} outside segment [{self.t_start}, {self.t_end}]")
-        k = int(np.searchsorted(self.ts, t, side="right") - 1)
-        k = min(max(k, 0), len(self.ts) - 2)
-        h = self.ts[k + 1] - self.ts[k]
-        s = (t - self.ts[k]) / h
-        z0, z1 = self.zs[k], self.zs[k + 1]
-        d0, d1 = self.d_start[k], self.d_end[k]
+                f"t={t} outside segment [{ts[0]}, {ts[-1]}]")
+        k = min(max(bisect_right(ts, t) - 1, 0), len(ts) - 2)
+        h = ts[k + 1] - ts[k]
+        s = (t - ts[k]) / h
         if order == 0:
-            h00 = 2 * s**3 - 3 * s**2 + 1
-            h10 = s**3 - 2 * s**2 + s
-            h01 = -2 * s**3 + 3 * s**2
-            h11 = s**3 - s**2
-            return h00 * z0 + h10 * h * d0 + h01 * z1 + h11 * h * d1
-        g00 = (6 * s**2 - 6 * s) / h
-        g10 = 3 * s**2 - 4 * s + 1
-        g01 = (-6 * s**2 + 6 * s) / h
-        g11 = 3 * s**2 - 2 * s
-        return g00 * z0 + g10 * d0 + g01 * z1 + g11 * d1
+            return np.dot([1.0, s, s * s, s * s * s], self.coeffs[k])
+        return np.dot([0.0, 1.0 / h, 2.0 * s / h, 3.0 * s * s / h],
+                      self.coeffs[k])
 
 
-def _stage_system(model, stage_ts, stage_lags, h, z_prev, K):
-    """Residual and Jacobian of the 3-stage collocation equations."""
-    n = model.n
-    R = np.empty(3 * n)
-    J = np.zeros((3 * n, 3 * n))
-    for i in range(3):
-        zi = z_prev + h * (RADAU_A[i] @ K)
-        ki = K[i]
-        ti = stage_ts[i]
-        zlags = stage_lags[i]
-        R[i * n:(i + 1) * n] = model.residual(ti, zi, ki, zlags)
-        Fz = np.zeros((n, n))
-        Fz[:model.d] = model.JD_z(ti, zi, ki, zlags[0])
-        Fz[model.d:] = model.JA_z(ti, zi, zlags[:model.s_decl])
-        Fdot = np.zeros((n, n))
-        Fdot[:model.d] = model.JD_zdot(ti, zi, ki, zlags[0])
-        for j in range(3):
-            block = h * RADAU_A[i, j] * Fz
-            if i == j:
-                block = block + Fdot
-            J[i * n:(i + 1) * n, j * n:(j + 1) * n] = block
-    return R, J
+def _newton_factors(Fz, Fdot, h):
+    """Inverses of the real and the complex block of the split stage matrix.
+
+    Raises LinAlgError when either block is singular.
+    """
+    return (np.linalg.inv(_GAMMA * Fdot + h * Fz),
+            np.linalg.inv(_ALPHA_BETA * Fdot + h * Fz))
+
+
+def _newton_update(factors, R):
+    """Solve (I (x) Fdot + h A (x) Fz) dK = R, with one row of R and dK per
+    stage, through the real and complex blocks of ``_newton_factors``."""
+    real, cplx = factors
+    W = _TI_AINV @ R
+    w = cplx @ (W[1] + 1j * W[2])
+    W[0] = real @ W[0]
+    W[1] = w.real
+    W[2] = w.imag
+    return _T @ W
 
 
 def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats):
     """One collocation step; returns (z1, d0, d1, k_end) or None on failure."""
-    n = model.n
-    K = np.tile(k_guess, (3, 1))
+    n, d = model.n, model.d
+    K = np.array([k_guess] * 3)
     scale = 1.0 + float(np.abs(z_prev).max())
-    stage_ts = [t0 + c * h for c in RADAU_C]
+    stage_ts = [t0 + c * h for c in _C]
     stage_lags = [problem.lags(ti) for ti in stage_ts]
+    # One Jacobian per step, at the predictor of the last stage.
+    z_pred = z_prev + h * k_guess
+    lags = stage_lags[2]
+    Fz = np.empty((n, n))
+    Fz[:d] = model.JD_z(stage_ts[2], z_pred, k_guess, lags[0])
+    Fz[d:] = model.JA_z(stage_ts[2], z_pred, lags[:model.s_decl])
+    Fdot = np.zeros((n, n))
+    Fdot[:d] = model.JD_zdot(stage_ts[2], z_pred, k_guess, lags[0])
+    if not (np.isfinite(Fz).all() and np.isfinite(Fdot).all()):
+        return None
+    if stats["cond_pending"]:
+        J = np.kron(np.eye(3), Fdot) + h * np.kron(RADAU_A, Fz)
+        stats["max_stage_cond"] = max(stats["max_stage_cond"],
+                                      float(np.linalg.cond(J)))
+        stats["cond_pending"] = False
+        if stats["max_stage_cond"] > COND_WARN:
+            logger.warning("stage Jacobian condition %.2e exceeds %.0e",
+                           stats["max_stage_cond"], COND_WARN)
+    try:
+        factors = _newton_factors(Fz, Fdot, h)
+    except np.linalg.LinAlgError:
+        return None
+    R = np.empty((3, n))
+    err_prev = math.inf
     for _ in range(opts.max_newton):
-        R, J = _stage_system(model, stage_ts, stage_lags, h, z_prev, K)
-        if stats["cond_pending"]:
-            stats["max_stage_cond"] = max(stats["max_stage_cond"],
-                                          float(np.linalg.cond(J)))
-            stats["cond_pending"] = False
-            if stats["max_stage_cond"] > COND_WARN:
-                logger.warning("stage Jacobian condition %.2e exceeds %.0e",
-                               stats["max_stage_cond"], COND_WARN)
-        try:
-            delta = np.linalg.solve(J, R)
-        except np.linalg.LinAlgError:
+        Z = z_prev + h * (RADAU_A @ K)
+        for i in range(3):
+            R[i] = model.residual(stage_ts[i], Z[i], K[i], stage_lags[i])
+        if not np.isfinite(R).all():
             return None
-        K -= delta.reshape(3, n)
+        delta = _newton_update(factors, R)
+        K -= delta
         stats["newton_iterations"] += 1
         err = h * float(np.abs(delta).max()) / scale
-        if not math.isfinite(err):
+        # the frozen Jacobian makes the iteration contract linearly; an
+        # update that does not shrink means it diverges
+        if not err < err_prev:
             return None
+        err_prev = err
         if err <= opts.newton_tol:
             z1 = z_prev + h * (RADAU_A[2] @ K)
             r_end = model.residual(stage_ts[2], z1, K[2], stage_lags[2])

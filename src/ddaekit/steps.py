@@ -56,6 +56,22 @@ class Trajectory:
             return None
         return (self.breakdown_index - 1) * self.model.tau
 
+    @property
+    def stats(self):
+        """Integrator totals over the segments: step, Newton-iteration and
+        halving counts summed, worst stage condition and endpoint residual
+        maxed."""
+        segs = [seg.stats for seg in self.segments]
+        return {
+            "steps": sum(s["n_steps"] for s in segs),
+            "newton_iterations": sum(s["newton_iterations"] for s in segs),
+            "halvings": sum(s["halvings"] for s in segs),
+            "max_stage_cond": max((s["max_stage_cond"] for s in segs),
+                                  default=0.0),
+            "max_endpoint_residual": max(
+                (s["max_endpoint_residual"] for s in segs), default=0.0),
+        }
+
     def eval(self, t, order=0):
         return evaluate(self, t, order)
 
@@ -229,10 +245,13 @@ def tau_sweep(builder, taus, T, opts=None, reference=None,
             for tau in taus]
 
 
-def write_trajectory_csv(tr, path, audit_points=None):
-    """CSV export: t, z_1..z_n, covering segment index, algebraic residual."""
-    n_points = audit_points or 1000
-    ts, _, alg = audit(tr, n_points)
+def write_trajectory_csv(tr, path, audited):
+    """CSV export: t, z_1..z_n, covering segment index, algebraic residual.
+
+    ``audited`` is the ``audit(tr, ...)`` result whose grid and algebraic
+    residuals the rows report.
+    """
+    ts, _, alg = audited
     labels = [f"z_{i + 1}" for i in range(tr.model.n)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

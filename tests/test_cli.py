@@ -206,6 +206,56 @@ def test_sweep_solves_the_reference_once(monkeypatch, capsys):
     assert solved == ["pmsd-coupled", "pmsd-hybrid", "pmsd-hybrid"]
 
 
+def test_simulate_audits_once_per_run(monkeypatch, capsys, tmp_path):
+    audited = []
+    run_audit = steps.audit
+
+    def counting(*args, **kwargs):
+        audited.append(args[1:])
+        return run_audit(*args, **kwargs)
+
+    monkeypatch.setattr(steps, "audit", counting)
+    monkeypatch.setattr(cli, "audit", counting)
+    rc = cli.main(["simulate", "--model", "ex-shift", "--T", "0.1",
+                   "--audit-points", "51", "--out", str(tmp_path / "run")])
+    assert rc == 0, capsys.readouterr().err
+    assert audited == [(51,)]
+    with open(tmp_path / "run.csv") as fh:
+        assert len(list(csv.reader(fh))) == 52
+
+
+def test_sweep_refuses_tau_parameter():
+    rc, out, err = run_cli("sweep", "--model", "pmsd-hybrid", "--tau", "0.1",
+                           "--T", "0.3", "--param", "tau=0.3")
+    assert rc == 64, err
+    assert "--tau" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("args, ok", [
+    (("--T", "0.2"), True),
+    (("--T", "0.5", "--h", "0.005"), False),   # audit residual ~2e-8
+])
+def test_simulate_reports_audit_ok(args, ok):
+    data = run_json("simulate", "--model", "pmsd-hybrid", *args)
+    assert data["status"] == "Complete"
+    assert data["audit_ok"] is ok
+    assert (data["max_residual"] <= 1e-8) is ok
+
+
+def test_simulate_reports_integrator_totals():
+    # 800 steps of tau/200; 1604 Newton iterations with full Newton
+    stats = run_json("simulate", "--model", "pmsd-hybrid", "--T",
+                     "0.2")["stats"]
+    assert set(stats) == {"steps", "newton_iterations", "halvings",
+                          "max_stage_cond", "max_endpoint_residual"}
+    assert stats["steps"] == 800
+    assert stats["newton_iterations"] <= 1604
+    assert stats["halvings"] == 0
+    assert 1.0 <= stats["max_stage_cond"] < 1e12
+    assert stats["max_endpoint_residual"] <= 1e-8
+
+
 def test_simulate_user_linear_ddae_from_json(tmp_path):
     # the advanced example supplied as a raw linear system: the wrapper
     # derives the strangeness-free split, and the run still breaks down

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddaekit import models
 from ddaekit.errors import InconsistentInitialState, NewtonDivergence
 from ddaekit.radau import (RADAU_A, RADAU_C, IntegrationOptions,
-                           SegmentProblem, integrate_segment)
+                           SegmentProblem, SegmentSolution, _newton_factors,
+                           _newton_update, integrate_segment)
 from ddaekit.sfdae import SfDdaeModel
 
 
@@ -75,7 +78,7 @@ def test_determinism_bitwise():
             for _ in range(2)]
     assert np.array_equal(sols[0].ts, sols[1].ts)
     assert np.array_equal(sols[0].zs, sols[1].zs)
-    assert np.array_equal(sols[0].d_end, sols[1].d_end)
+    assert np.array_equal(sols[0].coeffs, sols[1].coeffs)
 
 
 def test_shift_example_segment_matches_closed_form():
@@ -135,3 +138,88 @@ def test_newton_divergence_when_constraint_loses_solutions():
     with pytest.raises(NewtonDivergence) as err:
         integrate_segment(prob)
     assert err.value.t is not None and 0.4 < err.value.t < 0.6
+
+
+def test_singular_stage_matrix_halves_then_diverges():
+    # 0 = t: the algebraic Jacobian vanishes, so every stage block is singular
+    m = SfDdaeModel(
+        n=1, d=0, a=1, tau=1.0, s_decl=0,
+        D=lambda t, z, zdot, ztau: np.zeros(0),
+        A=lambda t, z, zlags: np.array([t]),
+        JD_z=lambda t, z, zdot, ztau: np.zeros((0, 1)),
+        JD_zdot=lambda t, z, zdot, ztau: np.zeros((0, 1)),
+        JA_z=lambda t, z, zlags: np.zeros((1, 1)),
+        name="singular-constraint")
+    prob = SegmentProblem(m, 0.0, 1.0, np.zeros(1), zero_source)
+    with pytest.raises(NewtonDivergence) as err:
+        integrate_segment(prob)
+    assert err.value.t == 0.0
+
+
+def hermite_reference(ts, zs, d_start, d_end, t, order):
+    """Cubic Hermite in its basis form, on the step whose start is the last
+    node <= t (the final step also covers its right end)."""
+    k = min(int(np.searchsorted(ts, t, side="right")) - 1, len(ts) - 2)
+    h = ts[k + 1] - ts[k]
+    s = (t - ts[k]) / h
+    z0, z1, d0, d1 = zs[k], zs[k + 1], d_start[k], d_end[k]
+    if order == 0:
+        return ((2 * s**3 - 3 * s**2 + 1) * z0 + (s**3 - 2 * s**2 + s) * h * d0
+                + (-2 * s**3 + 3 * s**2) * z1 + (s**3 - s**2) * h * d1)
+    return ((6 * s**2 - 6 * s) / h * z0 + (3 * s**2 - 4 * s + 1) * d0
+            + (-6 * s**2 + 6 * s) / h * z1 + (3 * s**2 - 2 * s) * d1)
+
+
+def random_solution(rng, steps, n=2):
+    ts = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, steps))])
+    zs = rng.uniform(-1.0, 1.0, (steps + 1, n))
+    d_start = rng.uniform(-1.0, 1.0, (steps, n))
+    d_end = rng.uniform(-1.0, 1.0, (steps, n))
+    return ts, zs, d_start, d_end
+
+
+def check_dense_output(ts, zs, d_start, d_end, queries):
+    sol = SegmentSolution(ts, zs, d_start, d_end, {})
+    for t in queries:
+        for order in (0, 1):
+            want = hermite_reference(ts, zs, d_start, d_end, t, order)
+            np.testing.assert_allclose(sol.eval(t, order), want, rtol=0,
+                                       atol=1e-14)
+
+
+def test_dense_output_matches_hermite_basis(rng):
+    ts, zs, d_start, d_end = random_solution(rng, 6)
+    inner = [ts[k] + f * (ts[k + 1] - ts[k])
+             for k in range(6) for f in (0.1, 0.5, 0.93)]
+    check_dense_output(ts, zs, d_start, d_end, [*ts, *inner])
+    sol = SegmentSolution(ts, zs, d_start, d_end, {})
+    for k in range(6):
+        # step starts are exact; derivatives there come from the right step
+        assert np.array_equal(sol.eval(ts[k]), zs[k])
+        np.testing.assert_allclose(sol.eval(ts[k], 1), d_start[k], rtol=0,
+                                   atol=1e-14)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 8),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_dense_output_matches_hermite_basis_property(seed, steps, fractions):
+    ts, zs, d_start, d_end = random_solution(np.random.default_rng(seed),
+                                             steps)
+    queries = [ts[0] + f * (ts[-1] - ts[0]) for f in fractions]
+    check_dense_output(ts, zs, d_start, d_end, queries)
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (3, 2), (7, 4), (2, 0)])
+def test_split_newton_update_matches_assembled_solve(rng, n, d):
+    # d differential rows: the algebraic rows of Fdot are zero, as for a DAE
+    Fz = rng.standard_normal((n, n))
+    Fdot = np.zeros((n, n))
+    Fdot[:d] = rng.standard_normal((d, n))
+    h = 0.01
+    R = rng.standard_normal((3, n))
+    J = np.kron(np.eye(3), Fdot) + h * np.kron(RADAU_A, Fz)
+    want = np.linalg.solve(J, R.reshape(-1)).reshape(3, n)
+    got = _newton_update(_newton_factors(Fz, Fdot, h), R)
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
