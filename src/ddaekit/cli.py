@@ -18,10 +18,11 @@ from . import models as model_zoo
 from .errors import (DataError, DdaeError, IllConditioned,
                      InadmissibleHistory, SingularPencil)
 from .forcing import HistoryFunction
-from .lti import LinearDdae, LtiDescriptor, classify_linear, sf_model_from_linear
+from .lti import (LinearDdae, LtiDescriptor, classify_linear, delay_terms,
+                  sf_model_from_linear)
 from .pencil import DEFAULT_TOL, MatrixPencil, analyze
 from .radau import IntegrationOptions
-from .sfdae import SfDdaeModel, classify
+from .sfdae import Classification, SfDdaeModel, classify
 from .steps import (BROKE_DOWN, audit, solve_itp, sweep_deviation,
                     sweep_reference, write_trajectory_csv)
 
@@ -66,6 +67,9 @@ def _parse_history(spec, tau, dim):
 def _load_json_model(path):
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise DataError(f"{path}: a model file holds a JSON object, got "
+                        f"{type(data).__name__}")
     kind = (LinearDdae if "A0" in data
             else LtiDescriptor if "B" in data or "C" in data
             else MatrixPencil)
@@ -109,7 +113,8 @@ def cmd_analyze(args):
     report = analyze(pencil_obj, args.tol)
     data = {"model": name, **report.to_json()}
     if isinstance(obj, LinearDdae) and report.regular:
-        data["classification"] = classify_linear(obj, args.tol).to_json()
+        _, s = delay_terms(report.form, obj.A1, args.tol)
+        data["classification"] = Classification.of_order(s).to_json()
     _emit(data, args.out)
     return EXIT_OK
 

@@ -12,17 +12,8 @@ import numpy as np
 
 from .errors import ShapeError
 from .forcing import SymbolicSignal
-from .pencil import DEFAULT_TOL, MatrixPencil, is_regular, weierstrass
-from .sfdae import Classification, SfDdaeModel
-
-
-def _as_matrix(M, name):
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ShapeError(f"{name} must be a matrix, got ndim={M.ndim}")
-    if not np.all(np.isfinite(M)):
-        raise ShapeError(f"{name} contains non-finite entries")
-    return M
+from .pencil import DEFAULT_TOL, MatrixPencil, as_matrix, is_regular, weierstrass
+from .sfdae import Classification, SfDdaeModel, check_delay
 
 
 class LtiDescriptor:
@@ -33,14 +24,14 @@ class LtiDescriptor:
     """
 
     def __init__(self, E, A, B=None, C=None, f=None):
-        self.E = _as_matrix(E, "E")
-        self.A = _as_matrix(A, "A")
+        self.E = as_matrix(E, "E")
+        self.A = as_matrix(A, "A")
         n = self.E.shape[0]
         if self.E.shape != (n, n) or self.A.shape != (n, n):
             raise ShapeError("E and A must be square of equal size")
         self.n = n
-        self.B = _as_matrix(B if B is not None else np.zeros((n, 0)), "B")
-        self.C = _as_matrix(C if C is not None else np.zeros((0, n)), "C")
+        self.B = as_matrix(B if B is not None else np.zeros((n, 0)), "B")
+        self.C = as_matrix(C if C is not None else np.zeros((0, n)), "C")
         if self.B.shape[0] != n:
             raise ShapeError(f"B must have {n} rows")
         if self.C.shape[1] != n:
@@ -73,17 +64,15 @@ class LinearDdae:
     """Linear delay system  E z'(t) = A0 z(t) + A1 z(t - tau) + f(t)."""
 
     def __init__(self, E, A0, A1, tau, f=None):
-        self.E = _as_matrix(E, "E")
+        self.E = as_matrix(E, "E")
         n = self.E.shape[0]
-        self.A0 = _as_matrix(A0, "A0")
-        self.A1 = _as_matrix(A1, "A1")
+        self.A0 = as_matrix(A0, "A0")
+        self.A1 = as_matrix(A1, "A1")
         for name, M in (("E", self.E), ("A0", self.A0), ("A1", self.A1)):
             if M.shape != (n, n):
                 raise ShapeError(f"{name} must be {n}x{n}")
-        if tau <= 0:
-            raise ValueError("tau must be positive")
         self.n = n
-        self.tau = float(tau)
+        self.tau = check_delay(tau)
         self.f = f if f is not None else SymbolicSignal.zero(n)
         if self.f.dim != n:
             raise ShapeError("forcing dimension mismatch")
@@ -106,54 +95,69 @@ class LinearDdae:
         return f"LinearDdae(n={self.n}, tau={self.tau})"
 
 
-def _check_coupling_dims(s1, s2):
+def _interconnection(s1, s2):
+    """Blocks of the loop u1 = y2, u2 = y1: E = diag(E1, E2), the
+    current-time part A0 = [[A1, 0], [B2 C1, A2]] and the transfer path
+    feeding subsystem 1, A1 = [[0, B1 C2], [0, 0]]."""
     if s1.m != s2.p or s2.m != s1.p:
         raise ShapeError(
             f"coupling requires m1=p2 and m2=p1, got m1={s1.m}, p2={s2.p}, "
             f"m2={s2.m}, p1={s1.p}")
+    n1 = s1.n
+    n = n1 + s2.n
+    E = np.zeros((n, n))
+    E[:n1, :n1] = s1.E
+    E[n1:, n1:] = s2.E
+    A0 = np.zeros((n, n))
+    A0[:n1, :n1] = s1.A
+    A0[n1:, :n1] = s2.B @ s1.C
+    A0[n1:, n1:] = s2.A
+    A1 = np.zeros((n, n))
+    A1[:n1, n1:] = s1.B @ s2.C
+    return E, A0, A1
 
 
 def couple(s1, s2):
-    """Close the loop u1 = y2, u2 = y1 without any delay.
-
-    The result is the block system with E = diag(E1, E2) and
-    A = [[A1, B1 C2], [B2 C1, A2]]; external inputs are consumed by the
-    interconnection, so B and C of the result are empty.
-    """
-    _check_coupling_dims(s1, s2)
-    n = s1.n + s2.n
-    E = np.zeros((n, n))
-    E[:s1.n, :s1.n] = s1.E
-    E[s1.n:, s1.n:] = s2.E
-    A = np.zeros((n, n))
-    A[:s1.n, :s1.n] = s1.A
-    A[:s1.n, s1.n:] = s1.B @ s2.C
-    A[s1.n:, :s1.n] = s2.B @ s1.C
-    A[s1.n:, s1.n:] = s2.A
-    return LtiDescriptor(E, A, f=s1.f.stack(s2.f))
+    """Close the loop u1 = y2, u2 = y1 without any delay: E = diag(E1, E2),
+    A = [[A1, B1 C2], [B2 C1, A2]].  External inputs are consumed by the
+    interconnection, so B and C of the result are empty."""
+    E, A0, A1 = _interconnection(s1, s2)
+    return LtiDescriptor(E, A0 + A1, f=s1.f.stack(s2.f))
 
 
 def hybrid_shifted(s1, s2, tau):
     """Delay-coupled system after shifting the second block by tau.
 
     The delay sits in the transfer path feeding subsystem 1, so only the
-    top-right coupling block is delayed:
-    E = diag(E1, E2), A0 = [[A1, 0], [B2 C1, A2]], A1 = [[0, B1 C2], [0, 0]].
+    top-right coupling block B1 C2 is delayed (see ``_interconnection``).
     """
-    _check_coupling_dims(s1, s2)
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    n = s1.n + s2.n
-    E = np.zeros((n, n))
-    E[:s1.n, :s1.n] = s1.E
-    E[s1.n:, s1.n:] = s2.E
-    A0 = np.zeros((n, n))
-    A0[:s1.n, :s1.n] = s1.A
-    A0[s1.n:, :s1.n] = s2.B @ s1.C
-    A0[s1.n:, s1.n:] = s2.A
-    A1 = np.zeros((n, n))
-    A1[:s1.n, s1.n:] = s1.B @ s2.C
+    E, A0, A1 = _interconnection(s1, s2)
     return LinearDdae(E, A0, A1, tau, f=s1.f.stack(s2.f))
+
+
+def _powers(N, count):
+    """N^0, ..., N^(count - 1), each formed as N @ (previous power)."""
+    Npow = np.eye(N.shape[0])
+    for _ in range(count):
+        yield Npow
+        Npow = N @ Npow
+
+
+def delay_terms(w, A1, tol):
+    """Delayed terms of the algebraic recursion and the delay order s.
+
+    ``w`` is the Weierstrass form of (E, A0).  Solving the algebraic block
+    N za' = za + Sa A1 z(t - tau) + ... for za gives the terms
+    N^j Sa A1 (j < nu), each applied to the j-th derivative of z(t - tau).
+    s = K + 1 with K the largest j whose term is nonzero at the tolerance,
+    and s = 0 when none is: 0 is retarded, 1 neutral, >= 2 advanced.
+    """
+    thresh = tol * (1.0 + float(np.abs(A1).max(initial=0.0)))
+    SaA1 = w.S[w.d:] @ A1
+    terms = [Npow @ SaA1 for Npow in _powers(w.N, w.nu)]
+    s = max((j + 1 for j, M in enumerate(terms)
+             if np.abs(M).max(initial=0.0) > thresh), default=0)
+    return terms, s
 
 
 def algebraic_solution(w, Ba, u, fa, t):
@@ -166,10 +170,8 @@ def algebraic_solution(w, Ba, u, fa, t):
     a = w.a
     Ba = np.asarray(Ba, dtype=float).reshape(a, -1)
     acc = np.zeros(a)
-    Npow = np.eye(a)
-    for j in range(w.nu):
+    for j, Npow in enumerate(_powers(w.N, w.nu)):
         acc += Npow @ (Ba @ u.eval(t, j) + fa.eval(t, j))
-        Npow = w.N @ Npow
     return -acc
 
 
@@ -192,29 +194,10 @@ def is_consistent(sys, z0, u, t0, tol=1e-8):
 
 
 def classify_linear(d, tol=DEFAULT_TOL):
-    """Retarded / neutral / advanced type of a linear DDAE.
-
-    Uses the Weierstrass form of (E, A0): with At = S A1 T and Aa its
-    algebraic row block, K = max { j < nu : N^j Aa != 0 }.  Aa = 0 means the
-    delay enters only differential rows (retarded); K = 0 means the
-    algebraic part sees z(t - tau) itself (neutral); K >= 1 means the
-    underlying delay equation needs derivative order K + 1 (advanced).
-    """
-    w = weierstrass(d.pencil, tol)
-    thresh = tol * (1.0 + float(np.abs(d.A1).max(initial=0.0)))
-    At = w.S @ d.A1 @ w.T
-    Aa = At[w.d:]
-    if w.a == 0 or np.abs(Aa).max(initial=0.0) <= thresh:
-        return Classification.retarded()
-    K = 0
-    Npow = np.eye(w.a)
-    for j in range(1, w.nu):
-        Npow = w.N @ Npow
-        if np.abs(Npow @ Aa).max(initial=0.0) > thresh:
-            K = j
-    if K == 0:
-        return Classification.neutral()
-    return Classification.advanced(K + 1)
+    """Retarded / neutral / advanced type of a linear DDAE: the delay order
+    of ``delay_terms``, which ``sf_model_from_linear`` also declares."""
+    _, s = delay_terms(weierstrass(d.pencil, tol), d.A1, tol)
+    return Classification.of_order(s)
 
 
 def regularity_theorem_check(s1, s2, tau=1.0, tol=DEFAULT_TOL):
@@ -243,20 +226,9 @@ def sf_model_from_linear(ld, tol=DEFAULT_TOL):
     T_inv = np.linalg.solve(w.T, np.eye(n))
     Pa = T_inv[d:]
 
-    thresh = tol * (1.0 + float(np.abs(A1).max(initial=0.0)))
-    terms = []          # (N^j Sa A1) for the delayed part of the recursion
-    fa_derivative_mats = []     # N^j Sa, applied to f^(j)
-    Npow = np.eye(a)
-    SaA1 = Sa @ A1
-    K = -1
-    for j in range(nu):
-        M = Npow @ SaA1
-        terms.append(M)
-        if np.abs(M).max(initial=0.0) > thresh:
-            K = j
-        fa_derivative_mats.append(Npow @ Sa)
-        Npow = w.N @ Npow
-    s_decl = K + 1
+    terms, s_decl = delay_terms(w, A1, tol)
+    # N^j Sa, applied to f^(j)
+    fa_derivative_mats = [Npow @ Sa for Npow in _powers(w.N, nu)]
 
     def D(t, z, zdot, ztau):
         return Sd @ (E @ zdot - A0 @ z - A1 @ ztau) - Sd @ ld.f.eval(t)

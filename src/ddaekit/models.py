@@ -19,7 +19,7 @@ from .errors import ShapeError
 from .forcing import HistoryFunction, SymbolicSignal
 from .lti import LinearDdae, LtiDescriptor, couple, hybrid_shifted
 from .pencil import MatrixPencil
-from .sfdae import SfDdaeModel
+from .sfdae import SfDdaeModel, check_delay
 
 
 @dataclass
@@ -44,8 +44,7 @@ class PmsdParams:
             raise ValueError("masses and rod length must be positive")
         if min(self.C, self.K, self.g) < 0:
             raise ValueError("damping, stiffness and gravity must be >= 0")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        self.tau = check_delay(self.tau)
 
 
 PMSD_STATES = ["y1", "x2", "y2", "v1", "v2", "v3", "lambda"]

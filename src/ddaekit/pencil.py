@@ -28,10 +28,11 @@ DEFAULT_TOL = 1e-10
 GAP_FACTOR = 10.0
 
 
-def _as_square(M, name):
+def as_matrix(M, name):
+    """M as a 2-D float array; ShapeError or DataError (non-finite entries)."""
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ShapeError(f"{name} must be square, got shape {M.shape}")
+    if M.ndim != 2:
+        raise ShapeError(f"{name} must be a matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise DataError(f"{name} contains non-finite entries")
     return M
@@ -41,12 +42,14 @@ class MatrixPencil:
     """Square real pencil (E, A)."""
 
     def __init__(self, E, A):
-        self.E = _as_square(E, "E")
-        self.A = _as_square(A, "A")
-        if self.E.shape != self.A.shape:
+        self.E = as_matrix(E, "E")
+        self.A = as_matrix(A, "A")
+        n = self.E.shape[0]
+        if self.E.shape != (n, n) or self.A.shape != (n, n):
             raise ShapeError(
-                f"E and A must have equal shape, got {self.E.shape} vs {self.A.shape}")
-        self.n = self.E.shape[0]
+                f"E and A must be square of equal size, got {self.E.shape} "
+                f"vs {self.A.shape}")
+        self.n = n
 
     def to_json(self):
         return {"E": self.E.tolist(), "A": self.A.tolist()}
@@ -81,28 +84,39 @@ class WeierstrassForm:
     res_A: float
     cond_P: float
 
+    @property
+    def mu(self):
+        """Strangeness index: nu - 1 when algebraic equations are present,
+        otherwise 0."""
+        return self.nu - 1 if self.a > 0 else 0
+
     def __repr__(self):
         return (f"WeierstrassForm(d={self.d}, a={self.a}, nu={self.nu}, "
                 f"res_E={self.res_E:.2e}, res_A={self.res_A:.2e})")
+
+
+def _form_field(name):
+    return property(lambda report: getattr(report.form, name, None))
 
 
 @dataclass
 class PencilReport:
     """Summary of the structural analysis of one pencil.
 
-    ``mu`` is the strangeness index (nu - 1 when algebraic equations are
-    present, otherwise 0); ``nu`` the differentiation index.
+    ``form`` is the Weierstrass form of a regular pencil (None when it is
+    singular); ``d``, ``a``, ``nu`` (differentiation index) and ``mu``
+    (strangeness index) are read from it.
     """
 
     regular: bool
     det_samples: list
     tol: float
-    d: int | None = None
-    a: int | None = None
-    nu: int | None = None
-    mu: int | None = None
-    res_E: float | None = None
-    res_A: float | None = None
+    form: WeierstrassForm | None = None
+
+    d = _form_field("d")
+    a = _form_field("a")
+    nu = _form_field("nu")
+    mu = _form_field("mu")
 
     def to_json(self):
         data = {
@@ -114,8 +128,9 @@ class PencilReport:
             ],
         }
         if self.regular:
-            data.update({"d": self.d, "a": self.a, "nu": self.nu, "mu": self.mu,
-                         "residuals": {"res_E": self.res_E, "res_A": self.res_A}})
+            w = self.form
+            data.update({"d": w.d, "a": w.a, "nu": w.nu, "mu": w.mu,
+                         "residuals": {"res_E": w.res_E, "res_A": w.res_A}})
         return data
 
 
@@ -200,42 +215,34 @@ def _kernel(M, tol, floor, context):
     return Vh[r:].T
 
 
-def _wong_infinite(E, A, tol):
-    """Second Wong sequence W_{k+1} = E^{-1}(A W_k), W_0 = 0.
+def _wong(X, Y, start, tol, label):
+    """Wong sequence B_{k+1} = Y^{-1}(X B_k) from B_0 = start.
 
-    Returns (W, nu): the stabilized basis (dimension a) and the number of
-    strictly growing steps, which equals the nilpotency index.
+    (A, E, empty) gives the second sequence, whose limit spans the
+    algebraic (infinite-eigenvalue) subspace; (E, A, I_n) gives the first,
+    whose limit spans the differential one (Berger, Ilchmann & Trenn, "The
+    quasi-Kronecker form for matrix pencils", 2012).  Returns the
+    stabilised basis and the number of steps that changed its dimension;
+    for the second sequence that count is the nilpotency index.
     """
-    n = E.shape[0]
-    scale_E = np.linalg.norm(E, 2) if n else 0.0
-    scale_A = np.linalg.norm(A, 2) if n else 0.0
-    W = np.zeros((n, 0))
-    nu = 0
-    for _ in range(n + 1):
-        image = _orth(A @ W, tol, scale_A, "wong-W image")
-        proj = E - image @ (image.T @ E)
-        W_next = _kernel(proj, tol, scale_E, "wong-W kernel")
-        if W_next.shape[1] <= W.shape[1]:
-            return W, nu
-        W = W_next
-        nu += 1
-    return W, nu
-
-
-def _wong_finite(E, A, tol):
-    """First Wong sequence V_{k+1} = A^{-1}(E V_k), V_0 = R^n."""
-    n = E.shape[0]
-    scale_E = np.linalg.norm(E, 2) if n else 0.0
-    scale_A = np.linalg.norm(A, 2) if n else 0.0
-    V = np.eye(n)
-    for _ in range(n + 1):
-        image = _orth(E @ V, tol, scale_E, "wong-V image")
-        proj = A - image @ (image.T @ A)
-        V_next = _kernel(proj, tol, scale_A, "wong-V kernel")
-        if V_next.shape[1] >= V.shape[1]:
-            return V
-        V = V_next
-    return V
+    scale_X = np.linalg.norm(X, 2)
+    scale_Y = np.linalg.norm(Y, 2)
+    image_ctx, kernel_ctx = f"{label} image", f"{label} kernel"
+    k0 = start.shape[1]
+    B = start
+    steps = 0
+    for _ in range(X.shape[0] + 1):
+        image = _orth(X @ B, tol, scale_X, image_ctx)
+        proj = Y - image @ (image.T @ Y)
+        B_next = _kernel(proj, tol, scale_Y, kernel_ctx)
+        # the sequence moves monotonically away from its start (growing
+        # from 0, shrinking from R^n); it has stabilised once a step does
+        # not move it further
+        if abs(B_next.shape[1] - k0) <= abs(B.shape[1] - k0):
+            return B, steps
+        B = B_next
+        steps += 1
+    return B, steps
 
 
 def weierstrass(p, tol=DEFAULT_TOL):
@@ -257,8 +264,8 @@ def _decompose(p, tol):
         empty = np.zeros((0, 0))
         return WeierstrassForm(empty, empty, empty, empty, 0, 0, 0,
                                0.0, 0.0, 1.0)
-    W, nu = _wong_infinite(E, A, tol)
-    V = _wong_finite(E, A, tol)
+    W, nu = _wong(A, E, np.zeros((n, 0)), tol, "wong-W")
+    V, _ = _wong(E, A, np.eye(n), tol, "wong-V")
     d, a = V.shape[1], W.shape[1]
     if d + a != n:
         raise IllConditioned(
@@ -309,11 +316,6 @@ def diff_index(p, tol=DEFAULT_TOL):
     return weierstrass(p, tol).nu
 
 
-def strangeness_index(w):
-    """Strangeness index of a decomposed pencil: nu - 1 when a > 0, else 0."""
-    return w.nu - 1 if w.a > 0 else 0
-
-
 def equivalence_residual(p, w):
     """Frobenius residuals of the reconstruction (S E T, S A T) vs targets."""
     n = p.n
@@ -331,10 +333,7 @@ def equivalence_residual(p, w):
 
 
 def analyze(p, tol=DEFAULT_TOL):
-    """Full PencilReport: regularity plus (d, a, nu, mu) when regular."""
+    """Full PencilReport: regularity plus the Weierstrass form when regular."""
     regular, samples = _regularity(p, tol)
-    if not regular:
-        return PencilReport(False, samples, tol)
-    w = _decompose(p, tol)
-    return PencilReport(True, samples, tol, d=w.d, a=w.a, nu=w.nu,
-                        mu=strangeness_index(w), res_E=w.res_E, res_A=w.res_A)
+    return PencilReport(regular, samples, tol,
+                        _decompose(p, tol) if regular else None)

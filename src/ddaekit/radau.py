@@ -75,22 +75,25 @@ _T, _TI_AINV, _GAMMA, _ALPHA_BETA = _radau_split()
 
 COND_WARN = 1e12
 
+STEPS_PER_SEGMENT = 200    # default step tau / STEPS_PER_SEGMENT
+MAX_HALVINGS = 8           # per step, on Newton failure
+# algebraic residual above which an initial state, a history or a
+# breakpoint right limit is inconsistent
+CONSISTENCY_TOL = 1e-6
+
 
 @dataclass
 class IntegrationOptions:
     """Tuning knobs of the segment integrator and the method of steps.
 
-    ``h`` is a fixed step size (default tau / steps_per_segment); it must be
+    ``h`` is a fixed step size (default tau / STEPS_PER_SEGMENT); it must be
     finite and positive.  The residual audit needs at least two points.
     """
 
     h: float | None = None
-    steps_per_segment: int = 200
     newton_tol: float = 1e-10
     res_tol: float = 1e-8
     max_newton: int = 10
-    max_halvings: int = 8
-    consistency_tol: float = 1e-6
     audit_points: int = 1000
 
     def __post_init__(self):
@@ -102,7 +105,7 @@ class IntegrationOptions:
                 f"audit needs at least 2 points, got {self.audit_points}")
 
     def step_size(self, tau):
-        return self.h if self.h is not None else tau / self.steps_per_segment
+        return self.h if self.h is not None else tau / STEPS_PER_SEGMENT
 
 
 class SegmentProblem:
@@ -274,7 +277,7 @@ def integrate_segment(problem, opts=None):
     model = problem.model
     lags0 = problem.lags(problem.t_start)
     r0 = model.algebraic_residual(problem.t_start, problem.z0, lags0)
-    if np.linalg.norm(r0) > opts.consistency_tol:
+    if np.linalg.norm(r0) > CONSISTENCY_TOL:
         raise InconsistentInitialState(
             f"initial state violates the algebraic part: |r| = "
             f"{np.linalg.norm(r0):.3e}", t=problem.t_start, residual=r0)
@@ -318,7 +321,7 @@ def integrate_segment(problem, opts=None):
             stats["halvings"] += 1
             stats["cond_pending"] = True
             h *= 0.5
-            if halvings > opts.max_halvings or h < h_min:
+            if halvings > MAX_HALVINGS or h < h_min:
                 r = model.residual(t, z, k_guess, problem.lags(t))
                 raise NewtonDivergence(
                     f"Newton failed at t = {t:.6g} after {halvings - 1} "

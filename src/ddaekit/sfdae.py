@@ -14,9 +14,13 @@ under the method of steps.
 """
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
@@ -33,12 +37,13 @@ class Classification:
     s: int
 
     def __post_init__(self):
-        if self.tag == self.RETARDED and self.s != 0:
-            raise ValueError("retarded systems have s = 0")
-        if self.tag == self.NEUTRAL and self.s != 1:
-            raise ValueError("neutral systems have s = 1")
-        if self.tag == self.ADVANCED and self.s < 2:
-            raise ValueError("advanced systems have s >= 2")
+        if self.s < 0 or self.tag != self._tag_of(self.s):
+            raise ValueError(f"a {self.tag} system cannot have s = {self.s}")
+
+    @classmethod
+    def _tag_of(cls, s):
+        return (cls.RETARDED if s == 0 else cls.NEUTRAL if s == 1
+                else cls.ADVANCED)
 
     @classmethod
     def retarded(cls):
@@ -52,11 +57,25 @@ class Classification:
     def advanced(cls, s):
         return cls(cls.ADVANCED, s)
 
+    @classmethod
+    def of_order(cls, s):
+        """Type of delay-derivative order s: 0 retarded, 1 neutral,
+        >= 2 advanced."""
+        return cls(cls._tag_of(s), s)
+
     def __repr__(self):
         return f"Classification({self.tag}, s={self.s})"
 
     def to_json(self):
         return {"type": self.tag, "s": self.s}
+
+
+def check_delay(tau):
+    """tau as a float; DataError unless it is a finite positive number (a
+    zero delay makes the shifted coupling collapse)."""
+    if not (isinstance(tau, numbers.Real) and math.isfinite(tau) and tau > 0):
+        raise DataError(f"tau must be a finite positive number, got {tau!r}")
+    return float(tau)
 
 
 class SfDdaeModel:
@@ -83,15 +102,12 @@ class SfDdaeModel:
                  name="model", state_names=None, default_history=None):
         if d + a != n:
             raise ValueError(f"d + a must equal n, got {d} + {a} != {n}")
-        if tau <= 0:
-            raise ValueError("tau must be positive (a zero delay makes the "
-                             "shifted coupling collapse)")
         if s_decl < 0:
             raise ValueError("s_decl must be non-negative")
         self.n = n
         self.d = d
         self.a = a
-        self.tau = float(tau)
+        self.tau = check_delay(tau)
         self.s_decl = int(s_decl)
         self.D = D
         self.A = A
@@ -142,8 +158,4 @@ def admissible(m, phi, tol=1e-6):
 
 def classify(m):
     """Declared classification of the model (pure reporting of s_decl)."""
-    if m.s_decl == 0:
-        return Classification.retarded()
-    if m.s_decl == 1:
-        return Classification.neutral()
-    return Classification.advanced(m.s_decl)
+    return Classification.of_order(m.s_decl)

@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from .errors import DdaeError, InadmissibleHistory
-from .radau import IntegrationOptions, SegmentProblem, integrate_segment
+from .radau import (CONSISTENCY_TOL, IntegrationOptions, SegmentProblem,
+                    integrate_segment)
 from .sfdae import admissible
 
 COMPLETE = "Complete"
@@ -125,7 +126,7 @@ def solve_itp(model, phi, T, opts=None):
             f"declared delayed-derivative order {model.s_decl} needs dense "
             f"output beyond first derivatives; such systems are refused")
     tau = model.tau
-    ok, r = admissible(model, phi, opts.consistency_tol)
+    ok, r = admissible(model, phi, CONSISTENCY_TOL)
     if not ok:
         raise InadmissibleHistory(
             f"history endpoint violates the algebraic part: |r| = "
@@ -148,7 +149,7 @@ def solve_itp(model, phi, T, opts=None):
         if i > 1:
             zlags = np.stack([src(t_start, k) for k in range(model.n_lags)])
             r = model.algebraic_residual(t_start, z0, zlags)
-            if np.linalg.norm(r) > opts.consistency_tol:
+            if np.linalg.norm(r) > CONSISTENCY_TOL:
                 return Trajectory(model, phi, segments, breakpoints,
                                   BROKE_DOWN, breakdown_index=i,
                                   breakdown_residual=r)

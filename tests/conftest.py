@@ -3,8 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run and are not timed, so
+# a Tier-1 result does not depend on the seed or on the host's speed.
+settings.register_profile("ddaekit", derandomize=True, deadline=None)
+settings.load_profile("ddaekit")
 
 
 @pytest.fixture

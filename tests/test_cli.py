@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from ddaekit import cli, models, steps
+from ddaekit import cli, models, pencil, steps
 
 
 def run_cli(*args):
@@ -161,7 +161,7 @@ def test_simulate_rejects_invalid_integration_options(flag, value):
 
 
 @pytest.mark.parametrize("command", [
-    ("analyze",), ("simulate", "--T", "0.1"),
+    ("analyze",), ("simulate", "--T", "0.1"), ("classify",),
 ])
 def test_json_model_missing_key_is_a_model_error(tmp_path, command):
     path = tmp_path / "partial.json"
@@ -170,6 +170,61 @@ def test_json_model_missing_key_is_a_model_error(tmp_path, command):
     assert rc == 2, err
     assert "Traceback" not in err
     assert "'E'" in err
+
+
+def _shift_linear_with_tau(tau):
+    data = models.ex_shift_linear(0.5).to_json()
+    data["tau"] = tau
+    return data
+
+
+@pytest.mark.parametrize("payload", [
+    [1, 2], _shift_linear_with_tau("0.5"),
+    _shift_linear_with_tau(float("nan")),
+], ids=["not-an-object", "tau-string", "tau-nan"])
+@pytest.mark.parametrize("command", [
+    ("analyze",), ("classify",),
+    ("simulate", "--T", "0.1", "--history", "poly:0;1"),
+], ids=["analyze", "classify", "simulate"])
+def test_malformed_json_model_is_a_model_error(tmp_path, payload, command):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    rc, out, err = run_cli(command[0], "--model", str(path), *command[1:])
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert "model error" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("classify", "--model", "pmsd-hybrid", "--tau", "nan"),
+    ("classify", "--model", "ex-advanced", "--tau", "inf"),
+    ("analyze", "--model", "ex-shifted-index", "--tau", "-1"),
+    ("simulate", "--model", "pmsd-hybrid", "--tau", "nan", "--T", "0.1"),
+], ids=["classify-nan", "classify-inf", "analyze-negative", "simulate-nan"])
+def test_registry_delay_must_be_finite_and_positive(args):
+    rc, out, err = run_cli(*args)
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert "tau must be a finite positive number" in err
+    assert out == ""
+
+
+def test_analyze_linear_ddae_decomposes_once(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "advanced.json"
+    path.write_text(json.dumps(models.ex_advanced_linear(1.0).to_json()))
+    calls = []
+    for name in ("_det_samples", "_decompose"):
+        def counting(*args, _name=name, _original=getattr(pencil, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(pencil, name, counting)
+    rc = cli.main(["analyze", "--model", str(path)])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert json.loads(out)["classification"] == {"type": "advanced", "s": 2}
+    assert sorted(calls) == ["_decompose", "_det_samples"]
 
 
 def test_sweep_unknown_parameter_is_a_model_error():

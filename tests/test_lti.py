@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from ddaekit.lti import (LinearDdae, LtiDescriptor, algebraic_solution,
                          classify_linear, couple, hybrid_shifted,
                          is_consistent, regularity_theorem_check,
                          sf_model_from_linear)
-from ddaekit.pencil import WeierstrassForm, is_regular, weierstrass
+from ddaekit.pencil import DEFAULT_TOL, WeierstrassForm, is_regular, weierstrass
 from ddaekit.sfdae import Classification, classify
 from ddaekit import models
 
@@ -63,8 +65,8 @@ def test_couple_reproduces_split_example():
         s2 = models.ex_split_subsystem2()
         full = couple(s1, s2)
         ref = models.ex_split_full(c_val)
-        assert np.allclose(full.E, ref.E)
-        assert np.allclose(full.A, ref.A)
+        assert np.array_equal(full.E, ref.E)
+        assert np.array_equal(full.A, ref.A)
 
 
 def test_couple_dimension_mismatch():
@@ -268,12 +270,51 @@ def neutral_linear(tau=1.0):
     return LinearDdae(E, A0, A1, tau)
 
 
-def test_wrapped_classification_matches_linear():
-    for build in (models.ex_advanced_linear, models.ex_shift_linear,
-                  neutral_linear):
-        d = build(0.5)
-        wrapped = sf_model_from_linear(d)
-        assert classify(wrapped) == classify_linear(d)
+def order_of_transformed_delay(d, tol=DEFAULT_TOL):
+    """Delay order read from the algebraic rows Aa of S A1 T, the delay
+    matrix in Weierstrass coordinates: 0 when Aa = 0, else K + 1 with
+    K = max { j < nu : N^j Aa != 0 }.  The column transform T is
+    invertible, so this is the rule applied to S_a A1 in other columns."""
+    w = weierstrass(d.pencil, tol)
+    thresh = tol * (1.0 + np.abs(d.A1).max(initial=0.0))
+    Aa = (w.S @ d.A1 @ w.T)[w.d:]
+    if w.a == 0 or np.abs(Aa).max(initial=0.0) <= thresh:
+        return 0
+    K = 0
+    Npow = np.eye(w.a)
+    for j in range(1, w.nu):
+        Npow = w.N @ Npow
+        if np.abs(Npow @ Aa).max(initial=0.0) > thresh:
+            K = j
+    return K + 1
+
+
+def test_wrapped_classification_matches_linear(rng):
+    cases = [build(0.5) for build in (models.ex_advanced_linear,
+                                      models.ex_shift_linear, neutral_linear)]
+    # criterion-4 style coupled pairs with a regular current-time pencil
+    pairs = 0
+    while pairs < 200:
+        n1, n2 = (int(k) for k in rng.integers(1, 7, size=2))
+        m, p = (int(k) for k in rng.integers(1, 3, size=2))
+        hd = hybrid_shifted(random_subsystem(rng, n1, m, p),
+                            random_subsystem(rng, n2, p, m), 1.0)
+        if is_regular(hd.pencil):
+            cases.append(hd)
+            pairs += 1
+    for d in cases:
+        expected = Classification.of_order(order_of_transformed_delay(d))
+        assert classify(sf_model_from_linear(d)) == expected
+        assert classify_linear(d) == expected
+
+    # the shifted-coupling family is advanced; the coupling c raises s
+    grid = (-1.0, 0.0, 0.5, 2.0)
+    for a, b, c, dd in itertools.product(grid, repeat=4):
+        hd = hybrid_shifted(*models.ex_shifted_subsystems(a, b, c, dd), 1.0)
+        expected = Classification.advanced(2 if c == 0.0 else 3)
+        assert order_of_transformed_delay(hd) == expected.s
+        assert classify(sf_model_from_linear(hd)) == expected
+        assert classify_linear(hd) == expected
 
 
 def test_wrapped_split_counts():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ddaekit import models
+from ddaekit.errors import DataError
 from ddaekit.forcing import HistoryFunction, SymbolicSignal
+from ddaekit.lti import LinearDdae
 from ddaekit.sfdae import Classification, SfDdaeModel, admissible, classify
 
 from conftest import fd_jacobian
@@ -32,6 +34,15 @@ def test_classification_invariants():
         Classification(Classification.RETARDED, 1)
 
 
+def test_classification_of_order():
+    assert Classification.of_order(0) == Classification.retarded()
+    assert Classification.of_order(1) == Classification.neutral()
+    for s in (2, 3, 7):
+        assert Classification.of_order(s) == Classification.advanced(s)
+    with pytest.raises(ValueError):
+        Classification.of_order(-1)
+
+
 def test_classify_builtins():
     assert classify(models.pmsd_hybrid_shifted()) == Classification.neutral()
     assert classify(models.ex_advanced_model()) == Classification.advanced(2)
@@ -49,6 +60,22 @@ def test_model_validation():
     with pytest.raises(ValueError):
         models.pmsd_hybrid_shifted(models.PmsdParams(tau=1.0)).tau
         models.PmsdParams(tau=-0.1)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.1, float("nan"), float("inf"),
+                                 "0.5", None])
+def test_delay_must_be_finite_and_positive(tau):
+    delayed = delayed_ode()
+    builders = [
+        lambda: LinearDdae(np.eye(1), np.eye(1), np.eye(1), tau),
+        lambda: SfDdaeModel(n=1, d=1, a=0, tau=tau, s_decl=0, D=delayed.D,
+                            A=delayed.A, JD_z=delayed.JD_z,
+                            JD_zdot=delayed.JD_zdot, JA_z=delayed.JA_z),
+        lambda: models.PmsdParams(tau=tau),
+    ]
+    for build in builders:
+        with pytest.raises(DataError, match="finite positive"):
+            build()
 
 
 # -- admissibility ------------------------------------------------------------

@@ -6,7 +6,7 @@ from ddaekit.errors import InadmissibleHistory
 from ddaekit.forcing import HistoryFunction
 from ddaekit.lti import LtiDescriptor, hybrid_shifted, sf_model_from_linear
 from ddaekit.pencil import diff_index
-from ddaekit.radau import IntegrationOptions, SegmentSolution
+from ddaekit.radau import CONSISTENCY_TOL, IntegrationOptions, SegmentSolution
 from ddaekit.sfdae import SfDdaeModel
 from ddaekit.steps import (audit, breakpoint_consistency, evaluate, solve_itp,
                            tau_sweep)
@@ -99,7 +99,7 @@ def test_audit_and_breakpoint_consistency_on_builtins():
         assert tr.complete
         _, full, _ = audit(tr, 1000)
         assert full.max() <= 10 * opts.res_tol
-        assert breakpoint_consistency(tr) <= opts.consistency_tol
+        assert breakpoint_consistency(tr) <= CONSISTENCY_TOL
 
 
 def test_partial_final_segment():
