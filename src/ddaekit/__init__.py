@@ -16,7 +16,7 @@ from .pencil import (MatrixPencil, PencilReport, WeierstrassForm, analyze,
 from .radau import (IntegrationOptions, SegmentProblem, SegmentSolution,
                     integrate_segment)
 from .sfdae import Classification, SfDdaeModel, admissible, classify
-from .steps import Trajectory, evaluate, solve_itp, tau_sweep
+from .steps import Trajectory, evaluate, solve_itp
 
 __all__ = [
     "DdaeError", "DataError", "IllConditioned", "InadmissibleHistory",
@@ -31,7 +31,7 @@ __all__ = [
     "IntegrationOptions", "SegmentProblem", "SegmentSolution",
     "integrate_segment",
     "Classification", "SfDdaeModel", "admissible", "classify",
-    "Trajectory", "evaluate", "solve_itp", "tau_sweep",
+    "Trajectory", "evaluate", "solve_itp",
 ]
 
 __version__ = "0.1.0"

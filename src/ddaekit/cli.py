@@ -148,6 +148,11 @@ def cmd_simulate(args):
     if args.T is None:
         sys.stderr.write("error: simulate needs --T\n")
         return EXIT_USAGE
+    if args.out and os.path.realpath(args.model) in {
+            os.path.realpath(f"{args.out}{ext}") for ext in (".json", ".csv")}:
+        sys.stderr.write(f"error: --out {args.out} would overwrite the model "
+                         f"file {args.model}\n")
+        return EXIT_USAGE
     if args.history:
         phi = _parse_history(args.history, model.tau, model.n)
     elif model.default_history is not None:

@@ -141,9 +141,10 @@ def _det_samples(p):
     radius = (np.linalg.norm(p.A) + eps) / (np.linalg.norm(p.E) + eps)
     samples = []
     for k in range(n + 1):
-        # Offset angles keep the samples away from the real axis, where the
-        # real spectrum would otherwise be met systematically.
-        s = radius * cmath.exp(2j * cmath.pi * (k + 0.5) / (n + 1))
+        # A quarter-step offset keeps every sample off the real axis for
+        # every n (a half step puts one on it for even n), where the real
+        # spectrum would otherwise be met systematically.
+        s = radius * cmath.exp(2j * cmath.pi * (k + 0.25) / (n + 1))
         M = s * p.E - p.A
         det = complex(np.linalg.det(M))
         rows = np.sqrt((np.abs(M) ** 2).sum(axis=1))
@@ -292,13 +293,17 @@ def _decompose(p, tol):
     N = S[d:] @ E @ W
 
     # Cross-check the Wong step count against the nilpotency of N itself.
+    # N^k counts as zero once it is negligible next to |N^(k-1)| |N|, the
+    # size of its rounding noise; a power that is merely small against
+    # max(1, |N|)^k is not zero.
     if a > 0:
-        norm_N = np.linalg.norm(N)
+        scale = tol * max(1.0, np.linalg.norm(N))
         Npow = np.eye(a)
         nil = 0
         for k in range(1, a + 1):
+            prev = np.linalg.norm(Npow)
             Npow = Npow @ N
-            if np.linalg.norm(Npow) <= tol * max(1.0, norm_N) ** k:
+            if np.linalg.norm(Npow) <= scale * prev:
                 nil = k
                 break
         else:

@@ -270,17 +270,19 @@ def integrate_segment(problem, opts=None):
     """Integrate one segment with fixed steps and Newton-failure halving.
 
     Raises InconsistentInitialState when the initial algebraic residual
-    exceeds the consistency tolerance, and NewtonDivergence when a step
-    fails after all halvings.
+    exceeds the consistency tolerance or is not finite, and
+    NewtonDivergence when a step fails after all halvings.
     """
     opts = opts or IntegrationOptions()
     model = problem.model
     lags0 = problem.lags(problem.t_start)
     r0 = model.algebraic_residual(problem.t_start, problem.z0, lags0)
-    if np.linalg.norm(r0) > CONSISTENCY_TOL:
+    norm_r0 = np.linalg.norm(r0)
+    # a NaN residual is inconsistent too
+    if not norm_r0 <= CONSISTENCY_TOL:
         raise InconsistentInitialState(
             f"initial state violates the algebraic part: |r| = "
-            f"{np.linalg.norm(r0):.3e}", t=problem.t_start, residual=r0)
+            f"{norm_r0:.3e}", t=problem.t_start, residual=r0)
     if model.a:
         # spot-check: the algebraic rows must have full row rank here,
         # thresholded like the pencil rank decisions

@@ -129,12 +129,12 @@ class SfDdaeModel:
         zlags = np.atleast_2d(zlags)
         out = np.empty(self.n)
         out[:self.d] = self.D(t, z, zdot, zlags[0])
-        out[self.d:] = self.A(t, z, zlags[:max(self.s_decl, 0)])
+        out[self.d:] = self.A(t, z, zlags[:self.s_decl])
         return out
 
     def algebraic_residual(self, t, z, zlags):
         zlags = np.atleast_2d(zlags)
-        return np.asarray(self.A(t, z, zlags[:max(self.s_decl, 0)]))
+        return np.asarray(self.A(t, z, zlags[:self.s_decl]))
 
     def __repr__(self):
         return (f"SfDdaeModel({self.name!r}, n={self.n}, d={self.d}, "
@@ -149,8 +149,7 @@ def admissible(m, phi, tol=1e-6):
     the consistency condition of the first method-of-steps segment, so an
     admissible history guarantees solvability on [0, tau).
     """
-    rows = max(1, m.s_decl)
-    zlags = np.stack([phi.eval(-m.tau, order=j) for j in range(rows)])
+    zlags = np.stack([phi.eval(-m.tau, order=j) for j in range(m.n_lags)])
     z0 = phi.eval(0.0)
     r = m.algebraic_residual(0.0, z0, zlags)
     return bool(np.linalg.norm(r) <= tol), r

@@ -1,47 +1,49 @@
 """Method of steps for strangeness-free delay DAEs.
 
 The initial trajectory problem is solved segment by segment on
-[(i-1)*tau, i*tau): within a segment the delayed arguments come from the
-history (i = 1) or the previous segment's dense output (i > 1), so each
-segment is a plain DAE.  The right limit of a segment is the next
-segment's initial state; its algebraic residual is checked before every
-solve, because advanced systems produce right limits that are not
-consistent (an O(1) jump, not integration drift) and the solution ceases
-to exist there.
+[(i-1)*tau, i*tau): within a segment the delayed arguments are the
+trajectory already solved, i.e. the history (i = 1) or the previous
+segment's dense output (i > 1), so each segment is a plain DAE.  The right
+limit of a segment is the next segment's initial state; the segment solver
+checks its algebraic residual before every solve, because advanced systems
+produce right limits that are not consistent (an O(1) jump, not
+integration drift) and the solution ceases to exist there.
 """
 
 import csv
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DdaeError, InadmissibleHistory
-from .radau import (CONSISTENCY_TOL, IntegrationOptions, SegmentProblem,
-                    integrate_segment)
-from .sfdae import admissible
+from .errors import DdaeError, InadmissibleHistory, InconsistentInitialState
+from .forcing import HistoryFunction
+from .radau import IntegrationOptions, SegmentProblem, integrate_segment
+from .sfdae import SfDdaeModel
 
 COMPLETE = "Complete"
 BROKE_DOWN = "BrokeDown"
 
+SWEEP_GRID_POINTS = 400    # shared grid of a delay sweep
 
+
+@dataclass(eq=False)
 class Trajectory:
     """Piecewise solution with breakpoints at multiples of tau.
 
+    ``solve_itp`` appends one ``SegmentSolution`` per solved segment.
     ``status`` is "Complete" or "BrokeDown"; in the latter case
     ``breakdown_index`` is the 1-based segment whose initial state was
     inconsistent and ``breakdown_residual`` the offending algebraic
     residual vector.
     """
 
-    def __init__(self, model, history, segments, breakpoints, status,
-                 breakdown_index=None, breakdown_residual=None):
-        self.model = model
-        self.history = history
-        self.segments = segments
-        self.breakpoints = breakpoints
-        self.status = status
-        self.breakdown_index = breakdown_index
-        self.breakdown_residual = breakdown_residual
+    model: SfDdaeModel
+    history: HistoryFunction
+    segments: list = field(default_factory=list)
+    status: str = COMPLETE
+    breakdown_index: int | None = None
+    breakdown_residual: np.ndarray | None = None
 
     @property
     def complete(self):
@@ -50,6 +52,11 @@ class Trajectory:
     @property
     def t_end(self):
         return self.segments[-1].t_end if self.segments else 0.0
+
+    @property
+    def breakpoints(self):
+        """0 and the end of every solved segment."""
+        return [0.0, *(seg.t_end for seg in self.segments)]
 
     @property
     def breakdown_time(self):
@@ -73,8 +80,10 @@ class Trajectory:
                 (s["max_endpoint_residual"] for s in segs), default=0.0),
         }
 
-    def eval(self, t, order=0):
-        return evaluate(self, t, order)
+    def delayed(self, t, k):
+        """k-th right derivative of z(t - tau): the delayed data a segment
+        reads, from the history or from the segments already solved."""
+        return evaluate(self, t - self.model.tau, k)
 
     def segment_index(self, t):
         """1-based segment index covering time t > 0."""
@@ -86,24 +95,28 @@ class Trajectory:
 def evaluate(tr, t, order=0):
     """Trajectory value or right derivative at time t in [-tau, t_end].
 
-    History branch for t <= 0; otherwise dense output of the covering
-    segment.  At interior breakpoints the value is continuous by
-    construction and derivatives are taken from the right segment (smooth
-    transitions across breakpoints cannot be expected for delay systems).
+    History branch for t < 0 and while no segment is solved; otherwise
+    dense output of the covering segment.  At interior breakpoints the
+    value is continuous by construction and derivatives are taken from the
+    right segment (smooth transitions across breakpoints cannot be expected
+    for delay systems); a time within rounding of a breakpoint, such as
+    t - tau at a segment start, counts as that breakpoint.
     """
     if order not in (0, 1):
         raise ValueError("trajectory evaluation supports orders 0 and 1")
     tau = tr.model.tau
     if t < -tau - 1e-9 * max(tau, 1.0):
         raise ValueError(f"t={t} precedes the history interval")
-    if t <= 0.0 and not (t == 0.0 and tr.segments):
+    if t < 0.0 or not tr.segments:
         return tr.history.eval(t, order)
-    if t > tr.t_end + 1e-9 * max(1.0, tr.t_end):
-        raise ValueError(f"t={t} beyond covered time {tr.t_end}")
+    t_end = tr.t_end
+    if t > t_end + 1e-9 * max(1.0, t_end):
+        raise ValueError(f"t={t} beyond covered time {t_end}")
     idx = tr.segment_index(t) - 1
     seg = tr.segments[idx]
-    # Exact breakpoint hits prefer the right segment.
-    if t >= seg.t_end and idx + 1 < len(tr.segments):
+    # breakpoint hits, up to rounding, prefer the right segment
+    if (idx + 1 < len(tr.segments)
+            and t >= tr.segments[idx + 1].t_start - 1e-12 * max(1.0, t)):
         seg = tr.segments[idx + 1]
     return seg.eval(min(t, seg.t_end), order)
 
@@ -111,12 +124,15 @@ def evaluate(tr, t, order=0):
 def solve_itp(model, phi, T, opts=None):
     """Solve the initial trajectory problem on [0, T] by the method of steps.
 
-    The history must be admissible (consistent endpoint); models declaring
+    Every segment reads its delayed data from the trajectory built so far,
+    and ``integrate_segment`` decides whether it starts consistently.  An
+    inconsistent start of the first segment is an inadmissible history
+    (InadmissibleHistory); on a later segment it is a breakdown, returned
+    as a BrokeDown trajectory rather than raised.  Models declaring
     delayed-derivative order three or more are refused, since the dense
     output only supplies values and first derivatives and such systems
-    break down anyway.  Integrator errors propagate with the segment index
-    attached; an inconsistent right limit produces a BrokeDown trajectory
-    rather than an exception.
+    break down anyway.  Other integrator errors propagate with the segment
+    index attached.
     """
     opts = opts or IntegrationOptions()
     if T <= 0:
@@ -126,42 +142,29 @@ def solve_itp(model, phi, T, opts=None):
             f"declared delayed-derivative order {model.s_decl} needs dense "
             f"output beyond first derivatives; such systems are refused")
     tau = model.tau
-    ok, r = admissible(model, phi, CONSISTENCY_TOL)
-    if not ok:
-        raise InadmissibleHistory(
-            f"history endpoint violates the algebraic part: |r| = "
-            f"{np.linalg.norm(r):.3e}", residual=r)
-
     n_segments = max(1, int(math.ceil(T / tau - 1e-9)))
-    segments = []
-    breakpoints = [0.0]
+    tr = Trajectory(model, phi)
     z0 = phi.eval(0.0)
-
     for i in range(1, n_segments + 1):
-        t_start = (i - 1) * tau
-        t_end = min(i * tau, T)
-        if i == 1:
-            def src(t, k, _phi=phi, _tau=tau):
-                return _phi.eval(t - _tau, k)
-        else:
-            def src(t, k, _prev=segments[-1]):
-                return _prev.eval(t - tau, k)
-        if i > 1:
-            zlags = np.stack([src(t_start, k) for k in range(model.n_lags)])
-            r = model.algebraic_residual(t_start, z0, zlags)
-            if np.linalg.norm(r) > CONSISTENCY_TOL:
-                return Trajectory(model, phi, segments, breakpoints,
-                                  BROKE_DOWN, breakdown_index=i,
-                                  breakdown_residual=r)
-        problem = SegmentProblem(model, t_start, t_end, z0, src)
+        problem = SegmentProblem(model, (i - 1) * tau, min(i * tau, T), z0,
+                                 tr.delayed)
         try:
             seg = integrate_segment(problem, opts)
+        except InconsistentInitialState as exc:
+            if i == 1:
+                raise InadmissibleHistory(
+                    f"history endpoint violates the algebraic part: |r| = "
+                    f"{np.linalg.norm(exc.residual):.3e}",
+                    residual=exc.residual) from exc
+            tr.status = BROKE_DOWN
+            tr.breakdown_index = i
+            tr.breakdown_residual = exc.residual
+            return tr
         except DdaeError as exc:
             raise type(exc)(f"segment {i}: {exc}") from exc
-        segments.append(seg)
-        breakpoints.append(seg.t_end)
-        z0 = seg.endpoint.copy()
-    return Trajectory(model, phi, segments, breakpoints, COMPLETE)
+        tr.segments.append(seg)
+        z0 = seg.endpoint
+    return tr
 
 
 def audit(tr, n_points=1000):
@@ -180,8 +183,7 @@ def audit(tr, n_points=1000):
     for j, t in enumerate(ts):
         z = evaluate(tr, t)
         zdot = evaluate(tr, t, 1)
-        zlags = np.stack([evaluate(tr, t - m.tau, k)
-                          for k in range(m.n_lags)])
+        zlags = np.stack([tr.delayed(t, k) for k in range(m.n_lags)])
         r = m.residual(t, z, zdot, zlags)
         full[j] = np.abs(r).max() if r.size else 0.0
         ra = r[m.d:]
@@ -196,54 +198,36 @@ def breakpoint_consistency(tr):
     for seg in tr.segments:
         t = seg.t_end
         z = seg.endpoint
-        zlags = np.stack([evaluate(tr, t - m.tau, k)
-                          for k in range(m.n_lags)])
+        zlags = np.stack([tr.delayed(t, k) for k in range(m.n_lags)])
         r = m.algebraic_residual(t, z, zlags)
         if r.size:
             worst = max(worst, float(np.abs(r).max()))
     return worst
 
 
-def sweep_reference(reference, T, opts=None, history=None, grid_points=400):
-    """Solve the delay-free reference once on [0, T].
+def sweep_reference(reference, T, opts=None):
+    """Solve the delay-free reference once on [0, T] from its default
+    history.
 
-    Returns (grid, values): the shared evaluation grid and the reference
-    states on it.  The history defaults to the model's own.
+    Returns (grid, values): the shared evaluation grid of
+    ``SWEEP_GRID_POINTS`` points and the reference states on it.
     """
-    traj = solve_itp(reference, history or reference.default_history(), T,
-                     opts)
-    grid = np.linspace(0.0, T, grid_points)
+    traj = solve_itp(reference, reference.default_history(), T, opts)
+    grid = np.linspace(0.0, T, SWEEP_GRID_POINTS)
     return grid, np.stack([evaluate(traj, t) for t in grid])
 
 
-def sweep_deviation(model, ref, T, opts=None, outputs=None):
+def sweep_deviation(model, ref, T, opts=None):
     """Solve one delay model from its default history and compare it with
     the ``sweep_reference`` result ``ref``.
 
-    Returns (trajectory, max-norm difference of the designated output
-    components on the shared grid).
+    Returns (trajectory, max-norm difference of the states on the shared
+    grid).
     """
     grid, ref_vals = ref
     traj = solve_itp(model, model.default_history(), T, opts)
     diff = np.abs(np.stack([evaluate(traj, t) for t in grid]) - ref_vals)
-    if outputs is not None:
-        diff = diff[:, list(outputs)]
     return traj, float(diff.max())
-
-
-def tau_sweep(builder, taus, T, opts=None, reference=None,
-              reference_history=None, outputs=None, grid_points=400):
-    """Compare delay-coupled responses against a delay-free reference.
-
-    ``builder(tau)`` yields the delay model for each tau; the reference
-    model (no delay dependence) is solved once.  Returns one
-    (tau, trajectory, deviation) triple per tau.
-    """
-    if reference is None:
-        raise ValueError("a delay-free reference model is required")
-    ref = sweep_reference(reference, T, opts, reference_history, grid_points)
-    return [(tau, *sweep_deviation(builder(tau), ref, T, opts, outputs))
-            for tau in taus]
 
 
 def write_trajectory_csv(tr, path, audited):

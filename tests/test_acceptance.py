@@ -17,7 +17,8 @@ from ddaekit.lti import LtiDescriptor, regularity_theorem_check
 from ddaekit.pencil import MatrixPencil, analyze, diff_index, is_regular
 from ddaekit.radau import IntegrationOptions, SegmentProblem, integrate_segment
 from ddaekit.sfdae import Classification, SfDdaeModel, admissible, classify
-from ddaekit.steps import evaluate, solve_itp, tau_sweep
+from ddaekit.steps import (evaluate, solve_itp, sweep_deviation,
+                           sweep_reference)
 
 from conftest import fd_jacobian
 from exact_pencil import wong_exact
@@ -183,12 +184,11 @@ def test_criterion_08_tau_sweep_consistency():
     with _Timer("criterion 8 (delay sweep vs coupled reference)", 60.0):
         p0 = models.PmsdParams()
         base = dict(M=p0.M, C=p0.C, K=p0.K, m=p0.m, L=p0.L, g=p0.g)
-        reference = models.pmsd_coupled(p0, theta0=0.1)
-        results = tau_sweep(
-            lambda tau: models.pmsd_hybrid_shifted(
-                models.PmsdParams(tau=tau, **base), theta0=0.1),
-            [0.1, 0.05, 0.025], 2.0, reference=reference)
-        devs = [dev for _, _, dev in results]
+        ref = sweep_reference(models.pmsd_coupled(p0, theta0=0.1), 2.0)
+        devs = [sweep_deviation(models.pmsd_hybrid_shifted(
+                    models.PmsdParams(tau=tau, **base), theta0=0.1),
+                    ref, 2.0)[1]
+                for tau in (0.1, 0.05, 0.025)]
         assert devs[0] > devs[1] > devs[2] > 0.0
 
 

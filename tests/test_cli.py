@@ -347,3 +347,19 @@ def test_simulate_reports_are_deterministic(tmp_path):
         summary.pop("runtime")
         outputs.append((csv_bytes, summary))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("out", ["run", "./sub/../run"])
+def test_simulate_out_never_overwrites_the_model_file(tmp_path, monkeypatch,
+                                                      capsys, out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    model = tmp_path / "run.json"
+    text = json.dumps(models.ex_advanced_linear(1.0).to_json())
+    model.write_text(text)
+    rc = cli.main(["simulate", "--model", "run.json", "--T", "1",
+                   "--history", "poly:0;1,1", "--out", out])
+    assert rc == 64
+    assert "overwrite" in capsys.readouterr().err
+    assert model.read_text() == text
+    assert not (tmp_path / "run.csv").exists()

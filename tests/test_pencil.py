@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -114,16 +116,27 @@ def test_singular_pencil_raises():
         weierstrass(p)
 
 
-@pytest.mark.xfail(strict=True, raises=pencil.IllConditioned, reason=(
-    "known defect: for even n one determinant sample sits at s = -radius "
-    "on the real axis; when A = c E with c < 0, sE - A vanishes there up "
-    "to rounding and the relative test compares noise with noise"))
 def test_singular_proportional_pencil_is_reported_singular():
+    # A = c E with c < 0: a determinant sample on the negative real axis
+    # would meet sE - A = 0 up to rounding and compare noise with noise
     S = np.array([[1.0, 0.3], [0.2, 1.1]])
     T = np.array([[0.9, -0.4], [0.5, 1.2]])
     E = S @ np.diag([1.0, 0.0]) @ T
     A = S @ np.diag([-0.7, 0.0]) @ T
     assert not analyze(MatrixPencil(E, A)).regular
+
+
+def test_nilpotency_cross_check_agrees_on_non_normal_N(caplog):
+    # N strictly upper triangular with a nonzero superdiagonal has index 6;
+    # its powers shrink fast against max(1, |N|)^k without being zero
+    rng = np.random.default_rng(6)
+    N = np.triu(rng.standard_normal((6, 6)), 1)
+    S = rng.standard_normal((6, 6))
+    T = rng.standard_normal((6, 6))
+    with caplog.at_level(logging.WARNING, logger="ddaekit.pencil"):
+        report = analyze(MatrixPencil(S @ N @ T, S @ T))
+    assert (report.d, report.a, report.nu) == (0, 6, 6)
+    assert "nilpotency cross-check" not in caplog.text
 
 
 def test_residuals_small_on_random_regular(rng):

@@ -123,6 +123,17 @@ def test_inconsistent_initial_state_rejected():
                                          lambda t, k: phi.eval(t - p.tau, k)))
 
 
+def test_nan_initial_state_is_inconsistent():
+    # a NaN residual is no consistent start, not a matter for Newton
+    p = models.PmsdParams()
+    m = models.pmsd_hybrid_shifted(p)
+    phi = m.default_history()
+    with pytest.raises(InconsistentInitialState) as info:
+        integrate_segment(SegmentProblem(m, 0.0, p.tau, np.full(m.n, np.nan),
+                                         lambda t, k: phi.eval(t - p.tau, k)))
+    assert np.isnan(info.value.residual).all()
+
+
 def test_newton_divergence_when_constraint_loses_solutions():
     # 0 = z^2 - (0.5 - t): real solutions cease to exist past t = 0.5
     m = SfDdaeModel(

@@ -8,8 +8,9 @@ from ddaekit.lti import LtiDescriptor, hybrid_shifted, sf_model_from_linear
 from ddaekit.pencil import diff_index
 from ddaekit.radau import CONSISTENCY_TOL, IntegrationOptions, SegmentSolution
 from ddaekit.sfdae import SfDdaeModel
-from ddaekit.steps import (audit, breakpoint_consistency, evaluate, solve_itp,
-                           tau_sweep)
+from ddaekit.steps import (BROKE_DOWN, audit, breakpoint_consistency,
+                           evaluate, solve_itp, sweep_deviation,
+                           sweep_reference)
 
 from test_sfdae import delayed_ode
 
@@ -199,27 +200,70 @@ def test_tau_sweep_zero_coupling_gives_zero_deviation(rng):
     s1 = LtiDescriptor(E1, A1, np.zeros((1, 1)), np.ones((1, 1)))
     s2 = LtiDescriptor(E1, A1, np.ones((1, 1)), np.ones((1, 1)))
 
-    phi = HistoryFunction.constant([1.0, 0.5], 1.0)
-
     def wrap(tau):
         model = sf_model_from_linear(hybrid_shifted(s1, s2, tau))
         model.default_history = lambda: HistoryFunction.constant(
             [1.0, 0.5], tau)
         return model
 
-    reference = wrap(0.7)
-    results = tau_sweep(wrap, [0.5, 0.25], 1.5, reference=reference)
-    for tau, traj, dev in results:
+    ref = sweep_reference(wrap(0.7), 1.5)
+    for tau in (0.5, 0.25):
+        traj, dev = sweep_deviation(wrap(tau), ref, 1.5)
         assert traj.complete
         assert dev <= 1e-9
 
 
 def test_tau_sweep_pmsd_short_horizon():
     p = models.PmsdParams()
-    ref = models.pmsd_coupled(p, theta0=0.1)
-    res = tau_sweep(
-        lambda tau: models.pmsd_hybrid_shifted(
-            models.PmsdParams(tau=tau), theta0=0.1),
-        [0.1, 0.05], 0.4, reference=ref)
-    devs = [dev for _, _, dev in res]
+    ref = sweep_reference(models.pmsd_coupled(p, theta0=0.1), 0.4)
+    devs = [sweep_deviation(models.pmsd_hybrid_shifted(
+                models.PmsdParams(tau=tau), theta0=0.1), ref, 0.4)[1]
+            for tau in (0.1, 0.05)]
     assert devs[0] > devs[1] > 0.0
+
+
+def _two_segment_history():
+    # ex-advanced (x = y(t - 1), y = y'(t - 1)) from x = -1, y = 2t + t^2:
+    # y = 2t on [0, 1] and y = 2 on [1, 2], so segments 1 and 2 start
+    # consistently, but y' jumps from 2 to 0 at t = 1 and segment 3 cannot
+    return (models.ex_advanced_model(1.0),
+            HistoryFunction.from_polynomials([[-1.0], [0.0, 2.0, 1.0]], 1.0))
+
+
+def test_breakdown_at_a_later_segment_reads_the_right_limit():
+    m, phi = _two_segment_history()
+    tr = solve_itp(m, phi, 3.0)
+    assert tr.status == BROKE_DOWN
+    assert tr.breakdown_index == 3
+    assert len(tr.segments) == 2
+    np.testing.assert_allclose(tr.breakdown_residual, [0.0, 2.0], atol=1e-9)
+
+
+def test_breakpoint_within_rounding_takes_the_right_segment():
+    m, phi = _two_segment_history()
+    tr = solve_itp(m, phi, 2.0)
+    assert tr.complete
+    right = evaluate(tr, 1.0, 1)
+    np.testing.assert_allclose(right, [2.0, 0.0], atol=1e-9)
+    for t in (np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)):
+        np.testing.assert_allclose(evaluate(tr, t, 1), right, atol=1e-12)
+    np.testing.assert_allclose(evaluate(tr, 0.999, 1), [1.998, 2.0], atol=1e-9)
+
+
+def test_segment_starts_are_checked_once(monkeypatch):
+    # integrate_segment is the only consistency check of a segment start
+    starts = []
+    residual = SfDdaeModel.algebraic_residual
+
+    def counted(model, t, z, zlags):
+        starts.append(t)
+        return residual(model, t, z, zlags)
+
+    monkeypatch.setattr(SfDdaeModel, "algebraic_residual", counted)
+    m = models.pmsd_hybrid_shifted()
+    assert solve_itp(m, m.default_history(), 3 * m.tau).complete
+    assert starts == [0.0, m.tau, 2 * m.tau]
+    starts.clear()
+    m = models.ex_advanced_model(1.0)
+    assert solve_itp(m, m.default_history(), 3.0).breakdown_index == 2
+    assert starts == [0.0, 1.0]
