@@ -270,7 +270,9 @@ def build_parser():
 
     def integrator_flags(p):
         p.add_argument("--T", type=float, help="time horizon")
-        p.add_argument("--h", type=float, help="step size (default tau/200)")
+        p.add_argument("--h", type=float,
+                       help="fixed step; default: residual-controlled, never "
+                            "finer than tau/200")
         p.add_argument("--newton-tol", type=float, default=1e-10)
         p.add_argument("--res-tol", type=float, default=1e-8)
         p.add_argument("--max-newton", type=int, default=10)

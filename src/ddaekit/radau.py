@@ -5,17 +5,24 @@ functions of time (history or previous-segment dense output), so the
 segment is an ordinary strangeness-free DAE.  It is integrated with the
 3-stage Radau IIA collocation scheme: stiffly accurate, so the algebraic
 part is enforced exactly at step endpoints, which is what breakpoint
-consistency of the method of steps requires.  Steps are fixed size with
-halving only on Newton failure; reproducibility of reported numbers is
-preferred over error control.
+consistency of the method of steps requires.
+
+By default each step is sized by the residual of its continuous extension,
+the quantity the residual audit checks (Shampine, "Solving ODEs and DDEs
+with residual control", Appl. Numer. Math. 52, 2005; Enright's defect
+control, Appl. Math. Comput. 31, 1989).  A step is accepted when that
+residual is at most ``res_tol``, or when the step is already at the floor
+tau / STEPS_PER_SEGMENT, so the default never takes more steps than the
+fixed step at the floor.  An explicit ``h`` turns the controller off:
+fixed steps, halved only on Newton failure.
 
 The stage equations are solved by simplified Newton: the model Jacobians
 are evaluated once per step, at the predictor of the last stage, and
 Hairer's transformation of the Radau IIA matrix (Hairer & Wanner, Solving
 ODEs II, IV.8) splits the 3n x 3n stage matrix into one real and one
 complex n x n matrix, each inverted once per step.  The continuous
-extension is the cubic Hermite of each step, stored as monomial
-coefficients when the segment is complete.
+extension is the cubic Hermite of each step, which is the collocation
+polynomial, stored as monomial coefficients when the segment is complete.
 """
 
 import logging
@@ -73,9 +80,19 @@ def _radau_split():
 
 _T, _TI_AINV, _GAMMA, _ALPHA_BETA = _radau_split()
 
+# The residual of a step's collocation cubic behaves like prod(s - c_i)
+# across the step.  Its differential rows are largest at the step start
+# (s = 0), where they follow from the derivative jump to the previous step;
+# its algebraic rows also vanish at s = 0 and are largest at _S_ALG, the
+# extremum of s prod(s - c_i) past the last interior node.
+_S_ALG = float(max(np.roots(np.polyder(np.poly([0.0, *RADAU_C]))).real))
+_AT_S_ALG = _S_ALG ** np.arange(4.0)
+_DS_AT_S_ALG = np.array([0.0, 1.0, 2.0 * _S_ALG, 3.0 * _S_ALG ** 2])
+
 COND_WARN = 1e12
 
-STEPS_PER_SEGMENT = 200    # default step tau / STEPS_PER_SEGMENT
+STEPS_PER_SEGMENT = 200    # finest default step tau / STEPS_PER_SEGMENT
+SAFETY = 0.1               # the step controller aims at SAFETY * res_tol
 MAX_HALVINGS = 8           # per step, on Newton failure
 # algebraic residual above which an initial state, a history or a
 # breakpoint right limit is inconsistent
@@ -86,8 +103,10 @@ CONSISTENCY_TOL = 1e-6
 class IntegrationOptions:
     """Tuning knobs of the segment integrator and the method of steps.
 
-    ``h`` is a fixed step size (default tau / STEPS_PER_SEGMENT); it must be
-    finite and positive.  The residual audit needs at least two points.
+    ``h`` is a fixed step size; it must be finite and positive.  Without
+    it, each step is sized so that the residual of its continuous
+    extension stays within ``res_tol``, never finer than tau /
+    STEPS_PER_SEGMENT.  The residual audit needs at least two points.
     """
 
     h: float | None = None
@@ -103,9 +122,6 @@ class IntegrationOptions:
         if self.audit_points < 2:
             raise ValueError(
                 f"audit needs at least 2 points, got {self.audit_points}")
-
-    def step_size(self, tau):
-        return self.h if self.h is not None else tau / STEPS_PER_SEGMENT
 
 
 class SegmentProblem:
@@ -126,7 +142,18 @@ class SegmentProblem:
 
     def lags(self, t):
         src = self.delayed_source
-        return np.stack([src(t, k) for k in range(self.model.n_lags)])
+        return np.array([src(t, k) for k in range(self.model.n_lags)])
+
+
+def _hermite(h, z0, z1, d0, d1):
+    """Monomial coefficients (rows c0..c3 along axis -2) of the cubic with
+    values z0, z1 and derivatives d0, d1 at the ends of a step of length h;
+    all arguments broadcast over leading step axes."""
+    dz = z1 - z0
+    hd0 = h * d0
+    hd1 = h * d1
+    return np.stack(
+        [z0, hd0, 3.0 * dz - 2.0 * hd0 - hd1, hd0 + hd1 - 2.0 * dz], axis=-2)
 
 
 class SegmentSolution:
@@ -146,14 +173,9 @@ class SegmentSolution:
         zs = np.asarray(zs)
         self.endpoint = zs[-1].copy()
         self.stats = stats
-        h = np.diff(self.ts)[:, None]
-        z0 = zs[:-1]
-        dz = zs[1:] - z0
-        hd0 = h * np.asarray(d_start)          # d_start: z' at each step start
-        hd1 = h * np.asarray(d_end)            # d_end: z' at each step end
-        self.coeffs = np.stack(
-            [z0, hd0, 3.0 * dz - 2.0 * hd0 - hd1, hd0 + hd1 - 2.0 * dz],
-            axis=1)
+        # d_start, d_end: z' at each step start and end
+        self.coeffs = _hermite(np.diff(self.ts)[:, None], zs[:-1], zs[1:],
+                               np.asarray(d_start), np.asarray(d_end))
 
     @property
     def t_start(self):
@@ -208,7 +230,9 @@ def _newton_update(factors, R):
 
 
 def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats):
-    """One collocation step; returns (z1, d0, d1, k_end) or None on failure."""
+    """One collocation step; returns (z1, d0, d1, Fdot), with d0 and d1 the
+    end derivatives of the collocation cubic and Fdot the step's Jacobian
+    with respect to z', or None on failure."""
     n, d = model.n, model.d
     K = np.array([k_guess] * 3)
     scale = 1.0 + float(np.abs(z_prev).max())
@@ -261,13 +285,49 @@ def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats):
                 return None
             stats["max_endpoint_residual"] = max(
                 stats["max_endpoint_residual"], res)
-            d0 = _L_AT_0 @ K
-            return z1, d0, K[2].copy(), K[2]
+            return z1, _L_AT_0 @ K, K[2].copy(), Fdot
     return None
 
 
-def integrate_segment(problem, opts=None):
-    """Integrate one segment with fixed steps and Newton-failure halving.
+def _start_defect(model, t0, z0, step, d_prev, lags0):
+    """Max norm of the differential rows of a step's residual at its start,
+    where they are largest.
+
+    ``d_prev`` is the end derivative of the previous step.  It is None at
+    the segment start, where the derivative may jump (history or
+    breakpoint), so the rows are evaluated there with the lags ``lags0``.
+    Elsewhere the previous cubic satisfies them at t0, and they are linear
+    in z', so the jump times the step's Jacobian is the residual.
+    """
+    _, d0, _, Fdot = step
+    if d_prev is None:
+        r = model.residual(t0, z0, d0, lags0)[:model.d]
+    else:
+        r = Fdot[:model.d] @ (d0 - d_prev)
+    return float(np.abs(r).max()) if r.size else 0.0
+
+
+def _sampled_residual(problem, t0, h, z0, step):
+    """Max norm of a step's residual at _S_ALG, where its algebraic rows
+    are largest."""
+    z1, d0, d1, _ = step
+    C = _hermite(h, z0, z1, d0, d1)
+    t = t0 + _S_ALG * h
+    r = problem.model.residual(t, _AT_S_ALG @ C, _DS_AT_S_ALG @ C / h,
+                               problem.lags(t))
+    return float(np.abs(r).max())
+
+
+def integrate_segment(problem, opts=None, h_start=None):
+    """Integrate one segment; steps are halved on Newton failure.
+
+    With ``opts.h`` the steps are fixed.  Otherwise a step whose residual
+    estimate (``_start_defect``, ``_sampled_residual``) exceeds
+    ``opts.res_tol`` is retried shorter, unless it is at the floor tau /
+    STEPS_PER_SEGMENT, and every step sizes the next by the h^3 law of
+    that residual.  ``h_start`` is the first step to try (default: the
+    floor); ``stats["h_next"]`` is the step the segment would have taken
+    next.
 
     Raises InconsistentInitialState when the initial algebraic residual
     exceeds the consistency tolerance or is not finite, and
@@ -297,46 +357,68 @@ def integrate_segment(problem, opts=None):
 
     length = problem.t_end - problem.t_start
     tau = model.tau
-    h_nominal = opts.step_size(tau)
-    n_steps = max(1, int(math.ceil(length / h_nominal - 1e-12)))
-    h_nominal = length / n_steps
+    controlled = opts.h is None
+    # the fixed step, or the controller's floor, fitted to the segment
+    h_floor = tau / STEPS_PER_SEGMENT if controlled else opts.h
+    h_floor = length / max(1, int(math.ceil(length / h_floor - 1e-12)))
+    h_next = h_floor
+    if controlled and h_start is not None:
+        h_next = min(max(h_start, h_floor), length)
     h_min = tau / 2 ** 15
 
     stats = {"max_endpoint_residual": 0.0, "max_stage_cond": 0.0,
-             "newton_iterations": 0, "halvings": 0, "n_steps": 0,
-             "cond_pending": True}
+             "newton_iterations": 0, "halvings": 0, "rejected": 0,
+             "n_steps": 0, "cond_pending": True}
     ts = [problem.t_start]
     zs = [problem.z0.copy()]
     d_start = []
     d_end = []
     z = problem.z0.copy()
     k_guess = np.zeros(model.n)
+    d_prev = None
     t = problem.t_start
     while t < problem.t_end - 1e-12 * max(1.0, abs(problem.t_end)):
-        h = min(h_nominal, problem.t_end - t)
+        h = min(h_next, problem.t_end - t)
         halvings = 0
         while True:
             result = _solve_step(model, t, h, z, k_guess, problem, opts, stats)
-            if result is not None:
+            if result is None:
+                halvings += 1
+                stats["halvings"] += 1
+                stats["cond_pending"] = True
+                h *= 0.5
+                if halvings > MAX_HALVINGS or h < h_min:
+                    r = model.residual(t, z, k_guess, problem.lags(t))
+                    raise NewtonDivergence(
+                        f"Newton failed at t = {t:.6g} after {halvings - 1} "
+                        f"halvings", t=t, iterate=z,
+                        residual=float(np.abs(r).max()))
+                continue
+            if not controlled:
                 break
-            halvings += 1
-            stats["halvings"] += 1
-            stats["cond_pending"] = True
-            h *= 0.5
-            if halvings > MAX_HALVINGS or h < h_min:
-                r = model.residual(t, z, k_guess, problem.lags(t))
-                raise NewtonDivergence(
-                    f"Newton failed at t = {t:.6g} after {halvings - 1} "
-                    f"halvings", t=t, iterate=z,
-                    residual=float(np.abs(r).max()))
-        z1, d0, d1, k_guess = result
+            err = _start_defect(model, t, z, result, d_prev, lags0)
+            # the algebraic rows are sampled unless the differential rows
+            # alone hold the step at the floor
+            if h > h_floor or err < SAFETY * opts.res_tol:
+                err = max(err, _sampled_residual(problem, t, h, z, result))
+            grow = (4.0 if err == 0.0 else
+                    min(4.0, max(0.2, 0.9 * (SAFETY * opts.res_tol / err)
+                                 ** (1.0 / 3.0))))
+            h_next = min(max(h * grow, h_floor), length)
+            if err <= opts.res_tol or h <= h_floor:
+                break
+            stats["rejected"] += 1
+            h = h_next
+        z1, d0, d1, _ = result
         t = t + h
         ts.append(t)
         zs.append(z1)
         d_start.append(d0)
         d_end.append(d1)
         z = z1
+        k_guess = d_prev = d1
         stats["n_steps"] += 1
     stats.pop("cond_pending")
+    stats["h_next"] = h_next
     return SegmentSolution(np.array(ts), np.array(zs), np.array(d_start),
                            np.array(d_end), stats)

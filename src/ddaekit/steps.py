@@ -11,6 +11,7 @@ integration drift) and the solution ceases to exist there.
 """
 
 import csv
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +26,8 @@ COMPLETE = "Complete"
 BROKE_DOWN = "BrokeDown"
 
 SWEEP_GRID_POINTS = 400    # shared grid of a delay sweep
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(eq=False)
@@ -66,14 +69,15 @@ class Trajectory:
 
     @property
     def stats(self):
-        """Integrator totals over the segments: step, Newton-iteration and
-        halving counts summed, worst stage condition and endpoint residual
-        maxed."""
+        """Integrator totals over the segments: step, Newton-iteration,
+        halving and rejected-step counts summed, worst stage condition and
+        endpoint residual maxed."""
         segs = [seg.stats for seg in self.segments]
         return {
             "steps": sum(s["n_steps"] for s in segs),
             "newton_iterations": sum(s["newton_iterations"] for s in segs),
             "halvings": sum(s["halvings"] for s in segs),
+            "rejected": sum(s["rejected"] for s in segs),
             "max_stage_cond": max((s["max_stage_cond"] for s in segs),
                                   default=0.0),
             "max_endpoint_residual": max(
@@ -86,21 +90,33 @@ class Trajectory:
         return evaluate(self, t - self.model.tau, k)
 
     def segment_index(self, t):
-        """1-based segment index covering time t > 0."""
-        tau = self.model.tau
-        idx = int(math.ceil(t / tau - 1e-9))
-        return min(max(idx, 1), len(self.segments))
+        """1-based index of the segment covering time t >= 0: the last one
+        that starts at or before t, where a time within rounding of a
+        breakpoint, such as t - tau at a segment start, counts as that
+        breakpoint."""
+        segs = self.segments
+        n = len(segs)
+        # segment i starts at i * tau, so t / tau is off by at most one;
+        # comparisons rather than min/max, since every lag read runs this
+        i = int(t / self.model.tau)
+        if i >= n:
+            i = n - 1
+        slack = 1e-12 * (t if t > 1.0 else 1.0)
+        if i + 1 < n and t >= segs[i + 1].ts[0] - slack:
+            i += 1
+        elif t < segs[i].ts[0] - slack:
+            i -= 1
+        return i + 1
 
 
 def evaluate(tr, t, order=0):
     """Trajectory value or right derivative at time t in [-tau, t_end].
 
     History branch for t < 0 and while no segment is solved; otherwise
-    dense output of the covering segment.  At interior breakpoints the
-    value is continuous by construction and derivatives are taken from the
-    right segment (smooth transitions across breakpoints cannot be expected
-    for delay systems); a time within rounding of a breakpoint, such as
-    t - tau at a segment start, counts as that breakpoint.
+    dense output of the covering segment (``Trajectory.segment_index``).
+    At interior breakpoints the value is continuous by construction and
+    derivatives are taken from the right segment (smooth transitions
+    across breakpoints cannot be expected for delay systems).
     """
     if order not in (0, 1):
         raise ValueError("trajectory evaluation supports orders 0 and 1")
@@ -109,23 +125,21 @@ def evaluate(tr, t, order=0):
         raise ValueError(f"t={t} precedes the history interval")
     if t < 0.0 or not tr.segments:
         return tr.history.eval(t, order)
-    t_end = tr.t_end
-    if t > t_end + 1e-9 * max(1.0, t_end):
-        raise ValueError(f"t={t} beyond covered time {t_end}")
-    idx = tr.segment_index(t) - 1
-    seg = tr.segments[idx]
-    # breakpoint hits, up to rounding, prefer the right segment
-    if (idx + 1 < len(tr.segments)
-            and t >= tr.segments[idx + 1].t_start - 1e-12 * max(1.0, t)):
-        seg = tr.segments[idx + 1]
-    return seg.eval(min(t, seg.t_end), order)
+    seg = tr.segments[tr.segment_index(t) - 1]
+    t_end = seg.ts[-1]
+    if t >= t_end:
+        if t > t_end + 1e-9 * max(1.0, t_end):
+            raise ValueError(f"t={t} beyond covered time {t_end}")
+        t = t_end
+    return seg.eval(t, order)
 
 
 def solve_itp(model, phi, T, opts=None):
     """Solve the initial trajectory problem on [0, T] by the method of steps.
 
     Every segment reads its delayed data from the trajectory built so far,
-    and ``integrate_segment`` decides whether it starts consistently.  An
+    starts with the step its predecessor would have taken next, and
+    ``integrate_segment`` decides whether it starts consistently.  An
     inconsistent start of the first segment is an inadmissible history
     (InadmissibleHistory); on a later segment it is a breakdown, returned
     as a BrokeDown trajectory rather than raised.  Models declaring
@@ -145,11 +159,12 @@ def solve_itp(model, phi, T, opts=None):
     n_segments = max(1, int(math.ceil(T / tau - 1e-9)))
     tr = Trajectory(model, phi)
     z0 = phi.eval(0.0)
+    h = None
     for i in range(1, n_segments + 1):
         problem = SegmentProblem(model, (i - 1) * tau, min(i * tau, T), z0,
                                  tr.delayed)
         try:
-            seg = integrate_segment(problem, opts)
+            seg = integrate_segment(problem, opts, h)
         except InconsistentInitialState as exc:
             if i == 1:
                 raise InadmissibleHistory(
@@ -164,6 +179,13 @@ def solve_itp(model, phi, T, opts=None):
             raise type(exc)(f"segment {i}: {exc}") from exc
         tr.segments.append(seg)
         z0 = seg.endpoint
+        h = seg.stats["h_next"]
+        if logger.isEnabledFor(logging.DEBUG):
+            st, hs = seg.stats, np.diff(seg.ts)
+            logger.debug(
+                "segment %d: %d steps, %d rejected, %d Newton iterations, "
+                "h %.3g to %.3g", i, st["n_steps"], st["rejected"],
+                st["newton_iterations"], hs.min(), hs.max())
     return tr
 
 

@@ -114,6 +114,22 @@ def test_simulate_shift_example_csv_matches_closed_form(tmp_path):
             m.g_signal.eval(t + 0.5)[0], abs=1e-8)
 
 
+def test_csv_rows_name_the_segment_they_were_read_from(tmp_path):
+    # t = 0.5 is the breakpoint of ex-shift: its values are segment 2's
+    out = tmp_path / "shift"
+    run_json("simulate", "--model", "ex-shift", "--T", "1", "--out",
+             str(out), "--audit-points", "11")
+    with open(out.with_suffix(".csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    m = models.ex_shift_model(0.5)
+    tr = steps.solve_itp(m, m.default_history(), 1.0)
+    assert [row["segment_index"] for row in rows] == ["1"] * 5 + ["2"] * 6
+    for row in rows:
+        t = float(row["t"])
+        seg = tr.segments[int(row["segment_index"]) - 1]
+        assert [row["z_1"], row["z_2"]] == [f"{v:.12g}" for v in seg.eval(t)]
+
+
 def test_simulate_inadmissible_history_exit_five():
     rc, out, _ = run_cli("simulate", "--model", "ex-advanced", "--T", "1",
                          "--history", "poly:0.5;1,1")
@@ -300,15 +316,22 @@ def test_simulate_reports_audit_ok(args, ok):
 
 def test_simulate_reports_integrator_totals():
     # 800 steps of tau/200; 1604 Newton iterations with full Newton
-    stats = run_json("simulate", "--model", "pmsd-hybrid", "--T",
-                     "0.2")["stats"]
+    stats = run_json("simulate", "--model", "pmsd-hybrid", "--T", "0.2",
+                     "--h", "0.00025")["stats"]
     assert set(stats) == {"steps", "newton_iterations", "halvings",
-                          "max_stage_cond", "max_endpoint_residual"}
+                          "rejected", "max_stage_cond",
+                          "max_endpoint_residual"}
     assert stats["steps"] == 800
     assert stats["newton_iterations"] <= 1604
     assert stats["halvings"] == 0
+    assert stats["rejected"] == 0
     assert 1.0 <= stats["max_stage_cond"] < 1e12
     assert stats["max_endpoint_residual"] <= 1e-8
+    # the default step is never finer than tau/200
+    data = run_json("simulate", "--model", "pmsd-hybrid", "--T", "0.2")
+    assert set(data["stats"]) == set(stats)
+    assert data["stats"]["steps"] < 800
+    assert data["audit_ok"] is True
 
 
 def test_simulate_user_linear_ddae_from_json(tmp_path):

@@ -1,12 +1,18 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddaekit import models
 from ddaekit.errors import InadmissibleHistory
-from ddaekit.forcing import HistoryFunction
-from ddaekit.lti import LtiDescriptor, hybrid_shifted, sf_model_from_linear
+from ddaekit.forcing import HistoryFunction, SymbolicSignal
+from ddaekit.lti import (LinearDdae, LtiDescriptor, hybrid_shifted,
+                         sf_model_from_linear)
 from ddaekit.pencil import diff_index
-from ddaekit.radau import CONSISTENCY_TOL, IntegrationOptions, SegmentSolution
+from ddaekit.radau import (CONSISTENCY_TOL, STEPS_PER_SEGMENT,
+                           IntegrationOptions, SegmentSolution)
 from ddaekit.sfdae import SfDdaeModel
 from ddaekit.steps import (BROKE_DOWN, audit, breakpoint_consistency,
                            evaluate, solve_itp, sweep_deviation,
@@ -105,13 +111,20 @@ def test_audit_and_breakpoint_consistency_on_builtins():
 
 def test_partial_final_segment():
     m = delayed_ode(1.0)
-    tr = solve_itp(m, HistoryFunction.constant([1.0], 1.0), 1.6)
+    phi = HistoryFunction.constant([1.0], 1.0)
+    tr = solve_itp(m, phi, 1.6, IntegrationOptions(h=1.0 / 200))
     assert tr.complete
     assert tr.t_end == pytest.approx(1.6)
     assert len(tr.segments) == 2
     # same per-unit-time density: 200 steps per full delay interval
     assert tr.segments[1].stats["n_steps"] == 120
     exact = 1.0 - 1.6 + 0.6 ** 2 / 2.0
+    assert evaluate(tr, 1.6)[0] == pytest.approx(exact, abs=1e-8)
+    # the default path: the quadratic on [1, 1.6] is one cubic step
+    tr = solve_itp(m, phi, 1.6)
+    assert tr.t_end == pytest.approx(1.6)
+    assert len(tr.segments) == 2
+    assert 1 <= tr.segments[1].stats["n_steps"] <= 120
     assert evaluate(tr, 1.6)[0] == pytest.approx(exact, abs=1e-8)
 
 
@@ -267,3 +280,130 @@ def test_segment_starts_are_checked_once(monkeypatch):
     m = models.ex_advanced_model(1.0)
     assert solve_itp(m, m.default_history(), 3.0).breakdown_index == 2
     assert starts == [0.0, 1.0]
+
+
+def _mesh(tr):
+    return np.concatenate([tr.segments[0].ts[:1],
+                           *(np.asarray(seg.ts[1:]) for seg in tr.segments)])
+
+
+def test_default_step_pmsd_hybrid_is_residual_controlled():
+    m = models.pmsd_hybrid_shifted()
+    opts = IntegrationOptions()
+    tr = solve_itp(m, m.default_history(), 2.0, opts)
+    assert tr.complete
+    assert tr.stats["steps"] <= 2000     # the floor tau/200 would take 8000
+    assert tr.stats["rejected"] == sum(seg.stats["rejected"]
+                                       for seg in tr.segments)
+    _, full, _ = audit(tr, 1000)
+    assert full.max() <= opts.res_tol
+    # every multiple of tau is a mesh point
+    mesh = _mesh(tr)
+    for k in range(41):
+        assert np.abs(mesh - k * m.tau).min() <= 1e-12
+    # only a segment's last step, cut at its end, is finer than the floor
+    floor = m.tau / STEPS_PER_SEGMENT
+    for seg in tr.segments:
+        assert np.all(np.diff(seg.ts)[:-1] >= floor * (1 - 1e-9))
+    again = solve_itp(m, m.default_history(), 2.0, opts)
+    assert np.array_equal(_mesh(again), mesh)
+    for a, b in zip(tr.segments, again.segments):
+        assert np.array_equal(a.coeffs, b.coeffs)
+        assert a.stats == b.stats
+
+
+def test_default_step_sweep_matches_fixed_step_sweep():
+    # the criterion-8 sweep, against the same sweep at h = tau/200
+    p0 = models.PmsdParams()
+    base = dict(M=p0.M, C=p0.C, K=p0.K, m=p0.m, L=p0.L, g=p0.g)
+    taus = (0.1, 0.05, 0.025)
+
+    def deviations(fixed):
+        def opts(tau):
+            return IntegrationOptions(
+                h=tau / STEPS_PER_SEGMENT if fixed else None)
+        ref = sweep_reference(models.pmsd_coupled(p0, theta0=0.1), 2.0,
+                              opts(p0.tau))
+        return np.array([sweep_deviation(models.pmsd_hybrid_shifted(
+            models.PmsdParams(tau=tau, **base), theta0=0.1), ref, 2.0,
+            opts(tau))[1] for tau in taus])
+
+    default, fixed = deviations(False), deviations(True)
+    assert default[0] > default[1] > default[2] > 0.0
+    np.testing.assert_allclose(default, fixed, rtol=0, atol=1e-9)
+
+
+def _forced_linear(d, tau, amp, omega):
+    """A linear DDAE with sinusoidal forcing and its history: d = 0 is
+    x = x(t - tau) / 2 + amp sin(omega t) from x = 0; d = 1 is the shifted
+    solution-space example with sinusoids in both f and g."""
+    if d == 0:
+        f = SymbolicSignal(sin=[[(amp, omega, 0.0)]])
+        lin = LinearDdae(np.zeros((1, 1)), -np.eye(1), 0.5 * np.eye(1),
+                         tau, f)
+        return sf_model_from_linear(lin), HistoryFunction.constant([0.0],
+                                                                   tau)
+    f = SymbolicSignal(poly=[[0.3, 0.1]], sin=[[(amp, omega, 0.4)]])
+    g = SymbolicSignal(poly=[[1.0, -0.5]], sin=[[(amp, omega / 2, 0.0)]])
+    model = sf_model_from_linear(models.ex_shift_linear(tau, f=f, g=g))
+    history = SymbolicSignal(poly=[[0.2]]).stack(g.shift(tau))
+    return model, HistoryFunction(history, tau)
+
+
+@pytest.mark.parametrize("d, amp, omega", [
+    (0, 0.3, 6.0), (0, 0.5, 20.0), (0, 1.0, 60.0),
+    (1, 0.3, 6.0), (1, 0.5, 20.0)])
+def test_default_step_keeps_the_audit_or_the_floor(d, amp, omega):
+    m, phi = _forced_linear(d, 0.5, amp, omega)
+    assert (m.d, m.a) == (d, 1)
+    opts = IntegrationOptions()
+    tr = solve_itp(m, phi, 2.0, opts)
+    assert tr.complete
+    floor = m.tau / STEPS_PER_SEGMENT
+    assert tr.stats["steps"] <= 4 * STEPS_PER_SEGMENT
+    assert tr.stats["rejected"] <= 0.05 * tr.stats["steps"]
+    ts, full, _ = audit(tr, 1000)
+    # an audit point above res_tol lies in a step at the floor
+    mesh = _mesh(tr)
+    for t in ts[full > opts.res_tol]:
+        k = min(np.searchsorted(mesh, t, side="right"), len(mesh) - 1)
+        assert mesh[k] - mesh[k - 1] <= floor * (1 + 1e-9)
+
+
+def test_debug_log_tells_each_segment(caplog):
+    m = models.pmsd_hybrid_shifted()
+    with caplog.at_level(logging.DEBUG, logger="ddaekit.steps"):
+        tr = solve_itp(m, m.default_history(), 3 * m.tau)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "ddaekit.steps"]
+    assert len(lines) == 3
+    for i, (line, seg) in enumerate(zip(lines, tr.segments), start=1):
+        st = seg.stats
+        hs = np.diff(seg.ts)
+        assert line == (
+            f"segment {i}: {st['n_steps']} steps, {st['rejected']} rejected, "
+            f"{st['newton_iterations']} Newton iterations, "
+            f"h {hs.min():.3g} to {hs.max():.3g}")
+
+
+@settings(max_examples=20)
+@given(d=st.sampled_from([0, 1]), tau=st.floats(0.2, 1.0),
+       amp=st.floats(0.05, 1.0), omega=st.floats(1.0, 40.0),
+       delta=st.floats(1e-10, 1e-6))
+def test_lag_reads_are_continuous_across_breakpoints(d, tau, amp, omega,
+                                                     delta):
+    m, phi = _forced_linear(d, tau, amp, omega)
+    tr = solve_itp(m, phi, 3 * tau)
+    assert tr.complete
+    for b in tr.breakpoints[1:-1]:
+        t = b + tau
+        left, right = tr.delayed(t - delta, 0), tr.delayed(t + delta, 0)
+        slope = (np.abs(tr.delayed(t - delta, 1))
+                 + np.abs(tr.delayed(t + delta, 1)))
+        assert np.all(np.abs(left - right)
+                      <= 2 * delta * slope + 1e-12 * (1 + np.abs(right)))
+        # the breakpoint itself reads the right segment's start, which is
+        # the left segment's end
+        at = tr.delayed(t, 0)
+        end = tr.segments[tr.segment_index(b) - 2].eval(b)
+        assert np.all(np.abs(at - end) <= 1e-12 * (1 + np.abs(at)))
