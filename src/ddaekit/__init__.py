@@ -8,9 +8,9 @@ from .errors import (DdaeError, DataError, IllConditioned, InadmissibleHistory,
                      InconsistentInitialState, NewtonDivergence, ShapeError,
                      SingularPencil)
 from .forcing import HistoryFunction, SymbolicSignal
-from .lti import (LinearDdae, LtiDescriptor, algebraic_solution, classify_linear,
-                  couple, hybrid_shifted, is_consistent,
-                  regularity_theorem_check, sf_model_from_linear)
+from .lti import (LinearDdae, LtiDescriptor, classify_linear, couple,
+                  hybrid_shifted, regularity_theorem_check,
+                  sf_model_from_linear)
 from .pencil import (MatrixPencil, PencilReport, WeierstrassForm, analyze,
                      diff_index, equivalence_residual, is_regular, weierstrass)
 from .radau import (IntegrationOptions, SegmentProblem, SegmentSolution,
@@ -25,9 +25,8 @@ __all__ = [
     "HistoryFunction", "SymbolicSignal",
     "MatrixPencil", "PencilReport", "WeierstrassForm", "analyze",
     "diff_index", "equivalence_residual", "is_regular", "weierstrass",
-    "LinearDdae", "LtiDescriptor", "algebraic_solution", "classify_linear",
-    "couple", "hybrid_shifted", "is_consistent", "regularity_theorem_check",
-    "sf_model_from_linear",
+    "LinearDdae", "LtiDescriptor", "classify_linear", "couple",
+    "hybrid_shifted", "regularity_theorem_check", "sf_model_from_linear",
     "IntegrationOptions", "SegmentProblem", "SegmentSolution",
     "integrate_segment",
     "Classification", "SfDdaeModel", "admissible", "classify",

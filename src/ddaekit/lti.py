@@ -160,39 +160,6 @@ def delay_terms(w, A1, tol):
     return terms, s
 
 
-def algebraic_solution(w, Ba, u, fa, t):
-    """Algebraic variables forced by u and fa:  -sum_j N^j (Ba u^(j) + fa^(j)).
-
-    ``w`` is the WeierstrassForm of the pencil; the sum runs over
-    j = 0 .. nu-1, so u and fa must be differentiable to order nu - 1
-    (symbolic signals always are).
-    """
-    a = w.a
-    Ba = np.asarray(Ba, dtype=float).reshape(a, -1)
-    acc = np.zeros(a)
-    for j, Npow in enumerate(_powers(w.N, w.nu)):
-        acc += Npow @ (Ba @ u.eval(t, j) + fa.eval(t, j))
-    return -acc
-
-
-def is_consistent(sys, z0, u, t0, tol=1e-8):
-    """Check that z0 lies in the consistency set of E z' = A z + B u + f.
-
-    Transforms z0 into Weierstrass coordinates and compares the algebraic
-    block against the forced algebraic solution at t0.
-    """
-    w = weierstrass(sys.pencil)
-    z0 = np.asarray(z0, dtype=float)
-    wz = np.linalg.solve(w.T, z0)
-    za = wz[w.d:]
-    if w.a == 0:
-        return True
-    Ba = (w.S @ sys.B)[w.d:]
-    fa = sys.f.transform(w.S[w.d:])
-    target = algebraic_solution(w, Ba, u, fa, t0)
-    return bool(np.linalg.norm(za - target) <= tol * (1.0 + np.linalg.norm(z0)))
-
-
 def classify_linear(d, tol=DEFAULT_TOL):
     """Retarded / neutral / advanced type of a linear DDAE: the delay order
     of ``delay_terms``, which ``sf_model_from_linear`` also declares."""

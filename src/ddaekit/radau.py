@@ -31,6 +31,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dlange, zlange
 
 from .errors import InconsistentInitialState, NewtonDivergence
 
@@ -209,12 +210,17 @@ class SegmentSolution:
 
 
 def _newton_factors(Fz, Fdot, h):
-    """Inverses of the real and the complex block of the split stage matrix.
+    """Inverses of the real and the complex block of the split stage matrix,
+    and the larger of the two blocks' 1-norm condition numbers.
 
     Raises LinAlgError when either block is singular.
     """
-    return (np.linalg.inv(_GAMMA * Fdot + h * Fz),
-            np.linalg.inv(_ALPHA_BETA * Fdot + h * Fz))
+    real, cplx = _GAMMA * Fdot + h * Fz, _ALPHA_BETA * Fdot + h * Fz
+    factors = np.linalg.inv(real), np.linalg.inv(cplx)
+    # LAPACK's norms: numpy's four would cost about as much as both inverses
+    cond = max(dlange("1", real) * dlange("1", factors[0]),
+               zlange("1", cplx) * zlange("1", factors[1]))
+    return factors, cond
 
 
 def _newton_update(factors, R):
@@ -248,18 +254,14 @@ def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats):
     Fdot[:d] = model.JD_zdot(stage_ts[2], z_pred, k_guess, lags[0])
     if not (np.isfinite(Fz).all() and np.isfinite(Fdot).all()):
         return None
-    if stats["cond_pending"]:
-        J = np.kron(np.eye(3), Fdot) + h * np.kron(RADAU_A, Fz)
-        stats["max_stage_cond"] = max(stats["max_stage_cond"],
-                                      float(np.linalg.cond(J)))
-        stats["cond_pending"] = False
-        if stats["max_stage_cond"] > COND_WARN:
-            logger.warning("stage Jacobian condition %.2e exceeds %.0e",
-                           stats["max_stage_cond"], COND_WARN)
     try:
-        factors = _newton_factors(Fz, Fdot, h)
+        factors, cond = _newton_factors(Fz, Fdot, h)
     except np.linalg.LinAlgError:
         return None
+    if cond > COND_WARN >= stats["max_stage_cond"]:
+        logger.warning("stage Jacobian condition %.2e exceeds %.0e", cond,
+                       COND_WARN)
+    stats["max_stage_cond"] = max(stats["max_stage_cond"], cond)
     R = np.empty((3, n))
     err_prev = math.inf
     for _ in range(opts.max_newton):
@@ -318,6 +320,15 @@ def _sampled_residual(problem, t0, h, z0, step):
     return float(np.abs(r).max())
 
 
+def start_consistency(model, t, z, zlags):
+    """The one consistency rule of a history endpoint or a breakpoint right
+    limit: (ok, r, norm(r)) for the algebraic residual r of state z at time
+    t; ok is norm(r) <= CONSISTENCY_TOL, so a NaN residual fails."""
+    r = model.algebraic_residual(t, z, zlags)
+    norm = float(np.linalg.norm(r))
+    return norm <= CONSISTENCY_TOL, r, norm
+
+
 def integrate_segment(problem, opts=None, h_start=None):
     """Integrate one segment; steps are halved on Newton failure.
 
@@ -327,19 +338,19 @@ def integrate_segment(problem, opts=None, h_start=None):
     STEPS_PER_SEGMENT, and every step sizes the next by the h^3 law of
     that residual.  ``h_start`` is the first step to try (default: the
     floor); ``stats["h_next"]`` is the step the segment would have taken
-    next.
+    next, and ``stats["start_residual"]`` the norm of the start's
+    algebraic residual.
 
-    Raises InconsistentInitialState when the initial algebraic residual
-    exceeds the consistency tolerance or is not finite, and
-    NewtonDivergence when a step fails after all halvings.
+    Raises InconsistentInitialState when the start fails
+    ``start_consistency``, and NewtonDivergence when a step fails after all
+    halvings.
     """
     opts = opts or IntegrationOptions()
     model = problem.model
     lags0 = problem.lags(problem.t_start)
-    r0 = model.algebraic_residual(problem.t_start, problem.z0, lags0)
-    norm_r0 = np.linalg.norm(r0)
-    # a NaN residual is inconsistent too
-    if not norm_r0 <= CONSISTENCY_TOL:
+    ok, r0, norm_r0 = start_consistency(model, problem.t_start, problem.z0,
+                                        lags0)
+    if not ok:
         raise InconsistentInitialState(
             f"initial state violates the algebraic part: |r| = "
             f"{norm_r0:.3e}", t=problem.t_start, residual=r0)
@@ -368,7 +379,7 @@ def integrate_segment(problem, opts=None, h_start=None):
 
     stats = {"max_endpoint_residual": 0.0, "max_stage_cond": 0.0,
              "newton_iterations": 0, "halvings": 0, "rejected": 0,
-             "n_steps": 0, "cond_pending": True}
+             "n_steps": 0, "start_residual": norm_r0}
     ts = [problem.t_start]
     zs = [problem.z0.copy()]
     d_start = []
@@ -385,7 +396,6 @@ def integrate_segment(problem, opts=None, h_start=None):
             if result is None:
                 halvings += 1
                 stats["halvings"] += 1
-                stats["cond_pending"] = True
                 h *= 0.5
                 if halvings > MAX_HALVINGS or h < h_min:
                     r = model.residual(t, z, k_guess, problem.lags(t))
@@ -418,7 +428,6 @@ def integrate_segment(problem, opts=None, h_start=None):
         z = z1
         k_guess = d_prev = d1
         stats["n_steps"] += 1
-    stats.pop("cond_pending")
     stats["h_next"] = h_next
     return SegmentSolution(np.array(ts), np.array(zs), np.array(d_start),
                            np.array(d_end), stats)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .radau import start_consistency
 
 logger = logging.getLogger(__name__)
 
@@ -141,18 +142,18 @@ class SfDdaeModel:
                 f"a={self.a}, tau={self.tau}, s_decl={self.s_decl})")
 
 
-def admissible(m, phi, tol=1e-6):
+def admissible(m, phi):
     """Check the history endpoint against the algebraic part.
 
-    Evaluates r = A(0, phi(0), phi(-tau), phi'(-tau), ...,
-    phi^(s_decl-1)(-tau)) and returns (norm(r) <= tol, r).  This is exactly
-    the consistency condition of the first method-of-steps segment, so an
-    admissible history guarantees solvability on [0, tau).
+    Applies ``radau.start_consistency`` to phi(0) with the lag rows
+    phi(-tau), phi'(-tau), ..., phi^(s_decl-1)(-tau) and returns
+    (consistent, r).  These are the values the first method-of-steps
+    segment reads, so this is exactly its start check, and an admissible
+    history guarantees solvability on [0, tau).
     """
     zlags = np.stack([phi.eval(-m.tau, order=j) for j in range(m.n_lags)])
-    z0 = phi.eval(0.0)
-    r = m.algebraic_residual(0.0, z0, zlags)
-    return bool(np.linalg.norm(r) <= tol), r
+    ok, r, _ = start_consistency(m, 0.0, phi.eval(0.0), zlags)
+    return ok, r
 
 
 def classify(m):

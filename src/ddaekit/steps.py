@@ -70,8 +70,8 @@ class Trajectory:
     @property
     def stats(self):
         """Integrator totals over the segments: step, Newton-iteration,
-        halving and rejected-step counts summed, worst stage condition and
-        endpoint residual maxed."""
+        halving and rejected-step counts summed, worst stage condition,
+        endpoint residual and start residual maxed."""
         segs = [seg.stats for seg in self.segments]
         return {
             "steps": sum(s["n_steps"] for s in segs),
@@ -82,6 +82,8 @@ class Trajectory:
                                   default=0.0),
             "max_endpoint_residual": max(
                 (s["max_endpoint_residual"] for s in segs), default=0.0),
+            "max_start_residual": max(
+                (s["start_residual"] for s in segs), default=0.0),
         }
 
     def delayed(self, t, k):
@@ -184,8 +186,9 @@ def solve_itp(model, phi, T, opts=None):
             st, hs = seg.stats, np.diff(seg.ts)
             logger.debug(
                 "segment %d: %d steps, %d rejected, %d Newton iterations, "
-                "h %.3g to %.3g", i, st["n_steps"], st["rejected"],
-                st["newton_iterations"], hs.min(), hs.max())
+                "h %.3g to %.3g, start residual %.3g", i, st["n_steps"],
+                st["rejected"], st["newton_iterations"], hs.min(), hs.max(),
+                st["start_residual"])
     return tr
 
 
@@ -211,20 +214,6 @@ def audit(tr, n_points=1000):
         ra = r[m.d:]
         alg[j] = np.abs(ra).max() if ra.size else 0.0
     return ts, full, alg
-
-
-def breakpoint_consistency(tr):
-    """Max algebraic residual over right limits at interior breakpoints."""
-    m = tr.model
-    worst = 0.0
-    for seg in tr.segments:
-        t = seg.t_end
-        z = seg.endpoint
-        zlags = np.stack([tr.delayed(t, k) for k in range(m.n_lags)])
-        r = m.algebraic_residual(t, z, zlags)
-        if r.size:
-            worst = max(worst, float(np.abs(r).max()))
-    return worst
 
 
 def sweep_reference(reference, T, opts=None):

@@ -320,13 +320,14 @@ def test_simulate_reports_integrator_totals():
                      "--h", "0.00025")["stats"]
     assert set(stats) == {"steps", "newton_iterations", "halvings",
                           "rejected", "max_stage_cond",
-                          "max_endpoint_residual"}
+                          "max_endpoint_residual", "max_start_residual"}
     assert stats["steps"] == 800
     assert stats["newton_iterations"] <= 1604
     assert stats["halvings"] == 0
     assert stats["rejected"] == 0
     assert 1.0 <= stats["max_stage_cond"] < 1e12
     assert stats["max_endpoint_residual"] <= 1e-8
+    assert stats["max_start_residual"] <= 1e-6
     # the default step is never finer than tau/200
     data = run_json("simulate", "--model", "pmsd-hybrid", "--T", "0.2")
     assert set(data["stats"]) == set(stats)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ddaekit.errors import ShapeError
 from ddaekit.forcing import HistoryFunction, SymbolicSignal
@@ -38,6 +40,21 @@ def test_shift_matches_direct_evaluation(rng):
     for t in rng.uniform(-2, 2, 10):
         for k in (0, 1, 2):
             assert shifted.eval(t, k) == pytest.approx(s.eval(t + dt, k))
+
+
+@given(poly=st.lists(st.floats(-10.0, 10.0), max_size=5),
+       sin=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(0.0, 20.0),
+                              st.floats(-4.0, 4.0)), max_size=2),
+       dt=st.floats(-3.0, 3.0), t=st.floats(-3.0, 3.0), k=st.integers(0, 3))
+def test_shift_commutes_with_differentiation(poly, sin, dt, t, k):
+    s = SymbolicSignal(poly=[poly], sin=[sin])
+    # the size of the terms the k-th derivative sums, which rounding scales
+    r = 1.0 + abs(t) + abs(dt)
+    scale = (1.0 + sum(abs(c) * math.perm(j, k) * r ** (j - k)
+                       for j, c in enumerate(poly) if j >= k)
+             + sum(abs(a) * w ** k for a, w, _ in sin))
+    got = s.shift(dt).eval(t, k)[0]
+    assert abs(got - s.eval(t + dt, k)[0]) <= 1e-11 * scale
 
 
 def test_transform_and_stack(rng):

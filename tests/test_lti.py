@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from ddaekit.errors import ShapeError, SingularPencil
-from ddaekit.forcing import SymbolicSignal
-from ddaekit.lti import (LinearDdae, LtiDescriptor, algebraic_solution,
-                         classify_linear, couple, hybrid_shifted,
-                         is_consistent, regularity_theorem_check,
+from ddaekit.lti import (LinearDdae, LtiDescriptor, classify_linear, couple,
+                         hybrid_shifted, regularity_theorem_check,
                          sf_model_from_linear)
-from ddaekit.pencil import DEFAULT_TOL, WeierstrassForm, is_regular, weierstrass
+from ddaekit.pencil import DEFAULT_TOL, is_regular, weierstrass
 from ddaekit.sfdae import Classification, classify
 from ddaekit import models
 
-from conftest import well_conditioned
+from conftest import fd_jacobian, well_conditioned
 
 
 def scalar_integrator():
@@ -123,79 +121,6 @@ def test_zero_coupling_decouples(rng):
     s2 = random_subsystem(rng, 2, 1, 1)
     hd = hybrid_shifted(s1, s2, 1.0)
     assert np.all(hd.A1 == 0.0)
-
-
-# -- algebraic solution and consistency --------------------------------------
-
-def _form_with_N(N):
-    a = N.shape[0]
-    return WeierstrassForm(S=np.eye(a), T=np.eye(a), J=np.zeros((0, 0)), N=N,
-                           d=0, a=a, nu=2 if np.any(N) else 1, res_E=0.0,
-                           res_A=0.0, cond_P=1.0)
-
-
-def test_algebraic_solution_nilpotent_chain():
-    # N = [[0,1],[0,0]], Ba = I, fa = 0, u = (t^2, t) -> -(t^2 + 1, t)
-    N = np.array([[0.0, 1.0], [0.0, 0.0]])
-    w = _form_with_N(N)
-    u = SymbolicSignal(poly=[[0.0, 0.0, 1.0], [0.0, 1.0]])
-    fa = SymbolicSignal.zero(2)
-    for t in (0.0, 0.5, -1.2):
-        got = algebraic_solution(w, np.eye(2), u, fa, t)
-        assert got == pytest.approx([-(t**2 + 1.0), -t])
-
-
-def test_algebraic_solution_index_one_and_constant_input():
-    w = _form_with_N(np.zeros((2, 2)))
-    u = SymbolicSignal(poly=[[1.0, 3.0], [2.0]])
-    fa = SymbolicSignal(poly=[[0.5], [0.0, 1.0]])
-    t = 0.8
-    assert algebraic_solution(w, np.eye(2), u, fa, t) == pytest.approx(
-        -(u.eval(t) + fa.eval(t)))
-
-    # nu = 2 with constant input: derivative terms vanish, N plays no role
-    N = np.array([[0.0, 1.0], [0.0, 0.0]])
-    w = _form_with_N(N)
-    u = SymbolicSignal.constant([2.0, -1.0])
-    got = algebraic_solution(w, np.eye(2), u, SymbolicSignal.zero(2), 3.3)
-    assert got == pytest.approx([-2.0, 1.0])
-
-
-def test_algebraic_solution_satisfies_recursion(rng):
-    # N zdot_a - z_a - Ba u - fa = 0 for polynomial forcing up to degree 3
-    N = np.array([[0.0, 2.0, -1.0], [0.0, 0.0, 0.5], [0.0, 0.0, 0.0]])
-    w = WeierstrassForm(S=np.eye(3), T=np.eye(3), J=np.zeros((0, 0)), N=N,
-                        d=0, a=3, nu=3, res_E=0.0, res_A=0.0, cond_P=1.0)
-    Ba = rng.standard_normal((3, 2))
-    u = SymbolicSignal(poly=rng.standard_normal((2, 4)).tolist())
-    fa = SymbolicSignal(poly=rng.standard_normal((3, 4)).tolist())
-
-    def za(t, order=0):
-        acc = np.zeros(3)
-        Npow = np.eye(3)
-        for j in range(w.nu):
-            acc += Npow @ (Ba @ u.eval(t, j + order) + fa.eval(t, j + order))
-            Npow = N @ Npow
-        return -acc
-
-    for t in rng.uniform(-1, 1, 6):
-        res = N @ za(t, 1) - za(t) - Ba @ u.eval(t) - fa.eval(t)
-        assert np.abs(res).max() < 1e-10
-
-
-def test_is_consistent_ode_and_scalar_algebraic(rng):
-    ode = LtiDescriptor(np.eye(2), rng.standard_normal((2, 2)),
-                        np.zeros((2, 1)), np.zeros((1, 2)))
-    u = SymbolicSignal.zero(1)
-    assert is_consistent(ode, rng.standard_normal(2), u, 0.0)
-
-    # 0 = z + u  ->  consistent iff z0 = -u(t0)
-    alg = LtiDescriptor(np.zeros((1, 1)), np.array([[1.0]]), np.array([[1.0]]),
-                        np.zeros((0, 1)))
-    u = SymbolicSignal(poly=[[0.7, 2.0]])
-    t0 = 0.4
-    assert is_consistent(alg, [-u.eval(t0)[0]], u, t0)
-    assert not is_consistent(alg, [-u.eval(t0)[0] + 1.0], u, t0)
 
 
 # -- classification -----------------------------------------------------------
@@ -322,6 +247,37 @@ def test_wrapped_split_counts():
     wrapped = sf_model_from_linear(d)
     w = weierstrass(d.pencil)
     assert (wrapped.d, wrapped.a) == (w.d, w.a)
+
+
+def highest_lag_row_read(m, rng):
+    """Highest row of ``zlags`` that the algebraic part A depends on, by
+    central differences at a random point fed three lag rows, as many as
+    the highest order checked here (s = 3) reads; -1 when A reads none."""
+    z = rng.standard_normal(m.n)
+    zlags = rng.standard_normal((3, m.n))
+    highest = -1
+    for j in range(3):
+        def A_of_row(row, j=j):
+            lags = zlags.copy()
+            lags[j] = row
+            return m.A(0.3, z, lags)
+        if np.abs(fd_jacobian(A_of_row, zlags[j])).max(initial=0.0) > 1e-6:
+            highest = j
+    return highest
+
+
+def test_declared_order_is_the_highest_lag_row_read(rng):
+    # the paper's classification: s is one plus the highest delayed
+    # derivative the algebraic part consumes, 0 when it consumes none
+    cases = [entry.make() for entry in models.REGISTRY.values()
+             if entry.kind == "sf-model"]
+    cases.append(models.pmsd_hybrid_shifted(delayed_force_const=0.5))
+    cases += [sf_model_from_linear(d) for d in (
+        models.ex_shift_linear(0.5), models.ex_advanced_linear(1.0),
+        hybrid_shifted(*models.ex_shifted_subsystems(c=1.0), 1.0))]
+    for m in cases:
+        assert m.s_decl == highest_lag_row_read(m, rng) + 1, m
+    assert [m.s_decl for m in cases] == [1, 0, 0, 2, 0, 0, 2, 3]
 
 
 def test_json_roundtrips(rng):

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from ddaekit import models
 from ddaekit.errors import InconsistentInitialState, NewtonDivergence
-from ddaekit.radau import (RADAU_A, RADAU_C, IntegrationOptions,
-                           SegmentProblem, SegmentSolution, _newton_factors,
-                           _newton_update, integrate_segment)
+from ddaekit.radau import (_ALPHA_BETA, _GAMMA, RADAU_A, RADAU_C,
+                           IntegrationOptions, SegmentProblem,
+                           SegmentSolution, _newton_factors, _newton_update,
+                           integrate_segment)
 from ddaekit.sfdae import SfDdaeModel
 
 
@@ -231,6 +232,11 @@ def test_split_newton_update_matches_assembled_solve(rng, n, d):
     R = rng.standard_normal((3, n))
     J = np.kron(np.eye(3), Fdot) + h * np.kron(RADAU_A, Fz)
     want = np.linalg.solve(J, R.reshape(-1)).reshape(3, n)
-    got = _newton_update(_newton_factors(Fz, Fdot, h), R)
+    factors, cond = _newton_factors(Fz, Fdot, h)
+    got = _newton_update(factors, R)
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e-12 * np.abs(want).max())
+    # the reported condition is the worse of the two blocks' in the 1-norm
+    assert cond == pytest.approx(max(
+        np.linalg.cond(_GAMMA * Fdot + h * Fz, 1),
+        np.linalg.cond(_ALPHA_BETA * Fdot + h * Fz, 1)), rel=1e-9)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from ddaekit import models
-from ddaekit.errors import DataError
+from ddaekit.errors import DataError, InadmissibleHistory
 from ddaekit.forcing import HistoryFunction, SymbolicSignal
 from ddaekit.lti import LinearDdae
 from ddaekit.sfdae import Classification, SfDdaeModel, admissible, classify
+from ddaekit.steps import solve_itp
 
 from conftest import fd_jacobian
 
@@ -118,6 +119,23 @@ def test_advanced_admissibility_uses_history_derivative():
     # phi(0) = (0, 1): x-row needs phi2(-1) = -1, y-row needs phi2'(-1) = 2
     assert not ok
     assert r == pytest.approx([1.0, -1.0])
+
+
+def test_admissible_agrees_with_the_first_segment_start():
+    p = models.PmsdParams()
+    state = models.rest_state(p)
+    state[2] -= 0.1
+    cases = [
+        (models.pmsd_hybrid_shifted(p), HistoryFunction.constant(state, p.tau)),
+        (models.ex_advanced_model(1.0),
+         HistoryFunction.from_polynomials([[0.0], [1.0, 2.0]], 1.0)),
+    ]
+    for m, phi in cases:
+        ok, r = admissible(m, phi)
+        assert not ok
+        with pytest.raises(InadmissibleHistory) as err:
+            solve_itp(m, phi, m.tau)
+        assert np.array_equal(r, err.value.residual)
 
 
 # -- residual stacking --------------------------------------------------------

@@ -14,9 +14,8 @@ from ddaekit.pencil import diff_index
 from ddaekit.radau import (CONSISTENCY_TOL, STEPS_PER_SEGMENT,
                            IntegrationOptions, SegmentSolution)
 from ddaekit.sfdae import SfDdaeModel
-from ddaekit.steps import (BROKE_DOWN, audit, breakpoint_consistency,
-                           evaluate, solve_itp, sweep_deviation,
-                           sweep_reference)
+from ddaekit.steps import (BROKE_DOWN, audit, evaluate, solve_itp,
+                           sweep_deviation, sweep_reference)
 
 from test_sfdae import delayed_ode
 
@@ -92,7 +91,7 @@ def test_shift_example_against_closed_form():
         assert z[1] == pytest.approx(g.eval(t + 0.5)[0], abs=1e-8)
 
 
-def test_audit_and_breakpoint_consistency_on_builtins():
+def test_audit_and_start_residual_on_builtins():
     cases = [
         (models.pmsd_hybrid_shifted(), 3 * 0.05),
         (models.ex_shift_model(0.5), 1.6),
@@ -106,7 +105,8 @@ def test_audit_and_breakpoint_consistency_on_builtins():
         assert tr.complete
         _, full, _ = audit(tr, 1000)
         assert full.max() <= 10 * opts.res_tol
-        assert breakpoint_consistency(tr) <= CONSISTENCY_TOL
+        # every breakpoint right limit was checked as a segment start
+        assert tr.stats["max_start_residual"] <= CONSISTENCY_TOL
 
 
 def test_partial_final_segment():
@@ -204,6 +204,15 @@ def test_admissible_history_solvable_on_first_interval():
         tr = solve_itp(m, phi, m.tau)
         assert tr.complete
         assert tr.segments[0].stats["max_stage_cond"] > 0.0
+
+
+def test_stage_condition_covers_every_step():
+    # the controller varies h within a segment, so a condition taken only
+    # at segment starts and after halvings misses the worst step
+    m = models.pmsd_coupled()
+    tr = solve_itp(m, m.default_history(), 1.0)
+    assert tr.complete
+    assert tr.stats["max_stage_cond"] > 1e5
 
 
 def test_tau_sweep_zero_coupling_gives_zero_deviation(rng):
@@ -383,7 +392,8 @@ def test_debug_log_tells_each_segment(caplog):
         assert line == (
             f"segment {i}: {st['n_steps']} steps, {st['rejected']} rejected, "
             f"{st['newton_iterations']} Newton iterations, "
-            f"h {hs.min():.3g} to {hs.max():.3g}")
+            f"h {hs.min():.3g} to {hs.max():.3g}, "
+            f"start residual {st['start_residual']:.3g}")
 
 
 @settings(max_examples=20)
