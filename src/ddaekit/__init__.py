@@ -7,12 +7,12 @@ classification of delay systems, and a method-of-steps time integrator.
 from .errors import (DdaeError, DataError, IllConditioned, InadmissibleHistory,
                      InconsistentInitialState, NewtonDivergence, ShapeError,
                      SingularPencil)
-from .forcing import HistoryFunction, SymbolicSignal
+from .forcing import SymbolicSignal
 from .lti import (LinearDdae, LtiDescriptor, classify_linear, couple,
                   hybrid_shifted, regularity_theorem_check,
                   sf_model_from_linear)
 from .pencil import (MatrixPencil, PencilReport, WeierstrassForm, analyze,
-                     diff_index, equivalence_residual, is_regular, weierstrass)
+                     equivalence_residual, is_regular, weierstrass)
 from .radau import (IntegrationOptions, SegmentProblem, SegmentSolution,
                     integrate_segment)
 from .sfdae import Classification, SfDdaeModel, admissible, classify
@@ -22,9 +22,9 @@ __all__ = [
     "DdaeError", "DataError", "IllConditioned", "InadmissibleHistory",
     "InconsistentInitialState", "NewtonDivergence", "ShapeError",
     "SingularPencil",
-    "HistoryFunction", "SymbolicSignal",
+    "SymbolicSignal",
     "MatrixPencil", "PencilReport", "WeierstrassForm", "analyze",
-    "diff_index", "equivalence_residual", "is_regular", "weierstrass",
+    "equivalence_residual", "is_regular", "weierstrass",
     "LinearDdae", "LtiDescriptor", "classify_linear", "couple",
     "hybrid_shifted", "regularity_theorem_check", "sf_model_from_linear",
     "IntegrationOptions", "SegmentProblem", "SegmentSolution",

@@ -17,7 +17,7 @@ import numpy as np
 from . import models as model_zoo
 from .errors import (DataError, DdaeError, IllConditioned,
                      InadmissibleHistory, SingularPencil)
-from .forcing import HistoryFunction
+from .forcing import SymbolicSignal
 from .lti import (LinearDdae, LtiDescriptor, classify_linear, delay_terms,
                   sf_model_from_linear)
 from .pencil import DEFAULT_TOL, MatrixPencil, analyze
@@ -51,7 +51,7 @@ def _parse_params(pairs):
     return params
 
 
-def _parse_history(spec, tau, dim):
+def _parse_history(spec, dim):
     """History flag format: ``poly:<c0,c1,...>;<c0,...>`` per component."""
     kind, _, body = spec.partition(":")
     if kind != "poly" or not body:
@@ -61,7 +61,7 @@ def _parse_history(spec, tau, dim):
     if len(rows) != dim:
         raise ValueError(
             f"history has {len(rows)} components, model needs {dim}")
-    return HistoryFunction.from_polynomials(rows, tau)
+    return SymbolicSignal(poly=rows)
 
 
 def _load_json_model(path):
@@ -114,7 +114,7 @@ def cmd_analyze(args):
     data = {"model": name, **report.to_json()}
     if isinstance(obj, LinearDdae) and report.regular:
         _, s = delay_terms(report.form, obj.A1, args.tol)
-        data["classification"] = Classification.of_order(s).to_json()
+        data["classification"] = Classification(s).to_json()
     _emit(data, args.out)
     return EXIT_OK
 
@@ -154,7 +154,7 @@ def cmd_simulate(args):
                          f"file {args.model}\n")
         return EXIT_USAGE
     if args.history:
-        phi = _parse_history(args.history, model.tau, model.n)
+        phi = _parse_history(args.history, model.n)
     elif model.default_history is not None:
         phi = model.default_history()
     else:

@@ -1,9 +1,11 @@
-"""Symbolic time signals (forcing terms and history functions).
+"""Symbolic time signals: forcing terms and histories.
 
 Signals are sums of a polynomial and finitely many sinusoids per component,
 so derivatives of any order are available in closed form.  This is what the
-algebraic solution formula and the admissibility check require; arbitrary
-callables would only offer approximate derivatives.
+delayed-derivative lags and the admissibility check require; arbitrary
+callables would only offer approximate derivatives.  A history is a plain
+signal: ``steps.evaluate`` reads it on the trajectory's interval
+``[-tau, 0]`` and owns that domain check.
 """
 
 import math
@@ -61,10 +63,6 @@ class SymbolicSignal:
         values = np.atleast_1d(np.asarray(values, dtype=float))
         return cls(poly=[[v] for v in values])
 
-    @classmethod
-    def from_polynomials(cls, rows):
-        return cls(poly=rows)
-
     # -- evaluation -----------------------------------------------------
 
     def eval(self, t, order=0):
@@ -86,9 +84,6 @@ class SymbolicSignal:
             out[i] = acc
         return out
 
-    def __call__(self, t, order=0):
-        return self.eval(t, order)
-
     # -- algebra --------------------------------------------------------
 
     def shift(self, dt):
@@ -103,26 +98,6 @@ class SymbolicSignal:
             new_poly.append(row)
         new_sin = [[(a, w, p + w * dt) for a, w, p in row] for row in self.sin]
         return SymbolicSignal(poly=new_poly, sin=new_sin, dim=self.dim)
-
-    def transform(self, M):
-        """Return the signal ``t -> M @ self(t)`` for a matrix ``M``."""
-        M = np.atleast_2d(np.asarray(M, dtype=float))
-        if M.shape[1] != self.dim:
-            raise ShapeError("transform matrix columns must match signal dim")
-        out_dim = M.shape[0]
-        width = max((len(r) for r in self.poly), default=0)
-        new_poly = [[0.0] * width for _ in range(out_dim)]
-        new_sin = [[] for _ in range(out_dim)]
-        for i in range(out_dim):
-            for j in range(self.dim):
-                mij = M[i, j]
-                if mij == 0.0:
-                    continue
-                for k, c in enumerate(self.poly[j]):
-                    new_poly[i][k] += mij * c
-                for a, w, p in self.sin[j]:
-                    new_sin[i].append((mij * a, w, p))
-        return SymbolicSignal(poly=new_poly, sin=new_sin, dim=out_dim)
 
     def stack(self, other):
         """Concatenate two signals into one of dimension ``n1 + n2``."""
@@ -146,45 +121,3 @@ class SymbolicSignal:
 
     def __repr__(self):
         return f"SymbolicSignal(dim={self.dim})"
-
-
-class HistoryFunction:
-    """Initial trajectory on ``[-tau, 0]`` with exact derivatives.
-
-    Wraps a :class:`SymbolicSignal` and rejects evaluation outside the
-    history interval (a small relative slack absorbs rounding in segment
-    bookkeeping).
-    """
-
-    def __init__(self, signal, tau):
-        if tau <= 0:
-            raise ValueError("history interval requires tau > 0")
-        self.signal = signal
-        self.tau = float(tau)
-        self.dim = signal.dim
-
-    @classmethod
-    def from_polynomials(cls, rows, tau):
-        return cls(SymbolicSignal(poly=rows), tau)
-
-    @classmethod
-    def constant(cls, values, tau):
-        return cls(SymbolicSignal.constant(values), tau)
-
-    def eval(self, t, order=0):
-        slack = 1e-9 * max(self.tau, 1.0)
-        if t < -self.tau - slack or t > slack:
-            raise ValueError(f"history evaluated outside [-tau, 0]: t={t}")
-        return self.signal.eval(min(t, 0.0), order)
-
-    def __call__(self, t, order=0):
-        return self.eval(t, order)
-
-    def to_json(self):
-        data = self.signal.to_json()
-        data["tau"] = self.tau
-        return data
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(SymbolicSignal.from_json(data), data["tau"])

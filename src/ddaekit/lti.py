@@ -164,7 +164,7 @@ def classify_linear(d, tol=DEFAULT_TOL):
     """Retarded / neutral / advanced type of a linear DDAE: the delay order
     of ``delay_terms``, which ``sf_model_from_linear`` also declares."""
     _, s = delay_terms(weierstrass(d.pencil, tol), d.A1, tol)
-    return Classification.of_order(s)
+    return Classification(s)
 
 
 def regularity_theorem_check(s1, s2, tau=1.0, tol=DEFAULT_TOL):

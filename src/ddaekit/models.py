@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ShapeError
-from .forcing import HistoryFunction, SymbolicSignal
+from .forcing import SymbolicSignal
 from .lti import LinearDdae, LtiDescriptor, couple, hybrid_shifted
 from .pencil import MatrixPencil
 from .sfdae import SfDdaeModel, check_delay
@@ -146,7 +146,7 @@ def rest_state(params=None, y1=0.0, theta=0.0):
 def rest_history(params=None, y1=0.0, theta=0.0):
     """Constant admissible history at a (possibly tilted) steady state."""
     p = params or PmsdParams()
-    return HistoryFunction.constant(rest_state(p, y1, theta), p.tau)
+    return SymbolicSignal.constant(rest_state(p, y1, theta))
 
 
 def _pmsd_model(p, delayed_force, force_jac_z, s_decl, name):
@@ -254,7 +254,6 @@ def pmsd_hybrid_shifted(params=None, theta0=0.1, y10=0.0,
     model = _pmsd_model(p, delayed_force, force_jac_z, s_decl,
                         "pmsd-hybrid")
     model.default_history = lambda: rest_history(p, y1=y10, theta=theta0)
-    model.params = p
     return model
 
 
@@ -277,7 +276,6 @@ def pmsd_coupled(params=None, theta0=0.1, y10=0.0):
 
     model = _pmsd_model(p, current_force, force_jac_z, 0, "pmsd-coupled")
     model.default_history = lambda: rest_history(p, y1=y10, theta=theta0)
-    model.params = p
     return model
 
 
@@ -367,8 +365,8 @@ def ex_shift_model(tau=0.5, f=None, g=None, phi1=None):
         JA_z=lambda t, z, zlags: np.array([[0.0, 1.0]]),
         name="ex-shift", state_names=["x1", "x2"])
     phi1 = phi1 if phi1 is not None else SymbolicSignal(poly=[[0.3, 0.2]])
-    history_signal = phi1.stack(gshift)
-    model.default_history = lambda: HistoryFunction(history_signal, tau)
+    history = phi1.stack(gshift)
+    model.default_history = lambda: history
     model.f_signal = f
     model.g_signal = g
     return model
@@ -402,8 +400,7 @@ def ex_advanced_model(tau=1.0):
         JD_zdot=lambda t, z, zdot, ztau: np.zeros((0, 2)),
         JA_z=lambda t, z, zlags: np.eye(2),
         name="ex-advanced", state_names=["x", "y"])
-    model.default_history = lambda: HistoryFunction.from_polynomials(
-        [[0.0], [1.0, 1.0]], tau)
+    model.default_history = lambda: SymbolicSignal(poly=[[0.0], [1.0, 1.0]])
     return model
 
 
@@ -462,11 +459,6 @@ def worked_examples():
             lambda M, C, K: msd_subsystem(PmsdParams(M=M, C=C, K=K)),
             {"M": 1.0, "C": 0.3, "K": 5.0},
             "mass-spring-damper descriptor subsystem"),
-        RegistryEntry(
-            "pendulum", "record",
-            lambda m, L, g: pendulum_subsystem(PmsdParams(m=m, L=L, g=g)),
-            {"m": 0.2, "L": 1.0, "g": 9.81},
-            "first-order pendulum with feedthrough (index analysis only)"),
         RegistryEntry(
             "pmsd-hybrid", "sf-model", _build_pmsd_hybrid, _pmsd_defaults(),
             "shifted hybrid pendulum-oscillator model (neutral, s=1)",

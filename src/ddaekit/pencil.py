@@ -316,11 +316,6 @@ def _decompose(p, tol):
     return w
 
 
-def diff_index(p, tol=DEFAULT_TOL):
-    """Differentiation index (nilpotency index of N) of a regular pencil."""
-    return weierstrass(p, tol).nu
-
-
 def equivalence_residual(p, w):
     """Frobenius residuals of the reconstruction (S E T, S A T) vs targets."""
     n = p.n

@@ -28,41 +28,24 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Classification:
-    """Delay type of a DDAE, with the underlying delay-derivative order s."""
+    """Delay type of a DDAE, derived from its delay-derivative order s:
+    0 retarded, 1 neutral, >= 2 advanced."""
 
     RETARDED = "retarded"
     NEUTRAL = "neutral"
     ADVANCED = "advanced"
 
-    tag: str
     s: int
 
     def __post_init__(self):
-        if self.s < 0 or self.tag != self._tag_of(self.s):
-            raise ValueError(f"a {self.tag} system cannot have s = {self.s}")
+        if self.s < 0:
+            raise ValueError(f"delay-derivative order must be >= 0, got "
+                             f"{self.s}")
 
-    @classmethod
-    def _tag_of(cls, s):
-        return (cls.RETARDED if s == 0 else cls.NEUTRAL if s == 1
-                else cls.ADVANCED)
-
-    @classmethod
-    def retarded(cls):
-        return cls(cls.RETARDED, 0)
-
-    @classmethod
-    def neutral(cls):
-        return cls(cls.NEUTRAL, 1)
-
-    @classmethod
-    def advanced(cls, s):
-        return cls(cls.ADVANCED, s)
-
-    @classmethod
-    def of_order(cls, s):
-        """Type of delay-derivative order s: 0 retarded, 1 neutral,
-        >= 2 advanced."""
-        return cls(cls._tag_of(s), s)
+    @property
+    def tag(self):
+        return (self.RETARDED if self.s == 0 else self.NEUTRAL if self.s == 1
+                else self.ADVANCED)
 
     def __repr__(self):
         return f"Classification({self.tag}, s={self.s})"
@@ -145,6 +128,7 @@ class SfDdaeModel:
 def admissible(m, phi):
     """Check the history endpoint against the algebraic part.
 
+    ``phi`` is the history, a ``SymbolicSignal`` read on [-tau, 0].
     Applies ``radau.start_consistency`` to phi(0) with the lag rows
     phi(-tau), phi'(-tau), ..., phi^(s_decl-1)(-tau) and returns
     (consistent, r).  These are the values the first method-of-steps
@@ -158,4 +142,4 @@ def admissible(m, phi):
 
 def classify(m):
     """Declared classification of the model (pure reporting of s_decl)."""
-    return Classification.of_order(m.s_decl)
+    return Classification(m.s_decl)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DdaeError, InadmissibleHistory, InconsistentInitialState
-from .forcing import HistoryFunction
+from .forcing import SymbolicSignal
 from .radau import IntegrationOptions, SegmentProblem, integrate_segment
 from .sfdae import SfDdaeModel
 
@@ -34,7 +34,8 @@ logger = logging.getLogger(__name__)
 class Trajectory:
     """Piecewise solution with breakpoints at multiples of tau.
 
-    ``solve_itp`` appends one ``SegmentSolution`` per solved segment.
+    ``history`` is the solution on [-tau, 0], a plain ``SymbolicSignal``;
+    ``evaluate`` reads it there.  ``solve_itp`` appends one ``SegmentSolution`` per solved segment.
     ``status`` is "Complete" or "BrokeDown"; in the latter case
     ``breakdown_index`` is the 1-based segment whose initial state was
     inconsistent and ``breakdown_residual`` the offending algebraic
@@ -42,7 +43,7 @@ class Trajectory:
     """
 
     model: SfDdaeModel
-    history: HistoryFunction
+    history: SymbolicSignal
     segments: list = field(default_factory=list)
     status: str = COMPLETE
     breakdown_index: int | None = None
@@ -114,26 +115,29 @@ class Trajectory:
 def evaluate(tr, t, order=0):
     """Trajectory value or right derivative at time t in [-tau, t_end].
 
-    History branch for t < 0 and while no segment is solved; otherwise
-    dense output of the covering segment (``Trajectory.segment_index``).
-    At interior breakpoints the value is continuous by construction and
-    derivatives are taken from the right segment (smooth transitions
-    across breakpoints cannot be expected for delay systems).
+    This is the one domain rule for trajectory reads: t must lie in
+    [-tau, t_end] up to a rounding slack, where t_end is 0 while no segment
+    is solved, and a t within the slack beyond t_end reads t_end.  The
+    history signal is read for t < 0 and while no segment is solved;
+    otherwise the dense output of the covering segment
+    (``Trajectory.segment_index``).  At interior breakpoints the
+    value is continuous by construction and derivatives are taken from the
+    right segment (smooth transitions across breakpoints cannot be
+    expected for delay systems).
     """
     if order not in (0, 1):
         raise ValueError("trajectory evaluation supports orders 0 and 1")
     tau = tr.model.tau
     if t < -tau - 1e-9 * max(tau, 1.0):
         raise ValueError(f"t={t} precedes the history interval")
-    if t < 0.0 or not tr.segments:
-        return tr.history.eval(t, order)
-    seg = tr.segments[tr.segment_index(t) - 1]
-    t_end = seg.ts[-1]
+    t_end = tr.t_end
     if t >= t_end:
         if t > t_end + 1e-9 * max(1.0, t_end):
             raise ValueError(f"t={t} beyond covered time {t_end}")
         t = t_end
-    return seg.eval(t, order)
+    if t < 0.0 or not tr.segments:
+        return tr.history.eval(t, order)
+    return tr.segments[tr.segment_index(t) - 1].eval(t, order)
 
 
 def solve_itp(model, phi, T, opts=None):
@@ -197,7 +201,8 @@ def audit(tr, n_points=1000):
 
     Evaluates the stacked [D; A] residual of the original delay system with
     all delayed arguments routed through the trajectory's own dense output.
-    Returns (grid, stacked residual inf-norms, algebraic residual norms).
+    Returns (grid, stacked residual inf-norms, algebraic residual norms,
+    states read on the grid).
     """
     m = tr.model
     # A broken-down trajectory solves the equations only on [0, t_end); the
@@ -205,15 +210,16 @@ def audit(tr, n_points=1000):
     ts = np.linspace(0.0, tr.t_end, n_points, endpoint=tr.complete)
     full = np.empty(n_points)
     alg = np.empty(n_points)
+    states = np.empty((n_points, m.n))
     for j, t in enumerate(ts):
-        z = evaluate(tr, t)
+        z = states[j] = evaluate(tr, t)
         zdot = evaluate(tr, t, 1)
         zlags = np.stack([tr.delayed(t, k) for k in range(m.n_lags)])
         r = m.residual(t, z, zdot, zlags)
         full[j] = np.abs(r).max() if r.size else 0.0
         ra = r[m.d:]
         alg[j] = np.abs(ra).max() if ra.size else 0.0
-    return ts, full, alg
+    return ts, full, alg, states
 
 
 def sweep_reference(reference, T, opts=None):
@@ -244,15 +250,14 @@ def sweep_deviation(model, ref, T, opts=None):
 def write_trajectory_csv(tr, path, audited):
     """CSV export: t, z_1..z_n, covering segment index, algebraic residual.
 
-    ``audited`` is the ``audit(tr, ...)`` result whose grid and algebraic
-    residuals the rows report.
+    ``audited`` is the ``audit(tr, ...)`` result whose grid, states and
+    algebraic residuals the rows report; the trajectory is not read again.
     """
-    ts, _, alg = audited
+    ts, _, alg, states = audited
     labels = [f"z_{i + 1}" for i in range(tr.model.n)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", *labels, "segment_index", "A_residual_norm"])
         for j, t in enumerate(ts):
-            z = evaluate(tr, t)
-            writer.writerow([f"{t:.12g}", *(f"{v:.12g}" for v in z),
+            writer.writerow([f"{t:.12g}", *(f"{v:.12g}" for v in states[j]),
                              tr.segment_index(t), f"{alg[j]:.6g}"])

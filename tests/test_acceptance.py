@@ -12,9 +12,9 @@ import pytest
 
 from ddaekit import models
 from ddaekit.errors import IllConditioned, SingularPencil
-from ddaekit.forcing import HistoryFunction
+from ddaekit.forcing import SymbolicSignal
 from ddaekit.lti import LtiDescriptor, regularity_theorem_check
-from ddaekit.pencil import MatrixPencil, analyze, diff_index, is_regular
+from ddaekit.pencil import MatrixPencil, analyze, is_regular, weierstrass
 from ddaekit.radau import IntegrationOptions, SegmentProblem, integrate_segment
 from ddaekit.sfdae import Classification, SfDdaeModel, admissible, classify
 from ddaekit.steps import (evaluate, solve_itp, sweep_deviation,
@@ -48,8 +48,8 @@ class _Timer:
 def test_criterion_01_split_example_indices():
     with _Timer("criterion 1 (split-system index values)", 1.0):
         for c in (-2.0, -0.5, 0.5, 1.0, 3.0):
-            assert diff_index(models.ex_split_full(c)) == 1
-            assert diff_index(models.ex_split_subsystem1(c).pencil) == 2
+            assert weierstrass(models.ex_split_full(c)).nu == 1
+            assert weierstrass(models.ex_split_subsystem1(c).pencil).nu == 2
         assert not is_regular(models.ex_split_subsystem1(0.0).pencil)
 
 
@@ -63,7 +63,7 @@ def test_criterion_02_coupled_example_condition():
             vals = {k: float(rng.uniform(-2, 2)) for k in keys}
             if abs(vals["c12"] * vals["c22"] - 1.0) < 1e-3:
                 continue
-            assert diff_index(models.ex_coupled_pencil(**vals)) == 1
+            assert weierstrass(models.ex_coupled_pencil(**vals)).nu == 1
             kept += 1
         # hand-picked degenerate products, labelled by the exact oracle
         degenerate = [
@@ -81,7 +81,7 @@ def test_criterion_02_coupled_example_condition():
             label = f"nu={nu}" if reg else "singular"
             assert label == expected
             if reg:
-                assert diff_index(p) == nu
+                assert weierstrass(p).nu == nu
             else:
                 assert not is_regular(p)
 
@@ -130,7 +130,7 @@ def test_criterion_04_regularity_lemma_property():
 def test_criterion_05_advanced_breakdown():
     with _Timer("criterion 5 (advanced breakdown)", 10.0):
         m = models.ex_advanced_model(1.0)
-        phi = HistoryFunction.from_polynomials([[0.0], [1.0, 1.0]], 1.0)
+        phi = SymbolicSignal(poly=[[0.0], [1.0, 1.0]])
         tr = solve_itp(m, phi, 2.0)
         assert tr.status == "BrokeDown"
         assert tr.breakdown_index == 2
@@ -165,7 +165,7 @@ def test_criterion_07_pendulum_msd_hybrid():
         p = models.PmsdParams()
         m = models.pmsd_hybrid_shifted(p, theta0=0.1)
         assert (m.d, m.a) == (4, 3)
-        assert classify(m) == Classification.neutral()
+        assert classify(m) == Classification(1)
         phi = m.default_history()
         ok, _ = admissible(m, phi)
         assert ok
@@ -208,9 +208,9 @@ def test_criterion_09_oracle_equivalence():
                 if not reg:
                     assert not is_regular(p)
                     with pytest.raises(SingularPencil):
-                        diff_index(p)
+                        weierstrass(p)
                 else:
-                    assert diff_index(p) == nu
+                    assert weierstrass(p).nu == nu
             except IllConditioned:
                 ill += 1
         assert ill < 0.005 * total, f"{ill} ill-conditioned declarations"

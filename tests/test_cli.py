@@ -295,6 +295,56 @@ def test_simulate_audits_once_per_run(monkeypatch, capsys, tmp_path):
         assert len(list(csv.reader(fh))) == 52
 
 
+def test_export_writes_the_states_the_audit_read(monkeypatch, capsys,
+                                                tmp_path):
+    audited, export_reads, in_export = [], [], []
+    run_audit, export, read = (steps.audit, steps.write_trajectory_csv,
+                               steps.evaluate)
+
+    def keeping(*args, **kwargs):
+        audited.append(run_audit(*args, **kwargs))
+        return audited[-1]
+
+    def exporting(*args, **kwargs):
+        in_export.append(True)
+        try:
+            return export(*args, **kwargs)
+        finally:
+            in_export.pop()
+
+    def counting(tr, t, order=0):
+        if in_export:
+            export_reads.append(t)
+        return read(tr, t, order)
+
+    monkeypatch.setattr(cli, "audit", keeping)
+    monkeypatch.setattr(cli, "write_trajectory_csv", exporting)
+    monkeypatch.setattr(steps, "evaluate", counting)
+    rc = cli.main(["simulate", "--model", "ex-shift", "--T", "0.1",
+                   "--audit-points", "51", "--out", str(tmp_path / "run")])
+    assert rc == 0, capsys.readouterr().err
+    assert export_reads == []
+    (ts, _, _, states), = audited
+    with open(tmp_path / "run.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == len(ts) == 51
+    for row, z in zip(rows, states):
+        assert row[1:3] == [f"{v:.12g}" for v in z]
+
+
+def test_every_registry_model_runs_from_the_cli(capsys):
+    # each entry is useful from the command line: at least one of analyze,
+    # classify or a short simulate exits 0
+    for name in models.REGISTRY:
+        codes = [cli.main([command, "--model", name, *extra])
+                 for command, *extra in (("analyze",), ("classify",),
+                                         ("simulate", "--T", "0.1"))]
+        assert 0 in codes, (name, codes)
+    capsys.readouterr()
+    assert cli.main(["analyze", "--model", "pendulum"]) == 2
+    assert "unknown model 'pendulum'" in capsys.readouterr().err
+
+
 def test_sweep_refuses_tau_parameter():
     rc, out, err = run_cli("sweep", "--model", "pmsd-hybrid", "--tau", "0.1",
                            "--T", "0.3", "--param", "tau=0.3")

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ddaekit.errors import ShapeError
-from ddaekit.forcing import HistoryFunction, SymbolicSignal
+from ddaekit.forcing import SymbolicSignal
 
 
 def test_polynomial_derivatives_exact():
@@ -57,15 +57,11 @@ def test_shift_commutes_with_differentiation(poly, sin, dt, t, k):
     assert abs(got - s.eval(t + dt, k)[0]) <= 1e-11 * scale
 
 
-def test_transform_and_stack(rng):
+def test_stack():
     s = SymbolicSignal(poly=[[1.0, 1.0], [0.0, 2.0]], sin=[[(1.0, 1.0, 0.0)], []])
-    M = np.array([[2.0, -1.0], [0.5, 0.0], [1.0, 1.0]])
-    g = s.transform(M)
-    assert g.dim == 3
-    for t in rng.uniform(-1, 1, 5):
-        assert g.eval(t, 1) == pytest.approx(M @ s.eval(t, 1))
+    g = SymbolicSignal(poly=[[0.5, 0.0, -1.0]], sin=[[(2.0, 3.0, 0.5)]])
     both = s.stack(g)
-    assert both.dim == 5
+    assert both.dim == 3
     assert both.eval(0.3) == pytest.approx(
         np.concatenate([s.eval(0.3), g.eval(0.3)]))
 
@@ -85,18 +81,3 @@ def test_zero_constant_and_json_roundtrip():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ShapeError):
         SymbolicSignal(poly=[[1.0]], sin=[[], []])
-    s = SymbolicSignal(poly=[[1.0], [2.0]])
-    with pytest.raises(ShapeError):
-        s.transform(np.ones((2, 3)))
-
-
-def test_history_domain_checks():
-    phi = HistoryFunction.from_polynomials([[1.0, 1.0]], tau=2.0)
-    assert phi.eval(-2.0)[0] == pytest.approx(-1.0)
-    assert phi.eval(0.0)[0] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        phi.eval(0.5)
-    with pytest.raises(ValueError):
-        phi.eval(-2.5)
-    with pytest.raises(ValueError):
-        HistoryFunction.constant([1.0], tau=0.0)

@@ -127,19 +127,19 @@ def test_zero_coupling_decouples(rng):
 
 def test_classify_advanced_example():
     d = models.ex_advanced_linear(1.0)
-    assert classify_linear(d) == Classification.advanced(2)
+    assert classify_linear(d) == Classification(2)
 
 
 def test_classify_shift_example_retarded():
     d = models.ex_shift_linear(0.5)
-    assert classify_linear(d) == Classification.retarded()
+    assert classify_linear(d) == Classification(0)
 
 
 def test_classify_no_delay_retarded(rng):
     E = np.eye(2)
     A0 = rng.standard_normal((2, 2))
     d = LinearDdae(E, A0, np.zeros((2, 2)), 1.0)
-    assert classify_linear(d) == Classification.retarded()
+    assert classify_linear(d) == Classification(0)
 
 
 def test_classify_neutral_example():
@@ -148,7 +148,7 @@ def test_classify_neutral_example():
     A0 = np.array([[1.0, 0.0], [0.0, -1.0]])
     A1 = np.array([[0.0, 0.0], [1.0, 0.0]])
     d = LinearDdae(E, A0, A1, 1.0)
-    assert classify_linear(d) == Classification.neutral()
+    assert classify_linear(d) == Classification(1)
 
 
 def test_classification_equivalence_invariant(rng):
@@ -228,7 +228,7 @@ def test_wrapped_classification_matches_linear(rng):
             cases.append(hd)
             pairs += 1
     for d in cases:
-        expected = Classification.of_order(order_of_transformed_delay(d))
+        expected = Classification(order_of_transformed_delay(d))
         assert classify(sf_model_from_linear(d)) == expected
         assert classify_linear(d) == expected
 
@@ -236,7 +236,7 @@ def test_wrapped_classification_matches_linear(rng):
     grid = (-1.0, 0.0, 0.5, 2.0)
     for a, b, c, dd in itertools.product(grid, repeat=4):
         hd = hybrid_shifted(*models.ex_shifted_subsystems(a, b, c, dd), 1.0)
-        expected = Classification.advanced(2 if c == 0.0 else 3)
+        expected = Classification(2 if c == 0.0 else 3)
         assert order_of_transformed_delay(hd) == expected.s
         assert classify(sf_model_from_linear(hd)) == expected
         assert classify_linear(hd) == expected

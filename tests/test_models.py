@@ -1,12 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from ddaekit import models
 from ddaekit.errors import SingularPencil
-from ddaekit.forcing import HistoryFunction
+from ddaekit.forcing import SymbolicSignal
 from ddaekit.lti import couple, sf_model_from_linear, LinearDdae
-from ddaekit.pencil import analyze, diff_index, is_regular, weierstrass
+from ddaekit.pencil import analyze, is_regular, weierstrass
 from ddaekit.sfdae import Classification, classify
 from ddaekit.steps import evaluate, solve_itp
 
@@ -16,7 +18,7 @@ from exact_pencil import wong_exact
 
 def test_registry_names_and_kinds():
     reg = models.worked_examples()
-    expected = {"msd", "pendulum", "pmsd-coupled", "pmsd-hybrid",
+    expected = {"msd", "pmsd-coupled", "pmsd-hybrid",
                 "ex-split-index", "ex-coupled-index", "ex-shifted-index",
                 "ex-shift", "ex-advanced"}
     assert set(reg) == expected
@@ -25,6 +27,20 @@ def test_registry_names_and_kinds():
         entry.make()            # all defaults construct
     with pytest.raises(Exception):
         reg["ex-split-index"].make({"bogus": 1.0})
+
+
+def test_readme_model_table_matches_the_registry():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    table = text.split("## Built-in models", 1)[1].split("\n\n", 2)[1]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in table.splitlines()[2:]]
+    names, params = [], None
+    for name, _, listed in rows:
+        names.append(name.strip("`"))
+        if listed != "same":
+            params = [p.strip() for p in listed.strip("`").split(",")]
+        assert params == list(models.REGISTRY[names[-1]].defaults), name
+    assert names == list(models.REGISTRY)
 
 
 # -- mass-spring-damper -------------------------------------------------------
@@ -37,7 +53,7 @@ def test_msd_harmonic_oscillator_period():
 
     ddae = LinearDdae(s.E, s.A, np.zeros((2, 2)), 1.0)
     m = sf_model_from_linear(ddae)
-    phi = HistoryFunction.constant([1.0, 0.0], 1.0)
+    phi = SymbolicSignal.constant([1.0, 0.0])
     tr = solve_itp(m, phi, 2 * np.pi)
     assert evaluate(tr, 2 * np.pi)[0] == pytest.approx(1.0, abs=1e-7)
 
@@ -145,8 +161,8 @@ def test_rest_lambda_value_and_shared_consistency():
 def test_pmsd_counts_and_classification():
     m = models.pmsd_hybrid_shifted()
     assert (m.n, m.d, m.a) == (7, 4, 3)
-    assert classify(m) == Classification.neutral()
-    assert classify(models.pmsd_coupled()) == Classification.retarded()
+    assert classify(m) == Classification(1)
+    assert classify(models.pmsd_coupled()) == Classification(0)
 
 
 def test_coupled_model_matches_reduced_ode_oracle():
@@ -203,7 +219,7 @@ def test_constant_force_variant_matches_independent_simulation():
     f0 = -2.0 * state[6] * (state[2] - state[0]) - p.m * p.g
     m = models.pmsd_hybrid_shifted(p, theta0=theta0,
                                    delayed_force_const=f0)
-    assert classify(m) == Classification.retarded()
+    assert classify(m) == Classification(0)
     tr = solve_itp(m, m.default_history(), 2.0)
 
     def rhs(t, s):
@@ -235,12 +251,12 @@ def test_hybrid_solve_keeps_constraints_over_three_delays():
 # -- worked pencil examples ---------------------------------------------------
 
 def test_split_example_statements():
-    assert diff_index(models.ex_split_full(0.5)) == 1
+    assert weierstrass(models.ex_split_full(0.5)).nu == 1
     sub1 = models.ex_split_subsystem1(0.5)
-    assert diff_index(sub1.pencil) == 2
+    assert weierstrass(sub1.pencil).nu == 2
     assert not is_regular(models.ex_split_subsystem1(0.0).pencil)
     sub2 = models.ex_split_subsystem2()
-    assert diff_index(sub2.pencil) == 1
+    assert weierstrass(sub2.pencil).nu == 1
 
 
 def test_coupled_example_index_condition(rng):
@@ -250,7 +266,7 @@ def test_coupled_example_index_condition(rng):
                  "c21", "c22")}
         if abs(vals["c12"] * vals["c22"] - 1.0) < 1e-3:
             continue
-        assert diff_index(models.ex_coupled_pencil(**vals)) == 1
+        assert weierstrass(models.ex_coupled_pencil(**vals)).nu == 1
 
 
 def test_coupled_example_degenerate_instances_from_oracle():
@@ -269,11 +285,11 @@ def test_coupled_example_degenerate_instances_from_oracle():
         assert reg == reg_expected
         if reg:
             assert nu == nu_expected
-            assert diff_index(p) == nu_expected
+            assert weierstrass(p).nu == nu_expected
         else:
             assert not is_regular(p)
             with pytest.raises(SingularPencil):
-                diff_index(p)
+                weierstrass(p)
 
 
 def test_shifted_example_true_indices_and_strangeness_values():
@@ -295,4 +311,4 @@ def test_shift_example_classifications_match():
     lin = models.ex_shift_linear(0.5)
     sf = models.ex_shift_model(0.5)
     from ddaekit.lti import classify_linear
-    assert classify_linear(lin) == classify(sf) == Classification.retarded()
+    assert classify_linear(lin) == classify(sf) == Classification(0)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from ddaekit import pencil
 from ddaekit.errors import DataError, ShapeError, SingularPencil
 from ddaekit.lti import LtiDescriptor
-from ddaekit.pencil import (MatrixPencil, analyze, diff_index,
-                            equivalence_residual, is_regular, weierstrass)
+from ddaekit.pencil import (MatrixPencil, analyze, equivalence_residual,
+                            is_regular, weierstrass)
 
 from conftest import well_conditioned
 from exact_pencil import wong_exact
@@ -89,14 +89,14 @@ def test_split_example_full_system_index_one():
     for c in (-2.0, -0.5, 0.0, 0.5, 1.0, 3.0):
         E = np.diag([1.0, 0.0, 0.0])
         A = np.array([[0.0, c, 0.0], [c, 0.0, 1.0], [0.0, 1.0, -1.0]])
-        assert diff_index(MatrixPencil(E, A)) == 1
+        assert weierstrass(MatrixPencil(E, A)).nu == 1
 
 
 def test_split_example_subsystem_index_two():
     for c in (-2.0, -0.5, 0.5, 1.0, 2.0, 3.0):
         E = np.diag([1.0, 0.0])
         A = np.array([[0.0, c], [c, 0.0]])
-        assert diff_index(MatrixPencil(E, A)) == 2
+        assert weierstrass(MatrixPencil(E, A)).nu == 2
 
 
 def test_ambiguous_rank_gap_raises_with_diagnostics():
@@ -170,11 +170,11 @@ def test_equivalence_residual_exact_and_perturbed(rng):
 def test_index_invariant_under_equivalence(rng):
     E = np.diag([1.0, 0.0])
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
-    base = diff_index(MatrixPencil(E, A))
+    base = weierstrass(MatrixPencil(E, A)).nu
     for _ in range(100):
         S = well_conditioned(rng, 2)
         T = well_conditioned(rng, 2)
-        assert diff_index(MatrixPencil(S @ E @ T, S @ A @ T)) == base
+        assert weierstrass(MatrixPencil(S @ E @ T, S @ A @ T)).nu == base
 
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(0, 3),
@@ -219,7 +219,7 @@ def test_known_nilpotency_block_constructions(rng):
         A[d:, d:] = np.eye(k)
         S = well_conditioned(rng, n)
         T = well_conditioned(rng, n)
-        assert diff_index(MatrixPencil(S @ E @ T, S @ A @ T)) == k
+        assert weierstrass(MatrixPencil(S @ E @ T, S @ A @ T)).nu == k
 
 
 def test_determinant_factorization_on_samples(rng):

@@ -1,9 +1,11 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from ddaekit import models
 from ddaekit.errors import DataError, InadmissibleHistory
-from ddaekit.forcing import HistoryFunction, SymbolicSignal
+from ddaekit.forcing import SymbolicSignal
 from ddaekit.lti import LinearDdae
 from ddaekit.sfdae import Classification, SfDdaeModel, admissible, classify
 from ddaekit.steps import solve_itp
@@ -26,30 +28,28 @@ def delayed_ode(tau=1.0):
 # -- classification -----------------------------------------------------------
 
 def test_classification_invariants():
-    assert Classification.retarded().s == 0
-    assert Classification.neutral().s == 1
-    assert Classification.advanced(3).s == 3
+    # a classification is its order alone, which must be non-negative
+    assert Classification(2) == Classification(2) != Classification(3)
+    with pytest.raises(FrozenInstanceError):
+        Classification(0).s = 1
     with pytest.raises(ValueError):
-        Classification(Classification.ADVANCED, 1)
-    with pytest.raises(ValueError):
-        Classification(Classification.RETARDED, 1)
+        Classification(-1)
 
 
 def test_classification_of_order():
-    assert Classification.of_order(0) == Classification.retarded()
-    assert Classification.of_order(1) == Classification.neutral()
+    assert Classification(0).tag == Classification.RETARDED
+    assert Classification(1).tag == Classification.NEUTRAL
     for s in (2, 3, 7):
-        assert Classification.of_order(s) == Classification.advanced(s)
-    with pytest.raises(ValueError):
-        Classification.of_order(-1)
+        assert Classification(s).tag == Classification.ADVANCED
+        assert Classification(s).to_json() == {"type": "advanced", "s": s}
 
 
 def test_classify_builtins():
-    assert classify(models.pmsd_hybrid_shifted()) == Classification.neutral()
-    assert classify(models.ex_advanced_model()) == Classification.advanced(2)
-    assert classify(delayed_ode()) == Classification.retarded()
-    assert classify(models.ex_shift_model()) == Classification.retarded()
-    assert classify(models.pmsd_coupled()) == Classification.retarded()
+    assert classify(models.pmsd_hybrid_shifted()) == Classification(1)
+    assert classify(models.ex_advanced_model()) == Classification(2)
+    assert classify(delayed_ode()) == Classification(0)
+    assert classify(models.ex_shift_model()) == Classification(0)
+    assert classify(models.pmsd_coupled()) == Classification(0)
 
 
 def test_model_validation():
@@ -95,7 +95,7 @@ def test_circle_violation_not_admissible():
     m = models.pmsd_hybrid_shifted(p)
     state = models.rest_state(p)
     state[2] -= 0.1          # stretch the rod by 0.1
-    phi = HistoryFunction.constant(state, p.tau)
+    phi = SymbolicSignal.constant(state)
     ok, r = admissible(m, phi)
     assert not ok
     assert r[0] == pytest.approx(0.1 * (2 * p.L + 0.1))
@@ -104,8 +104,7 @@ def test_circle_violation_not_admissible():
 def test_pure_delayed_ode_always_admissible(rng):
     m = delayed_ode()
     for _ in range(5):
-        phi = HistoryFunction.from_polynomials(
-            [rng.standard_normal(3).tolist()], m.tau)
+        phi = SymbolicSignal(poly=[rng.standard_normal(3).tolist()])
         ok, r = admissible(m, phi)
         assert ok and r.size == 0
 
@@ -114,7 +113,7 @@ def test_advanced_admissibility_uses_history_derivative():
     m = models.ex_advanced_model(1.0)
     ok, _ = admissible(m, m.default_history())
     assert ok
-    bad = HistoryFunction.from_polynomials([[0.0], [1.0, 2.0]], 1.0)
+    bad = SymbolicSignal(poly=[[0.0], [1.0, 2.0]])
     ok, r = admissible(m, bad)
     # phi(0) = (0, 1): x-row needs phi2(-1) = -1, y-row needs phi2'(-1) = 2
     assert not ok
@@ -126,9 +125,9 @@ def test_admissible_agrees_with_the_first_segment_start():
     state = models.rest_state(p)
     state[2] -= 0.1
     cases = [
-        (models.pmsd_hybrid_shifted(p), HistoryFunction.constant(state, p.tau)),
+        (models.pmsd_hybrid_shifted(p), SymbolicSignal.constant(state)),
         (models.ex_advanced_model(1.0),
-         HistoryFunction.from_polynomials([[0.0], [1.0, 2.0]], 1.0)),
+         SymbolicSignal(poly=[[0.0], [1.0, 2.0]])),
     ]
     for m, phi in cases:
         ok, r = admissible(m, phi)

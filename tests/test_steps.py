@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from ddaekit import models
 from ddaekit.errors import InadmissibleHistory
-from ddaekit.forcing import HistoryFunction, SymbolicSignal
+from ddaekit.forcing import SymbolicSignal
 from ddaekit.lti import (LinearDdae, LtiDescriptor, hybrid_shifted,
                          sf_model_from_linear)
-from ddaekit.pencil import diff_index
+from ddaekit.pencil import weierstrass
 from ddaekit.radau import (CONSISTENCY_TOL, STEPS_PER_SEGMENT,
                            IntegrationOptions, SegmentSolution)
 from ddaekit.sfdae import SfDdaeModel
-from ddaekit.steps import (BROKE_DOWN, audit, evaluate, solve_itp,
-                           sweep_deviation, sweep_reference)
+from ddaekit.steps import (BROKE_DOWN, Trajectory, audit, evaluate,
+                           solve_itp, sweep_deviation, sweep_reference)
 
 from test_sfdae import delayed_ode
 
@@ -23,7 +23,7 @@ from test_sfdae import delayed_ode
 def test_delayed_ode_hand_values():
     # z' = -z(t-1), phi = 1: z = 1 - t on [0,1], 1 - t + (t-1)^2/2 on [1,2]
     m = delayed_ode(1.0)
-    tr = solve_itp(m, HistoryFunction.constant([1.0], 1.0), 2.0)
+    tr = solve_itp(m, SymbolicSignal.constant([1.0]), 2.0)
     assert tr.complete
     for t in (0.25, 0.5, 1.0):
         assert evaluate(tr, t)[0] == pytest.approx(1.0 - t, abs=1e-8)
@@ -35,7 +35,7 @@ def test_delayed_ode_hand_values():
 
 def test_evaluate_branches_and_right_derivatives():
     m = delayed_ode(1.0)
-    phi = HistoryFunction.constant([1.0], 1.0)
+    phi = SymbolicSignal.constant([1.0])
     tr = solve_itp(m, phi, 2.0)
     # history branch
     assert evaluate(tr, -0.5)[0] == 1.0
@@ -58,6 +58,21 @@ def test_evaluate_branches_and_right_derivatives():
         evaluate(tr, 0.5, 2)
 
 
+def test_evaluate_domain_without_segments():
+    # before a segment is solved the trajectory is its history on [-tau, 0]
+    m = delayed_ode(2.0)
+    phi = SymbolicSignal(poly=[[1.0, 1.0]])
+    tr = Trajectory(m, phi)
+    assert evaluate(tr, 0.0)[0] == 1.0
+    assert evaluate(tr, -2.0)[0] == -1.0
+    assert evaluate(tr, -2.0, 1)[0] == 1.0
+    # within rounding of 0 reads phi(0) itself
+    assert evaluate(tr, 1e-12)[0] == 1.0
+    for t in (0.5, -2.5):
+        with pytest.raises(ValueError):
+            evaluate(tr, t)
+
+
 def test_advanced_example_breaks_down_at_first_breakpoint():
     m = models.ex_advanced_model(1.0)
     tr = solve_itp(m, m.default_history(), 2.0)
@@ -73,7 +88,7 @@ def test_advanced_example_breaks_down_at_first_breakpoint():
 
 def test_inadmissible_history_raises():
     m = models.ex_advanced_model(1.0)
-    bad = HistoryFunction.from_polynomials([[0.3], [1.0, 1.0]], 1.0)
+    bad = SymbolicSignal(poly=[[0.3], [1.0, 1.0]])
     with pytest.raises(InadmissibleHistory) as err:
         solve_itp(m, bad, 1.0)
     assert np.linalg.norm(err.value.residual) > 0.1
@@ -99,11 +114,11 @@ def test_audit_and_start_residual_on_builtins():
     ]
     for m, T in cases:
         phi = (m.default_history() if m.default_history
-               else HistoryFunction.constant([1.0], m.tau))
+               else SymbolicSignal.constant([1.0]))
         opts = IntegrationOptions()
         tr = solve_itp(m, phi, T, opts)
         assert tr.complete
-        _, full, _ = audit(tr, 1000)
+        _, full, _, _ = audit(tr, 1000)
         assert full.max() <= 10 * opts.res_tol
         # every breakpoint right limit was checked as a segment start
         assert tr.stats["max_start_residual"] <= CONSISTENCY_TOL
@@ -111,7 +126,7 @@ def test_audit_and_start_residual_on_builtins():
 
 def test_partial_final_segment():
     m = delayed_ode(1.0)
-    phi = HistoryFunction.constant([1.0], 1.0)
+    phi = SymbolicSignal.constant([1.0])
     tr = solve_itp(m, phi, 1.6, IntegrationOptions(h=1.0 / 200))
     assert tr.complete
     assert tr.t_end == pytest.approx(1.6)
@@ -138,7 +153,7 @@ def test_history_only_dependence_for_single_segment(monkeypatch):
 
     monkeypatch.setattr(SegmentSolution, "eval", counting)
     m = delayed_ode(1.0)
-    solve_itp(m, HistoryFunction.constant([1.0], 1.0), 1.0)
+    solve_itp(m, SymbolicSignal.constant([1.0]), 1.0)
     assert calls["n"] == 0
 
 
@@ -155,8 +170,8 @@ def test_advanced_variants_break_down_within_index_bound():
         name="advanced-variant-a")
     # phi2 = t^2 + t + c with phi2(0) = c = phi2'(-1)/2 = -1/2 and
     # phi1(0) = phi2(-1) = c
-    phi = HistoryFunction.from_polynomials([[-0.5], [-0.5, 1.0, 1.0]], 1.0)
-    nu_a = diff_index(models.ex_advanced_linear(1.0).pencil)
+    phi = SymbolicSignal(poly=[[-0.5], [-0.5, 1.0, 1.0]])
+    nu_a = weierstrass(models.ex_advanced_linear(1.0).pencil).nu
     tr = solve_itp(a, phi, 3.0)
     assert tr.status == "BrokeDown" and tr.breakdown_index <= nu_a + 1
 
@@ -171,7 +186,7 @@ def test_advanced_variants_break_down_within_index_bound():
         JA_z=lambda t, z, zlags: np.array([[1.0, 0.0, 0.0],
                                            [0.0, 1.0, 0.0]]),
         name="advanced-variant-b")
-    phi = HistoryFunction.from_polynomials([[0.0], [1.0, 1.0], [2.0]], 1.0)
+    phi = SymbolicSignal(poly=[[0.0], [1.0, 1.0], [2.0]])
     tr = solve_itp(b, phi, 3.0)
     assert tr.status == "BrokeDown" and tr.breakdown_index <= 3
 
@@ -185,7 +200,7 @@ def test_order_three_declared_models_refused():
         JD_zdot=lambda t, z, zdot, ztau: np.zeros((0, 1)),
         JA_z=lambda t, z, zlags: np.eye(1),
         name="order-three")
-    phi = HistoryFunction.constant([0.0], 1.0)
+    phi = SymbolicSignal.constant([0.0])
     with pytest.raises(Exception, match="refused"):
         solve_itp(m, phi, 2.0)
 
@@ -198,7 +213,7 @@ def test_admissible_history_solvable_on_first_interval():
     for m in cases:
         assert classify(m).s <= 1
         phi = (m.default_history() if m.default_history
-               else HistoryFunction.constant([1.0], m.tau))
+               else SymbolicSignal.constant([1.0]))
         ok, _ = admissible(m, phi)
         assert ok
         tr = solve_itp(m, phi, m.tau)
@@ -224,8 +239,7 @@ def test_tau_sweep_zero_coupling_gives_zero_deviation(rng):
 
     def wrap(tau):
         model = sf_model_from_linear(hybrid_shifted(s1, s2, tau))
-        model.default_history = lambda: HistoryFunction.constant(
-            [1.0, 0.5], tau)
+        model.default_history = lambda: SymbolicSignal.constant([1.0, 0.5])
         return model
 
     ref = sweep_reference(wrap(0.7), 1.5)
@@ -249,7 +263,7 @@ def _two_segment_history():
     # y = 2t on [0, 1] and y = 2 on [1, 2], so segments 1 and 2 start
     # consistently, but y' jumps from 2 to 0 at t = 1 and segment 3 cannot
     return (models.ex_advanced_model(1.0),
-            HistoryFunction.from_polynomials([[-1.0], [0.0, 2.0, 1.0]], 1.0))
+            SymbolicSignal(poly=[[-1.0], [0.0, 2.0, 1.0]]))
 
 
 def test_breakdown_at_a_later_segment_reads_the_right_limit():
@@ -304,7 +318,7 @@ def test_default_step_pmsd_hybrid_is_residual_controlled():
     assert tr.stats["steps"] <= 2000     # the floor tau/200 would take 8000
     assert tr.stats["rejected"] == sum(seg.stats["rejected"]
                                        for seg in tr.segments)
-    _, full, _ = audit(tr, 1000)
+    _, full, _, _ = audit(tr, 1000)
     assert full.max() <= opts.res_tol
     # every multiple of tau is a mesh point
     mesh = _mesh(tr)
@@ -350,13 +364,12 @@ def _forced_linear(d, tau, amp, omega):
         f = SymbolicSignal(sin=[[(amp, omega, 0.0)]])
         lin = LinearDdae(np.zeros((1, 1)), -np.eye(1), 0.5 * np.eye(1),
                          tau, f)
-        return sf_model_from_linear(lin), HistoryFunction.constant([0.0],
-                                                                   tau)
+        return sf_model_from_linear(lin), SymbolicSignal.constant([0.0])
     f = SymbolicSignal(poly=[[0.3, 0.1]], sin=[[(amp, omega, 0.4)]])
     g = SymbolicSignal(poly=[[1.0, -0.5]], sin=[[(amp, omega / 2, 0.0)]])
     model = sf_model_from_linear(models.ex_shift_linear(tau, f=f, g=g))
     history = SymbolicSignal(poly=[[0.2]]).stack(g.shift(tau))
-    return model, HistoryFunction(history, tau)
+    return model, history
 
 
 @pytest.mark.parametrize("d, amp, omega", [
@@ -371,7 +384,7 @@ def test_default_step_keeps_the_audit_or_the_floor(d, amp, omega):
     floor = m.tau / STEPS_PER_SEGMENT
     assert tr.stats["steps"] <= 4 * STEPS_PER_SEGMENT
     assert tr.stats["rejected"] <= 0.05 * tr.stats["steps"]
-    ts, full, _ = audit(tr, 1000)
+    ts, full, _, _ = audit(tr, 1000)
     # an audit point above res_tol lies in a step at the floor
     mesh = _mesh(tr)
     for t in ts[full > opts.res_tol]:
