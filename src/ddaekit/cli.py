@@ -8,6 +8,7 @@ analysis, 4 breakdown during simulation, 5 inadmissible history, 64 usage.
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -47,20 +48,20 @@ def _parse_params(pairs):
         if "=" not in item:
             raise ValueError(f"--param expects key=value, got {item!r}")
         key, value = item.split("=", 1)
-        params[key.strip()] = float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"--param expects a finite value, got {item!r}")
+        params[key.strip()] = value
     return params
 
 
-def _parse_history(spec, dim):
+def _parse_history(spec):
     """History flag format: ``poly:<c0,c1,...>;<c0,...>`` per component."""
     kind, _, body = spec.partition(":")
     if kind != "poly" or not body:
         raise ValueError(
             f"unsupported history spec {spec!r}; expected poly:c0,c1;c0,...")
     rows = [[float(c) for c in comp.split(",")] for comp in body.split(";")]
-    if len(rows) != dim:
-        raise ValueError(
-            f"history has {len(rows)} components, model needs {dim}")
     return SymbolicSignal(poly=rows)
 
 
@@ -154,7 +155,7 @@ def cmd_simulate(args):
                          f"file {args.model}\n")
         return EXIT_USAGE
     if args.history:
-        phi = _parse_history(args.history, model.n)
+        phi = _parse_history(args.history)
     elif model.default_history is not None:
         phi = model.default_history()
     else:

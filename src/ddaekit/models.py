@@ -415,18 +415,17 @@ def ex_advanced_linear(tau=1.0):
 
 @dataclass
 class RegistryEntry:
-    """Named constructor with typed result and default parameters.
+    """Named constructor with default parameters.
 
     ``reference`` names the entry that serves as the delay-free reference
     of a delay-parameterised model (its ``tau`` parameter); entries that
-    name one can be swept over delays.
+    name one can be swept over delays.  The README's model table describes
+    each entry.
     """
 
     name: str
-    kind: str
     build: Callable
     defaults: dict
-    description: str
     reference: str | None = None
 
     def make(self, overrides=None):
@@ -455,35 +454,21 @@ def worked_examples():
     """Registry of every worked example, addressable by name."""
     entries = [
         RegistryEntry(
-            "msd", "lti",
+            "msd",
             lambda M, C, K: msd_subsystem(PmsdParams(M=M, C=C, K=K)),
-            {"M": 1.0, "C": 0.3, "K": 5.0},
-            "mass-spring-damper descriptor subsystem"),
+            {"M": 1.0, "C": 0.3, "K": 5.0}),
+        RegistryEntry("pmsd-hybrid", _build_pmsd_hybrid, _pmsd_defaults(),
+                      reference="pmsd-coupled"),
+        RegistryEntry("pmsd-coupled", _build_pmsd_coupled, _pmsd_defaults()),
+        RegistryEntry("ex-split-index", ex_split_full, {"c": 1.0}),
         RegistryEntry(
-            "pmsd-hybrid", "sf-model", _build_pmsd_hybrid, _pmsd_defaults(),
-            "shifted hybrid pendulum-oscillator model (neutral, s=1)",
-            reference="pmsd-coupled"),
-        RegistryEntry(
-            "pmsd-coupled", "sf-model", _build_pmsd_coupled, _pmsd_defaults(),
-            "delay-free coupled pendulum-oscillator reference"),
-        RegistryEntry(
-            "ex-split-index", "pencil", ex_split_full, {"c": 1.0},
-            "3x3 closed system, index one for every c"),
-        RegistryEntry(
-            "ex-coupled-index", "pencil", ex_coupled_pencil,
+            "ex-coupled-index", ex_coupled_pencil,
             {"a1": 0.0, "a2": 0.0, "b11": 0.0, "b12": 0.0, "c11": 0.0,
-             "c12": 0.0, "b21": 0.0, "b22": 0.0, "c21": 0.0, "c22": 0.0},
-            "two index-one blocks fully coupled; index one iff c12*c22 != 1"),
-        RegistryEntry(
-            "ex-shifted-index", "pencil", ex_shifted_pencil,
-            {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0, "tau": 1.0},
-            "shifted-coupling pencil whose index rises with the c entry"),
-        RegistryEntry(
-            "ex-shift", "sf-model", ex_shift_model, {"tau": 0.5},
-            "shifted solution-space example with closed-form solution"),
-        RegistryEntry(
-            "ex-advanced", "sf-model", ex_advanced_model, {"tau": 1.0},
-            "advanced example that breaks down at the first breakpoint"),
+             "c12": 0.0, "b21": 0.0, "b22": 0.0, "c21": 0.0, "c22": 0.0}),
+        RegistryEntry("ex-shifted-index", ex_shifted_pencil,
+                      {"a": 0.0, "b": 0.0, "c": 0.0, "d": 0.0, "tau": 1.0}),
+        RegistryEntry("ex-shift", ex_shift_model, {"tau": 0.5}),
+        RegistryEntry("ex-advanced", ex_advanced_model, {"tau": 1.0}),
     ]
     return {e.name: e for e in entries}
 

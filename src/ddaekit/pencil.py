@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgesdd
 
 from .errors import DataError, IllConditioned, ShapeError, SingularPencil
 
@@ -135,22 +136,22 @@ class PencilReport:
 
 
 def _det_samples(p):
-    """Sample det(sE - A) on a circle; each sample carries a Hadamard scale."""
+    """Sample det(sE - A) on a circle, all n + 1 samples in one stacked
+    call; each sample carries a Hadamard scale."""
     n = p.n
     eps = 1e-8
     radius = (np.linalg.norm(p.A) + eps) / (np.linalg.norm(p.E) + eps)
-    samples = []
-    for k in range(n + 1):
-        # A quarter-step offset keeps every sample off the real axis for
-        # every n (a half step puts one on it for even n), where the real
-        # spectrum would otherwise be met systematically.
-        s = radius * cmath.exp(2j * cmath.pi * (k + 0.25) / (n + 1))
-        M = s * p.E - p.A
-        det = complex(np.linalg.det(M))
-        rows = np.sqrt((np.abs(M) ** 2).sum(axis=1))
-        scale = float(np.prod(np.maximum(rows, 1e-300)))
-        samples.append((s, det, scale))
-    return samples
+    # A quarter-step offset keeps every sample off the real axis for every n
+    # (a half step puts one on it for even n), where the real spectrum would
+    # otherwise be met systematically.
+    s = [radius * cmath.exp(2j * cmath.pi * (k + 0.25) / (n + 1))
+         for k in range(n + 1)]
+    M = np.array(s)[:, None, None] * p.E - p.A
+    dets = np.linalg.det(M)
+    rows = np.sqrt((np.abs(M) ** 2).sum(axis=2))
+    scales = np.prod(np.maximum(rows, 1e-300), axis=1)
+    return [(sk, complex(det), float(scale))
+            for sk, det, scale in zip(s, dets, scales)]
 
 
 def _regularity(p, tol):
@@ -161,8 +162,8 @@ def _regularity(p, tol):
     is compared against tol times its Hadamard row bound.  The empty pencil
     is regular by convention.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if p.n == 0:
         return True, []
     samples = _det_samples(p)
@@ -184,7 +185,7 @@ def _rank_split(sigma, tol, floor, context):
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
     thresh = tol * max(sigma[0], floor)
-    r = int(np.sum(sigma > thresh))
+    r = int(np.count_nonzero(sigma > thresh))
     if 0 < r < sigma.size and sigma[r] > 0.0:
         gap = sigma[r - 1] / sigma[r]
         logger.debug("rank decision (%s): kept %d, gap %.3e", context, r, gap)
@@ -196,11 +197,21 @@ def _rank_split(sigma, tol, floor, context):
     return r
 
 
+def _svd(M, compute_uv=1, full_matrices=1):
+    """(U, sigma, Vh) from LAPACK dgesdd; on a pencil's small matrices
+    numpy's SVD wrapper costs more than the factorisation."""
+    U, sigma, Vh, info = dgesdd(M, compute_uv=compute_uv,
+                                full_matrices=full_matrices)
+    if info:
+        raise np.linalg.LinAlgError(f"SVD did not converge (info {info})")
+    return U, sigma, Vh
+
+
 def _orth(M, tol, floor, context):
     """Orthonormal basis of the column space of M."""
     if M.shape[1] == 0:
         return np.zeros((M.shape[0], 0))
-    U, sigma, _ = np.linalg.svd(M, full_matrices=False)
+    U, sigma, _ = _svd(M, full_matrices=0)
     r = _rank_split(sigma, tol, floor, context)
     return U[:, :r]
 
@@ -210,13 +221,13 @@ def _kernel(M, tol, floor, context):
     n = M.shape[1]
     if M.shape[0] == 0 or n == 0:
         return np.eye(n)
-    U, sigma, Vh = np.linalg.svd(M)
+    _, sigma, Vh = _svd(M)
     sigma = np.concatenate([sigma, np.zeros(n - sigma.size)])
     r = _rank_split(sigma, tol, floor, context)
     return Vh[r:].T
 
 
-def _wong(X, Y, start, tol, label):
+def _wong(X, Y, start, tol, label, scale_X, scale_Y):
     """Wong sequence B_{k+1} = Y^{-1}(X B_k) from B_0 = start.
 
     (A, E, empty) gives the second sequence, whose limit spans the
@@ -225,9 +236,9 @@ def _wong(X, Y, start, tol, label):
     quasi-Kronecker form for matrix pencils", 2012).  Returns the
     stabilised basis and the number of steps that changed its dimension;
     for the second sequence that count is the nilpotency index.
+    ``scale_X`` and ``scale_Y`` are the 2-norms of X and Y, the floors of
+    the image and kernel rank decisions.
     """
-    scale_X = np.linalg.norm(X, 2)
-    scale_Y = np.linalg.norm(Y, 2)
     image_ctx, kernel_ctx = f"{label} image", f"{label} kernel"
     k0 = start.shape[1]
     B = start
@@ -265,8 +276,9 @@ def _decompose(p, tol):
         empty = np.zeros((0, 0))
         return WeierstrassForm(empty, empty, empty, empty, 0, 0, 0,
                                0.0, 0.0, 1.0)
-    W, nu = _wong(A, E, np.zeros((n, 0)), tol, "wong-W")
-    V, _ = _wong(E, A, np.eye(n), tol, "wong-V")
+    norm_E, norm_A = (_svd(M, compute_uv=0)[1][0] for M in (E, A))
+    W, nu = _wong(A, E, np.zeros((n, 0)), tol, "wong-W", norm_A, norm_E)
+    V, _ = _wong(E, A, np.eye(n), tol, "wong-V", norm_E, norm_A)
     d, a = V.shape[1], W.shape[1]
     if d + a != n:
         raise IllConditioned(
@@ -274,17 +286,22 @@ def _decompose(p, tol):
             f"to singular for tol={tol:g}")
 
     P = np.hstack([E @ V, A @ W])
-    cond_P = float(np.linalg.cond(P))
+    sigma = _svd(P, compute_uv=0)[1]
+    cond_P = float(sigma[0]) / float(sigma[-1]) if sigma[-1] > 0.0 else np.inf
     if not np.isfinite(cond_P) or cond_P > 1e14:
         raise IllConditioned(
             f"transformation matrix condition {cond_P:.2e}; deflating "
             f"subspaces are nearly degenerate")
-    S = np.linalg.solve(P, np.eye(n))
+    S = np.linalg.inv(P)
     # Quasi-triangularize the diagonal blocks without disturbing the split.
     # The Schur factors are orthogonal, so rotating the bases leaves cond(P)
-    # unchanged and rotates S = P^-1 the same way.
-    _, QJ = scipy.linalg.schur(S[:d] @ A @ V, output="real")
-    _, QN = scipy.linalg.schur(S[d:] @ E @ W, output="real")
+    # unchanged and rotates S = P^-1 the same way.  A block of size <= 1 is
+    # already triangular and its Schur factor is the identity; rotating by
+    # that identity still turns each -0.0 into +0.0, as Schur's factor did.
+    QJ = (scipy.linalg.schur(S[:d] @ A @ V, output="real")[1] if d > 1
+          else np.eye(d))
+    QN = (scipy.linalg.schur(S[d:] @ E @ W, output="real")[1] if a > 1
+          else np.eye(a))
     V = V @ QJ
     W = W @ QN
     T = np.hstack([V, W])

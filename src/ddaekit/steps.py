@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DdaeError, InadmissibleHistory, InconsistentInitialState
+from .errors import (DdaeError, InadmissibleHistory, InconsistentInitialState,
+                     ShapeError)
 from .forcing import SymbolicSignal
 from .radau import IntegrationOptions, SegmentProblem, integrate_segment
 from .sfdae import SfDdaeModel
@@ -152,11 +153,15 @@ def solve_itp(model, phi, T, opts=None):
     delayed-derivative order three or more are refused, since the dense
     output only supplies values and first derivatives and such systems
     break down anyway.  Other integrator errors propagate with the segment
-    index attached.
+    index attached.  A history whose dimension is not the model's is a
+    ShapeError.
     """
+    if phi.dim != model.n:
+        raise ShapeError(
+            f"history has {phi.dim} components, model needs {model.n}")
     opts = opts or IntegrationOptions()
-    if T <= 0:
-        raise ValueError("horizon T must be positive")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"horizon T must be finite and positive, got {T!r}")
     if model.s_decl >= 3:
         raise DdaeError(
             f"declared delayed-derivative order {model.s_decl} needs dense "

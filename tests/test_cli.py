@@ -1,10 +1,14 @@
 import csv
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddaekit import cli, models, pencil, steps
 
@@ -135,6 +139,13 @@ def test_simulate_inadmissible_history_exit_five():
                          "--history", "poly:0.5;1,1")
     assert rc == 5
     assert json.loads(out)["status"] == "InadmissibleHistory"
+
+
+def test_simulate_history_of_the_wrong_dimension_is_a_model_error():
+    rc, _, err = run_cli("simulate", "--model", "ex-shift", "--T", "0.5",
+                         "--history", "poly:1;2;3")
+    assert rc == 2
+    assert "history has 3 components, model needs 2" in err
 
 
 def test_usage_errors():
@@ -437,3 +448,70 @@ def test_simulate_out_never_overwrites_the_model_file(tmp_path, monkeypatch,
     assert "overwrite" in capsys.readouterr().err
     assert model.read_text() == text
     assert not (tmp_path / "run.csv").exists()
+
+
+# Flag values a user can get wrong: zero, negatives, non-finite numbers and
+# text that is no number at all.
+BAD_VALUES = ["0", "-1", "-0.5", "nan", "inf", "-inf", "abc", ""]
+FUZZ_MODELS = {"analyze": ["ex-split-index", "ex-shifted-index", "msd"],
+               "classify": ["pmsd-hybrid", "ex-shift", "ex-advanced"],
+               "simulate": ["ex-shift", "ex-advanced", "pmsd-hybrid"],
+               "sweep": ["pmsd-hybrid"]}
+
+
+@st.composite
+def cli_argv(draw):
+    """One ddae command line.  Valid values keep a run short (T <= 0.2,
+    tau >= 0.01, h >= 0.001, at most 2000 audit points).  Optional flags
+    may be left out; in half of the draws any flag, required ones too, may
+    also be left out or take one of BAD_VALUES."""
+    command = draw(st.sampled_from(sorted(FUZZ_MODELS)))
+    model = draw(st.sampled_from(FUZZ_MODELS[command]))
+    broken = draw(st.booleans())
+
+    def value(valid, optional=True):
+        choices = [valid.map(repr)]
+        if optional or broken:
+            choices.append(st.none())
+        if broken:
+            choices.append(st.sampled_from(BAD_VALUES))
+        return draw(st.one_of(choices))
+
+    argv = [command, "--model", model]
+
+    def flag(name, valid, optional=True):
+        text = value(valid, optional)
+        if text is not None:
+            argv.append(f"{name}={text}")
+
+    flag("--tol", st.floats(1e-12, 1e-6))
+    keys = [*models.REGISTRY[model].defaults, "bogus"]
+    for key in draw(st.lists(st.sampled_from(keys), max_size=2)):
+        text = value(st.floats(-3.0, 3.0), optional=False)
+        argv.append(f"--param={key}" + ("" if text is None else f"={text}"))
+    delays = st.floats(0.01, 1.0)
+    if command == "sweep":
+        taus = [value(delays, False) for _ in range(draw(st.integers(1, 2)))]
+        argv.append("--tau=" + ",".join(t for t in taus if t is not None))
+    else:
+        flag("--tau", delays)
+    if command in ("simulate", "sweep"):
+        flag("--T", st.floats(0.01, 0.2), optional=False)
+        flag("--h", st.floats(0.001, 0.05))
+        flag("--audit-points", st.integers(2, 2000))
+    return argv
+
+
+@settings(max_examples=38)
+@given(cli_argv())
+# a wider run of this fuzzer found these two: a non-finite horizon and a
+# non-finite model parameter both ended in an uncaught exception
+@example(["simulate", "--model", "ex-shift", "--T=inf"])
+@example(["simulate", "--model", "pmsd-hybrid", "--T=0.01", "--param=M=inf"])
+def test_fuzzed_flag_values_map_to_documented_exit_codes(argv):
+    # in-process, so that no draw starts a process
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (0, 2, 3, 4, 5, 64), (argv, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv

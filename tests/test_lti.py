@@ -8,7 +8,7 @@ from ddaekit.lti import (LinearDdae, LtiDescriptor, classify_linear, couple,
                          hybrid_shifted, regularity_theorem_check,
                          sf_model_from_linear)
 from ddaekit.pencil import DEFAULT_TOL, is_regular, weierstrass
-from ddaekit.sfdae import Classification, classify
+from ddaekit.sfdae import Classification, SfDdaeModel, classify
 from ddaekit import models
 
 from conftest import fd_jacobian, well_conditioned
@@ -269,8 +269,8 @@ def highest_lag_row_read(m, rng):
 def test_declared_order_is_the_highest_lag_row_read(rng):
     # the paper's classification: s is one plus the highest delayed
     # derivative the algebraic part consumes, 0 when it consumes none
-    cases = [entry.make() for entry in models.REGISTRY.values()
-             if entry.kind == "sf-model"]
+    cases = [m for m in (entry.make() for entry in models.REGISTRY.values())
+             if isinstance(m, SfDdaeModel)]
     cases.append(models.pmsd_hybrid_shifted(delayed_force_const=0.5))
     cases += [sf_model_from_linear(d) for d in (
         models.ex_shift_linear(0.5), models.ex_advanced_linear(1.0),

@@ -1,3 +1,4 @@
+import cmath
 import logging
 
 import numpy as np
@@ -270,6 +271,56 @@ def test_analyze_samples_the_determinant_once(monkeypatch):
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert analyze(MatrixPencil(E, A)).nu == 2
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_tolerance_must_be_finite_and_positive(tol):
+    # a NaN or infinite tolerance fails every determinant comparison and
+    # would call this regular pencil singular
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        analyze(MatrixPencil(np.eye(2), np.zeros((2, 2))), tol)
+
+
+def test_analyze_takes_no_2_norm_and_no_trivial_schur(monkeypatch):
+    # d = a = 1: both diagonal blocks are 1x1, whose Schur factor is the
+    # identity, and the 2-norms of E and A come from singular values taken
+    # once per decomposition
+    norms, schurs = [], []
+    norm, schur = np.linalg.norm, scipy.linalg.schur
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            norms.append(x)
+        return norm(x, ord, *args, **kwargs)
+
+    def counting_schur(*args, **kwargs):
+        schurs.append(args)
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
+    report = analyze(MatrixPencil(np.diag([1.0, 0.0]), np.diag([-1.0, 1.0])))
+    assert (report.d, report.a, report.nu) == (1, 1, 1)
+    assert norms == [] and schurs == []
+
+
+def test_det_samples_match_one_det_per_sample(rng):
+    # reference: the per-sample loop the stacked sampling replaced; the
+    # arithmetic is the same, so the results are equal, not close
+    for n in range(1, 7):
+        E = rng.standard_normal((n, n))
+        A = rng.standard_normal((n, n))
+        E[0] = 0.0
+        samples = pencil._det_samples(MatrixPencil(E, A))
+        radius = ((np.linalg.norm(A) + 1e-8) / (np.linalg.norm(E) + 1e-8))
+        assert len(samples) == n + 1
+        for k, (s, det, scale) in enumerate(samples):
+            s_ref = radius * cmath.exp(2j * cmath.pi * (k + 0.25) / (n + 1))
+            assert s == s_ref
+            M = s * E - A
+            rows = np.sqrt((np.abs(M) ** 2).sum(axis=1))
+            assert det == complex(np.linalg.det(M))
+            assert scale == float(np.prod(np.maximum(rows, 1e-300)))
 
 
 def test_pencil_json_roundtrip():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddaekit import models
-from ddaekit.errors import InadmissibleHistory
+from ddaekit.errors import InadmissibleHistory, ShapeError
 from ddaekit.forcing import SymbolicSignal
 from ddaekit.lti import (LinearDdae, LtiDescriptor, hybrid_shifted,
                          sf_model_from_linear)
@@ -92,6 +92,15 @@ def test_inadmissible_history_raises():
     with pytest.raises(InadmissibleHistory) as err:
         solve_itp(m, bad, 1.0)
     assert np.linalg.norm(err.value.residual) > 0.1
+
+
+def test_history_dimension_must_match_the_model():
+    # ex-shift never reads a third component, so without the check this
+    # history would reach the consistency test and be called inadmissible
+    m = models.ex_shift_model()
+    with pytest.raises(ShapeError, match="history has 3 components, model "
+                                         "needs 2"):
+        solve_itp(m, SymbolicSignal.constant([1.0, 2.0, 3.0]), 0.5)
 
 
 def test_shift_example_against_closed_form():
