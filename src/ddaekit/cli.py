@@ -24,8 +24,8 @@ from .lti import (LinearDdae, LtiDescriptor, classify_linear, delay_terms,
 from .pencil import DEFAULT_TOL, MatrixPencil, analyze
 from .radau import IntegrationOptions
 from .sfdae import Classification, SfDdaeModel, classify
-from .steps import (BROKE_DOWN, audit, solve_itp, sweep_deviation,
-                    sweep_reference, write_trajectory_csv)
+from .steps import (BROKE_DOWN, audit, check_horizon, solve_itp,
+                    sweep_deviation, sweep_reference, write_trajectory_csv)
 
 EXIT_OK = 0
 EXIT_MODEL = 2
@@ -208,6 +208,7 @@ def cmd_sweep(args):
     if args.T is None:
         sys.stderr.write("error: sweep needs --T\n")
         return EXIT_USAGE
+    check_horizon(args.T)
     entry = model_zoo.REGISTRY.get(args.model)
     if entry is None or entry.reference is None:
         sweepable = sorted(name for name, e in model_zoo.REGISTRY.items()

@@ -21,7 +21,8 @@ class SymbolicSignal:
     """Vector-valued map ``t -> R^n`` with exact derivatives of any order.
 
     Component ``i`` is ``poly_i(t) + sum_k amp * sin(omega * t + phase)``
-    where ``poly_i`` is stored as ascending coefficients.
+    where ``poly_i`` is stored as ascending coefficients.  A signal is not
+    changed once built: ``eval`` keeps the terms of each derivative order.
 
     Parameters
     ----------
@@ -51,6 +52,8 @@ class SymbolicSignal:
             for tr in row:
                 if not all(math.isfinite(v) for v in tr):
                     raise DataError("non-finite sinusoid parameter")
+        # derivative order -> ``_derivative_terms(order)``, built on first use
+        self._terms = {}
 
     # -- constructors ---------------------------------------------------
 
@@ -69,20 +72,38 @@ class SymbolicSignal:
         """Evaluate the ``order``-th derivative at time ``t``."""
         if order < 0:
             raise ValueError("derivative order must be >= 0")
+        terms = self._terms.get(order)
+        if terms is None:
+            terms = self._terms[order] = self._derivative_terms(order)
         out = np.zeros(self.dim)
-        for i in range(self.dim):
+        for i, (poly, sin) in enumerate(terms):
             acc = 0.0
-            coeffs = self.poly[i]
+            for scaled, power in poly:
+                acc += scaled * t ** power
+            for amp, omega, phase, quarter in sin:
+                acc += amp * math.sin(omega * t + phase + quarter)
+            out[i] = acc
+        return out
+
+    def _derivative_terms(self, order):
+        """Per component, the terms of the ``order``-th derivative:
+        ``(coeffs[j] * j!/(j-order)!, j - order)`` for the polynomial and
+        ``(amp * omega**order, omega, phase, order * pi/2)`` per sinusoid.
+        The products are the ones ``eval`` would form left to right, so
+        caching them changes no bit of its result."""
+        terms = []
+        for coeffs, sin in zip(self.poly, self.sin):
+            poly = []
             for j in range(order, len(coeffs)):
                 fall = 1.0
                 for r in range(j, j - order, -1):
                     fall *= r
-                acc += coeffs[j] * fall * t ** (j - order)
-            for amp, omega, phase in self.sin[i]:
-                acc += amp * omega ** order * math.sin(
-                    omega * t + phase + order * _HALF_PI)
-            out[i] = acc
-        return out
+                poly.append((coeffs[j] * fall, j - order))
+            terms.append((
+                tuple(poly),
+                tuple((amp * omega ** order, omega, phase, order * _HALF_PI)
+                      for amp, omega, phase in sin)))
+        return terms
 
     # -- algebra --------------------------------------------------------
 

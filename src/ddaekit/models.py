@@ -390,7 +390,8 @@ def ex_advanced_model(tau=1.0):
     Strangeness-free form is purely algebraic: x(t) = y(t - tau) and
     y(t) = y'(t - tau), so the algebraic part consumes a delayed
     derivative (s = 2) and the solution generically dies at the first
-    breakpoint."""
+    breakpoint.  The default history x = 1 - tau, y = 1 + t is admissible
+    at every tau: x(0) = y(-tau) and y(0) = y'(-tau)."""
     model = SfDdaeModel(
         n=2, d=0, a=2, tau=tau, s_decl=2,
         D=lambda t, z, zdot, ztau: np.zeros(0),
@@ -400,7 +401,8 @@ def ex_advanced_model(tau=1.0):
         JD_zdot=lambda t, z, zdot, ztau: np.zeros((0, 2)),
         JA_z=lambda t, z, zlags: np.eye(2),
         name="ex-advanced", state_names=["x", "y"])
-    model.default_history = lambda: SymbolicSignal(poly=[[0.0], [1.0, 1.0]])
+    model.default_history = lambda: SymbolicSignal(
+        poly=[[1.0 - model.tau], [1.0, 1.0]])
     return model
 
 

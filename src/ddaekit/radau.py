@@ -208,6 +208,28 @@ class SegmentSolution:
         return np.dot([0.0, 1.0 / h, 2.0 * s / h, 3.0 * s * s / h],
                       self.coeffs[k])
 
+    def eval_grid(self, t, order=0):
+        """``eval`` at every time of the array ``t``, bit for bit, one row
+        per time; the times lie in the segment.
+
+        The step clamp is ``eval``'s and the basis rows are its products;
+        the batched ``matmul`` reproduces its ``np.dot`` exactly, which an
+        elementwise sum of the four terms would not.
+        """
+        if order not in (0, 1):
+            raise ValueError("dense output supports orders 0 and 1 only")
+        ts = np.asarray(self.ts)
+        k = np.searchsorted(ts, t, side="right") - 1
+        k = np.minimum(np.maximum(k, 0), len(ts) - 2)
+        h = ts[k + 1] - ts[k]
+        s = (t - ts[k]) / h
+        if order == 0:
+            P = np.stack([np.ones_like(s), s, s * s, s * s * s], axis=-1)
+        else:
+            P = np.stack([np.zeros_like(s), 1.0 / h, 2.0 * s / h,
+                          3.0 * s * s / h], axis=-1)
+        return (P[:, None, :] @ self.coeffs[k])[:, 0]
+
 
 def _newton_factors(Fz, Fdot, h):
     """Inverses of the real and the complex block of the split stage matrix,
@@ -235,10 +257,16 @@ def _newton_update(factors, R):
     return _T @ W
 
 
-def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats):
+def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats, last):
     """One collocation step; returns (z1, d0, d1, Fdot), with d0 and d1 the
     end derivatives of the collocation cubic and Fdot the step's Jacobian
-    with respect to z', or None on failure."""
+    with respect to z', or None on failure.
+
+    ``last`` is a one-item list holding the previous step's ``(h, Fz, Fdot,
+    factors, cond)``, or None; its factors are reused when h and both
+    Jacobians are equal to the bit, which makes them exactly the factors
+    ``_newton_factors`` would return, and replaced otherwise.
+    """
     n, d = model.n, model.d
     K = np.array([k_guess] * 3)
     scale = 1.0 + float(np.abs(z_prev).max())
@@ -254,10 +282,16 @@ def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats):
     Fdot[:d] = model.JD_zdot(stage_ts[2], z_pred, k_guess, lags[0])
     if not (np.isfinite(Fz).all() and np.isfinite(Fdot).all()):
         return None
-    try:
-        factors, cond = _newton_factors(Fz, Fdot, h)
-    except np.linalg.LinAlgError:
-        return None
+    prev = last[0]
+    if (prev is not None and prev[0] == h and prev[1].tobytes() == Fz.tobytes()
+            and prev[2].tobytes() == Fdot.tobytes()):
+        factors, cond = prev[3], prev[4]
+    else:
+        try:
+            factors, cond = _newton_factors(Fz, Fdot, h)
+        except np.linalg.LinAlgError:
+            return None
+        last[0] = h, Fz, Fdot, factors, cond
     if cond > COND_WARN >= stats["max_stage_cond"]:
         logger.warning("stage Jacobian condition %.2e exceeds %.0e", cond,
                        COND_WARN)
@@ -387,12 +421,16 @@ def integrate_segment(problem, opts=None, h_start=None):
     z = problem.z0.copy()
     k_guess = np.zeros(model.n)
     d_prev = None
+    # the last step's Newton factors (Hairer & Wanner, Solving ODEs II,
+    # IV.8): a linear model at a repeated h reuses them
+    last = [None]
     t = problem.t_start
     while t < problem.t_end - 1e-12 * max(1.0, abs(problem.t_end)):
         h = min(h_next, problem.t_end - t)
         halvings = 0
         while True:
-            result = _solve_step(model, t, h, z, k_guess, problem, opts, stats)
+            result = _solve_step(model, t, h, z, k_guess, problem, opts,
+                                 stats, last)
             if result is None:
                 halvings += 1
                 stats["halvings"] += 1

@@ -112,33 +112,92 @@ class Trajectory:
             i -= 1
         return i + 1
 
+    def segment_indices(self, ts):
+        """``segment_index`` of every time of the array ``ts``, each in
+        [0, t_end]: the same rule with the same rounding, applied to the
+        whole array."""
+        # the start after the last segment never comes
+        starts = np.array([*(seg.ts[0] for seg in self.segments), np.inf])
+        i = np.minimum((ts / self.model.tau).astype(np.intp),
+                       len(self.segments) - 1)
+        slack = 1e-12 * np.maximum(ts, 1.0)
+        up = ts >= starts[i + 1] - slack
+        down = ~up & (ts < starts[i] - slack)
+        return i + up - down + 1
+
+
+def _read_domain(tr):
+    """The one domain rule of trajectory reads, as (lo, t_end, hi): a time
+    must lie in [lo, hi], which is [-tau, t_end] up to a rounding slack
+    (t_end is 0 while no segment is solved), and a time in [t_end, hi]
+    reads t_end."""
+    tau = tr.model.tau
+    t_end = tr.t_end
+    return -tau - 1e-9 * max(tau, 1.0), t_end, t_end + 1e-9 * max(1.0, t_end)
+
+
+def _domain_error(t, lo, t_end):
+    return ValueError(f"t={t} precedes the history interval" if t < lo
+                      else f"t={t} beyond covered time {t_end}")
+
 
 def evaluate(tr, t, order=0):
     """Trajectory value or right derivative at time t in [-tau, t_end].
 
-    This is the one domain rule for trajectory reads: t must lie in
-    [-tau, t_end] up to a rounding slack, where t_end is 0 while no segment
-    is solved, and a t within the slack beyond t_end reads t_end.  The
-    history signal is read for t < 0 and while no segment is solved;
-    otherwise the dense output of the covering segment
-    (``Trajectory.segment_index``).  At interior breakpoints the
-    value is continuous by construction and derivatives are taken from the
-    right segment (smooth transitions across breakpoints cannot be
-    expected for delay systems).
+    The time must pass the domain rule (``_read_domain``).  The history
+    signal is read for t < 0 and while no segment is solved; otherwise the
+    dense output of the covering segment (``Trajectory.segment_index``).
+    At interior breakpoints the value is continuous by construction and
+    derivatives are taken from the right segment (smooth transitions
+    across breakpoints cannot be expected for delay systems).
     """
     if order not in (0, 1):
         raise ValueError("trajectory evaluation supports orders 0 and 1")
-    tau = tr.model.tau
-    if t < -tau - 1e-9 * max(tau, 1.0):
-        raise ValueError(f"t={t} precedes the history interval")
-    t_end = tr.t_end
+    lo, t_end, hi = _read_domain(tr)
+    if not lo <= t <= hi:
+        raise _domain_error(t, lo, t_end)
     if t >= t_end:
-        if t > t_end + 1e-9 * max(1.0, t_end):
-            raise ValueError(f"t={t} beyond covered time {t_end}")
         t = t_end
     if t < 0.0 or not tr.segments:
         return tr.history.eval(t, order)
     return tr.segments[tr.segment_index(t) - 1].eval(t, order)
+
+
+def evaluate_grid(tr, ts, order=0):
+    """``evaluate`` at every time of the array ``ts``, bit for bit, one row
+    per time.
+
+    The domain rule, the segment rule (``Trajectory.segment_indices``) and
+    each segment's dense output (``SegmentSolution.eval_grid``) are applied
+    to the whole array; the history is read one time at a time.  A time
+    outside the domain raises ``evaluate``'s error for the first such time.
+    """
+    if order not in (0, 1):
+        raise ValueError("trajectory evaluation supports orders 0 and 1")
+    ts = np.asarray(ts, dtype=float)
+    lo, t_end, hi = _read_domain(tr)
+    outside = np.flatnonzero(~((ts >= lo) & (ts <= hi)))
+    if outside.size:
+        raise _domain_error(ts[outside[0]], lo, t_end)
+    ts = np.minimum(ts, t_end)
+    out = np.empty((ts.size, tr.model.n))
+    past = ts < 0.0 if tr.segments else np.ones(ts.size, dtype=bool)
+    for j in np.flatnonzero(past):
+        out[j] = tr.history.eval(ts[j], order)
+    rows = np.flatnonzero(~past)
+    if rows.size:
+        seg_of = tr.segment_indices(ts[rows])
+        for i, seg in enumerate(tr.segments, start=1):
+            sel = rows[seg_of == i]
+            if sel.size:
+                out[sel] = seg.eval_grid(ts[sel], order)
+    return out
+
+
+def check_horizon(T):
+    """ValueError unless the horizon T is finite and positive."""
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"horizon T must be finite and positive, got {T!r}")
 
 
 def solve_itp(model, phi, T, opts=None):
@@ -160,8 +219,7 @@ def solve_itp(model, phi, T, opts=None):
         raise ShapeError(
             f"history has {phi.dim} components, model needs {model.n}")
     opts = opts or IntegrationOptions()
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"horizon T must be finite and positive, got {T!r}")
+    check_horizon(T)
     if model.s_decl >= 3:
         raise DdaeError(
             f"declared delayed-derivative order {model.s_decl} needs dense "
@@ -213,14 +271,16 @@ def audit(tr, n_points=1000):
     # A broken-down trajectory solves the equations only on [0, t_end); the
     # right endpoint is exactly the inconsistent state.
     ts = np.linspace(0.0, tr.t_end, n_points, endpoint=tr.complete)
+    states = evaluate_grid(tr, ts)
+    rates = evaluate_grid(tr, ts, 1)
+    lag_ts = ts - m.tau
+    # one (n_lags, n) block per point, laid out as np.stack of the rows
+    lags = np.stack([evaluate_grid(tr, lag_ts, k) for k in range(m.n_lags)],
+                    axis=1)
     full = np.empty(n_points)
     alg = np.empty(n_points)
-    states = np.empty((n_points, m.n))
     for j, t in enumerate(ts):
-        z = states[j] = evaluate(tr, t)
-        zdot = evaluate(tr, t, 1)
-        zlags = np.stack([tr.delayed(t, k) for k in range(m.n_lags)])
-        r = m.residual(t, z, zdot, zlags)
+        r = m.residual(t, states[j], rates[j], lags[j])
         full[j] = np.abs(r).max() if r.size else 0.0
         ra = r[m.d:]
         alg[j] = np.abs(ra).max() if ra.size else 0.0
@@ -236,7 +296,7 @@ def sweep_reference(reference, T, opts=None):
     """
     traj = solve_itp(reference, reference.default_history(), T, opts)
     grid = np.linspace(0.0, T, SWEEP_GRID_POINTS)
-    return grid, np.stack([evaluate(traj, t) for t in grid])
+    return grid, evaluate_grid(traj, grid)
 
 
 def sweep_deviation(model, ref, T, opts=None):
@@ -248,7 +308,7 @@ def sweep_deviation(model, ref, T, opts=None):
     """
     grid, ref_vals = ref
     traj = solve_itp(model, model.default_history(), T, opts)
-    diff = np.abs(np.stack([evaluate(traj, t) for t in grid]) - ref_vals)
+    diff = np.abs(evaluate_grid(traj, grid) - ref_vals)
     return traj, float(diff.max())
 
 
@@ -263,6 +323,7 @@ def write_trajectory_csv(tr, path, audited):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", *labels, "segment_index", "A_residual_norm"])
+        seg_of = tr.segment_indices(ts).tolist()
         for j, t in enumerate(ts):
             writer.writerow([f"{t:.12g}", *(f"{v:.12g}" for v in states[j]),
-                             tr.segment_index(t), f"{alg[j]:.6g}"])
+                             seg_of[j], f"{alg[j]:.6g}"])

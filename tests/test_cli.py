@@ -515,3 +515,29 @@ def test_fuzzed_flag_values_map_to_documented_exit_codes(argv):
         rc = cli.main(argv)
     assert rc in (0, 2, 3, 4, 5, 64), (argv, err.getvalue())
     assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+
+
+@pytest.mark.parametrize("T", ["0", "-1", "nan", "inf"])
+def test_sweep_refuses_a_bad_horizon_before_solving(T, monkeypatch, capsys):
+    solved = []
+    monkeypatch.setattr(cli, "sweep_reference", lambda *a: solved.append(a))
+    rc = cli.main(["sweep", "--model", "pmsd-hybrid", "--tau", "0.1",
+                   f"--T={T}"])
+    assert rc == 2
+    assert solved == []
+    captured = capsys.readouterr()
+    assert "horizon T must be finite and positive" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("tau", ["0.5", "0.01"])
+def test_advanced_default_history_runs_into_the_breakdown(tau, capsys):
+    # the default history is admissible at every tau, so the run reaches
+    # the first breakpoint and breaks down there
+    rc = cli.main(["simulate", "--model", "ex-advanced", "--tau", tau,
+                   "--T", "1"])
+    assert rc == 4
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "BrokeDown"
+    assert data["breakdown"]["segment"] == 2
+    assert data["breakdown"]["breakpoint"] == pytest.approx(float(tau))

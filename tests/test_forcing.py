@@ -81,3 +81,36 @@ def test_zero_constant_and_json_roundtrip():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ShapeError):
         SymbolicSignal(poly=[[1.0]], sin=[[], []])
+
+
+def _eval_term_by_term(signal, t, order):
+    """Every derivative term formed in full at each call."""
+    out = np.zeros(signal.dim)
+    for i in range(signal.dim):
+        acc = 0.0
+        coeffs = signal.poly[i]
+        for j in range(order, len(coeffs)):
+            fall = 1.0
+            for r in range(j, j - order, -1):
+                fall *= r
+            acc += coeffs[j] * fall * t ** (j - order)
+        for amp, omega, phase in signal.sin[i]:
+            acc += amp * omega ** order * math.sin(
+                omega * t + phase + order * (math.pi / 2.0))
+        out[i] = acc
+    return out
+
+
+@given(poly=st.lists(st.lists(st.floats(-1e3, 1e3), max_size=6),
+                     min_size=1, max_size=3),
+       sin=st.lists(st.lists(st.tuples(st.floats(-5.0, 5.0),
+                                       st.floats(0.0, 60.0),
+                                       st.floats(-7.0, 7.0)), max_size=3),
+                    min_size=3, max_size=3),
+       t=st.floats(-20.0, 20.0),
+       orders=st.lists(st.integers(0, 3), min_size=1, max_size=6))
+def test_eval_equals_term_by_term_formula_bit_for_bit(poly, sin, t, orders):
+    s = SymbolicSignal(poly=poly, sin=sin[:len(poly)])
+    # repeated orders read the terms cached by the first
+    for k in orders:
+        assert s.eval(t, k).tobytes() == _eval_term_by_term(s, t, k).tobytes()

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from ddaekit import models
@@ -9,7 +11,7 @@ from ddaekit.errors import SingularPencil
 from ddaekit.forcing import SymbolicSignal
 from ddaekit.lti import couple, sf_model_from_linear, LinearDdae
 from ddaekit.pencil import analyze, is_regular, weierstrass
-from ddaekit.sfdae import Classification, classify
+from ddaekit.sfdae import Classification, admissible, classify
 from ddaekit.steps import evaluate, solve_itp
 
 from conftest import fd_jacobian
@@ -312,3 +314,10 @@ def test_shift_example_classifications_match():
     sf = models.ex_shift_model(0.5)
     from ddaekit.lti import classify_linear
     assert classify_linear(lin) == classify(sf) == Classification(0)
+
+
+@given(tau=st.floats(1e-3, 10.0))
+def test_advanced_default_history_is_admissible_at_every_delay(tau):
+    m = models.ex_advanced_model(tau)
+    ok, r = admissible(m, m.default_history())
+    assert ok and np.all(np.abs(r) <= 1e-12)

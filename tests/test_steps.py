@@ -1,11 +1,13 @@
+import functools
 import logging
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddaekit import models
+from ddaekit import models, radau, steps
 from ddaekit.errors import InadmissibleHistory, ShapeError
 from ddaekit.forcing import SymbolicSignal
 from ddaekit.lti import (LinearDdae, LtiDescriptor, hybrid_shifted,
@@ -15,7 +17,8 @@ from ddaekit.radau import (CONSISTENCY_TOL, STEPS_PER_SEGMENT,
                            IntegrationOptions, SegmentSolution)
 from ddaekit.sfdae import SfDdaeModel
 from ddaekit.steps import (BROKE_DOWN, Trajectory, audit, evaluate,
-                           solve_itp, sweep_deviation, sweep_reference)
+                           evaluate_grid, solve_itp, sweep_deviation,
+                           sweep_reference)
 
 from test_sfdae import delayed_ode
 
@@ -439,3 +442,148 @@ def test_lag_reads_are_continuous_across_breakpoints(d, tau, amp, omega,
         at = tr.delayed(t, 0)
         end = tr.segments[tr.segment_index(b) - 2].eval(b)
         assert np.all(np.abs(at - end) <= 1e-12 * (1 + np.abs(at)))
+
+
+# -- grid reads ---------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _grid_case(name):
+    """Trajectories of n = 1, 2 and 7, two of them broken down."""
+    if name == "delayed-ode":
+        return solve_itp(delayed_ode(1.0), SymbolicSignal.constant([1.0]), 2.3)
+    if name == "forced-shift":
+        m, phi = _forced_linear(1, 0.5, 0.5, 20.0)
+        return solve_itp(m, phi, 1.3)
+    if name == "pmsd-hybrid":
+        m = models.pmsd_hybrid_shifted()
+        return solve_itp(m, m.default_history(), 3.2 * m.tau)
+    if name == "broke-down-first":
+        m = models.ex_advanced_model(1.0)
+        return solve_itp(m, m.default_history(), 3.0)
+    return solve_itp(*_two_segment_history(), 3.0)
+
+
+GRID_CASES = ["delayed-ode", "forced-shift", "pmsd-hybrid",
+              "broke-down-first", "broke-down-later"]
+
+
+@settings(max_examples=60)
+@given(case=st.sampled_from(GRID_CASES), order=st.sampled_from([0, 1]),
+       data=st.data())
+def test_grid_reads_equal_scalar_reads_bit_for_bit(case, order, data):
+    tr = _grid_case(case)
+    tau, t_end = tr.model.tau, tr.t_end
+    slack = 1e-9 * max(1.0, t_end)
+    special = [-tau, 0.0, t_end - slack, t_end + slack / 2, t_end + slack]
+    for b in tr.breakpoints:
+        special += [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+                    b - 1e-12 * max(b, 1.0), b + 1e-13]
+    special = [t for t in special if -tau <= t <= t_end + slack]
+    times = data.draw(st.lists(st.one_of(
+        st.sampled_from(special),
+        st.floats(-tau, 0.0, exclude_max=True),
+        st.floats(0.0, t_end)), min_size=1, max_size=40))
+    ts = np.array(times)
+    scalar = np.array([evaluate(tr, t, order) for t in ts])
+    assert evaluate_grid(tr, ts, order).tobytes() == scalar.tobytes()
+    # the segment rule itself, on the times the segments are read at
+    read = np.minimum(ts[ts >= 0.0], t_end)
+    assert (tr.segment_indices(read).tolist()
+            == [tr.segment_index(t) for t in read])
+
+
+def test_grid_read_outside_the_domain_raises_the_scalar_error():
+    tr = _grid_case("delayed-ode")
+    for bad in ([0.5, 2.5, -1.5], [0.5, -1.5, 2.5], [np.nan]):
+        ts = np.array(bad)
+        with pytest.raises(ValueError) as scalar:
+            for t in ts:
+                evaluate(tr, t)
+        with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+            evaluate_grid(tr, ts)
+    with pytest.raises(ValueError):
+        evaluate_grid(tr, np.array([0.5]), 2)
+
+
+def _scalar_audit(tr, n_points):
+    """The audit as one ``evaluate`` per point and lag row."""
+    m = tr.model
+    ts = np.linspace(0.0, tr.t_end, n_points, endpoint=tr.complete)
+    full, alg, states = np.empty(n_points), np.empty(n_points), []
+    for j, t in enumerate(ts):
+        z = evaluate(tr, t)
+        states.append(z)
+        zlags = np.stack([tr.delayed(t, k) for k in range(m.n_lags)])
+        r = m.residual(t, z, evaluate(tr, t, 1), zlags)
+        full[j] = np.abs(r).max() if r.size else 0.0
+        alg[j] = np.abs(r[m.d:]).max() if r[m.d:].size else 0.0
+    return ts, full, alg, np.array(states)
+
+
+@pytest.mark.parametrize("case", GRID_CASES)
+def test_audit_equals_scalar_reads_and_makes_none(case, monkeypatch):
+    tr = _grid_case(case)
+    expected = _scalar_audit(tr, 777)
+    reads = []
+    scalar_evaluate, dense_eval = steps.evaluate, SegmentSolution.eval
+    monkeypatch.setattr(steps, "evaluate", lambda *a: reads.append(a)
+                        or scalar_evaluate(*a))
+    monkeypatch.setattr(SegmentSolution, "eval", lambda *a: reads.append(a)
+                        or dense_eval(*a))
+    got = audit(tr, 777)
+    assert reads == []
+    for a, b in zip(got, expected):
+        assert a.tobytes() == b.tobytes()
+
+
+def _count_factorizations(monkeypatch):
+    """Record the h of every ``_newton_factors`` call and, per segment, of
+    every attempted step."""
+    factors, attempts = [], []
+    newton_factors, solve_step = radau._newton_factors, radau._solve_step
+    integrate = steps.integrate_segment
+
+    def counted_factors(Fz, Fdot, h):
+        factors.append(h)
+        return newton_factors(Fz, Fdot, h)
+
+    def counted_step(model, t0, h, *rest):
+        attempts[-1].append(h)
+        return solve_step(model, t0, h, *rest)
+
+    def counted_segment(*args):
+        attempts.append([])
+        return integrate(*args)
+
+    monkeypatch.setattr(radau, "_newton_factors", counted_factors)
+    monkeypatch.setattr(radau, "_solve_step", counted_step)
+    monkeypatch.setattr(steps, "integrate_segment", counted_segment)
+    return factors, attempts
+
+
+@pytest.mark.parametrize("amp, omega", [(0.5, 20.0), (0.2, 6.0), (0.4, 15.0)])
+def test_linear_wrap_factors_once_per_segment_and_changed_step(
+        amp, omega, monkeypatch):
+    # the shifted example with two sinusoids in f; the last two draws take
+    # rejected steps, so h changes within their segments
+    f = SymbolicSignal(poly=[[0.2, 0.05]], sin=[[(amp, omega, 1.0),
+                                                 (0.2, omega / 1.5, 2.0)]])
+    g = SymbolicSignal(poly=[[1.0, 0.1, 0.01]])
+    m = sf_model_from_linear(models.ex_shift_linear(0.5, f=f, g=g))
+    phi = SymbolicSignal(poly=[[0.2, 0.1]]).stack(g.shift(0.5))
+    factors, attempts = _count_factorizations(monkeypatch)
+    tr = solve_itp(m, phi, 2.0)
+    # constant Jacobians: a new factorization only where a segment starts
+    # or h differs from the attempt before
+    changes = sum(1 + sum(a != b for a, b in zip(hs, hs[1:]))
+                  for hs in attempts)
+    assert len(factors) == changes
+    assert len(factors) < 0.1 * tr.stats["steps"]
+
+
+def test_nonlinear_model_factors_once_per_step(monkeypatch):
+    factors, _ = _count_factorizations(monkeypatch)
+    m = models.pmsd_hybrid_shifted()
+    tr = solve_itp(m, m.default_history(), 0.5)
+    assert tr.stats["rejected"] == tr.stats["halvings"] == 0
+    assert len(factors) == tr.stats["steps"]
