@@ -24,8 +24,9 @@ from .lti import (LinearDdae, LtiDescriptor, classify_linear, delay_terms,
 from .pencil import DEFAULT_TOL, MatrixPencil, analyze
 from .radau import IntegrationOptions
 from .sfdae import Classification, SfDdaeModel, classify
-from .steps import (BROKE_DOWN, audit, check_horizon, solve_itp,
-                    sweep_deviation, sweep_reference, write_trajectory_csv)
+from .steps import (BROKE_DOWN, audit, check_horizon, segment_count,
+                    solve_itp, sweep_deviation, sweep_reference,
+                    write_trajectory_csv)
 
 EXIT_OK = 0
 EXIT_MODEL = 2
@@ -222,6 +223,9 @@ def cmd_sweep(args):
                          "from --param tau=...\n")
         return EXIT_USAGE
     reference = model_zoo.REGISTRY[entry.reference].make(params)
+    # a run too long to solve fails the sweep, not just its row
+    for tau in (reference.tau, *args.tau_list):
+        segment_count(args.T, tau)
     opts = _options_from(args)
     try:
         ref = sweep_reference(reference, args.T, opts)

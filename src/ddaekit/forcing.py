@@ -126,6 +126,39 @@ class SymbolicSignal:
         return SymbolicSignal(poly=list(self.poly) + list(other.poly),
                               sin=list(self.sin) + list(other.sin))
 
+    def linear_map(self, terms):
+        """Return the signal ``t -> sum_k M_k @ self^(o_k)(t)`` for the
+        ``(M_k, o_k)`` pairs of ``terms``, all ``M_k`` with the same row
+        count and ``self.dim`` columns.
+
+        A derivative of a polynomial-plus-sinusoid signal is again one, so
+        the result is exact: the polynomial coefficients of the derivatives
+        combine linearly, and each sinusoid of component j is scaled by
+        ``M_k[i, j] * omega**o_k`` and gains ``o_k * pi/2`` in phase.
+        Zero entries of ``M_k`` contribute no term.
+        """
+        rows = {np.shape(M)[0] for M, _ in terms}
+        if len(rows) != 1 or any(np.shape(M)[1] != self.dim
+                                 for M, _ in terms):
+            raise ShapeError(f"linear_map needs matrices of one row count "
+                             f"and {self.dim} columns")
+        m = rows.pop()
+        poly = [[] for _ in range(m)]
+        sin = [[] for _ in range(m)]
+        for M, order in terms:
+            for i, j in zip(*np.nonzero(M)):
+                c = float(M[i, j])
+                row = poly[i]
+                coeffs = self.poly[j]
+                for p in range(order, len(coeffs)):
+                    if p - order == len(row):
+                        row.append(0.0)
+                    row[p - order] += c * coeffs[p] * math.perm(p, order)
+                sin[i] += [(c * amp * omega ** order, omega,
+                            phase + order * _HALF_PI)
+                           for amp, omega, phase in self.sin[j]]
+        return SymbolicSignal(poly=poly, sin=sin, dim=m)
+
     # -- serialization --------------------------------------------------
 
     def to_json(self):

@@ -177,44 +177,43 @@ def regularity_theorem_check(s1, s2, tau=1.0, tol=DEFAULT_TOL):
 
 
 def sf_model_from_linear(ld, tol=DEFAULT_TOL):
-    """Wrap a linear DDAE as a strangeness-free model.
+    """Wrap a linear DDAE as an affine strangeness-free model.
 
     The Weierstrass form of (E, A0) splits the state into differential and
     algebraic blocks; differentiating the algebraic recursion nu - 1 times
     produces the explicit algebraic part, whose delayed-derivative order
-    fixes the declared classification.  Raises SingularPencil when (E, A0)
-    is singular.
+    fixes the declared classification.  The model keeps its matrices and
+    two forcing signals, ``-Sd f`` for D and ``sum_{j<nu} N^j Sa f^(j)``
+    for A (``SymbolicSignal.linear_map``), so each callback reads its
+    forcing once.  Raises SingularPencil when (E, A0) is singular.
     """
     w = weierstrass(ld.pencil, tol)
-    n, d, a, nu = ld.n, w.d, w.a, w.nu
-    E, A0, A1 = ld.E, ld.A0, ld.A1
+    n, d = ld.n, w.d
     Sd = w.S[:d]
-    Sa = w.S[d:]
-    T_inv = np.linalg.solve(w.T, np.eye(n))
-    Pa = T_inv[d:]
-
-    terms, s_decl = delay_terms(w, A1, tol)
-    # N^j Sa, applied to f^(j)
-    fa_derivative_mats = [Npow @ Sa for Npow in _powers(w.N, nu)]
+    Pa = np.linalg.solve(w.T, np.eye(n))[d:]
+    SdE, SdA0, SdA1 = Sd @ ld.E, Sd @ ld.A0, Sd @ ld.A1
+    terms, s_decl = delay_terms(w, ld.A1, tol)
+    terms = terms[:s_decl]
+    f_d = ld.f.linear_map([(-Sd, 0)])
+    # N^j Sa applied to f^(j); the j = 0 term also sizes the signal when
+    # there is no algebraic block (nu = 0, Sa without rows)
+    f_a = ld.f.linear_map([(Npow @ w.S[d:], j) for j, Npow in
+                           enumerate(_powers(w.N, max(w.nu, 1)))])
 
     def D(t, z, zdot, ztau):
-        return Sd @ (E @ zdot - A0 @ z - A1 @ ztau) - Sd @ ld.f.eval(t)
+        return SdE @ zdot - SdA0 @ z - SdA1 @ ztau + f_d.eval(t)
 
     def A_fn(t, z, zlags):
-        acc = Pa @ z
-        for j in range(s_decl):
-            acc += terms[j] @ zlags[j]
-        for j in range(nu):
-            acc += fa_derivative_mats[j] @ ld.f.eval(t, j)
+        acc = Pa @ z + f_a.eval(t)
+        for M, lag in zip(terms, zlags):
+            acc += M @ lag
         return acc
 
-    JD_z = -(Sd @ A0)
-    JD_zdot = Sd @ E
-
+    JD_z = -SdA0
     return SfDdaeModel(
-        n=n, d=d, a=a, tau=ld.tau, s_decl=s_decl,
+        n=n, d=d, a=w.a, tau=ld.tau, s_decl=s_decl,
         D=D, A=A_fn,
         JD_z=lambda t, z, zdot, ztau: JD_z,
-        JD_zdot=lambda t, z, zdot, ztau: JD_zdot,
+        JD_zdot=lambda t, z, zdot, ztau: SdE,
         JA_z=lambda t, z, zlags: Pa,
-        name="wrapped-linear-ddae")
+        name="wrapped-linear-ddae", affine=True)

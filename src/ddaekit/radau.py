@@ -20,7 +20,9 @@ The stage equations are solved by simplified Newton: the model Jacobians
 are evaluated once per step, at the predictor of the last stage, and
 Hairer's transformation of the Radau IIA matrix (Hairer & Wanner, Solving
 ODEs II, IV.8) splits the 3n x 3n stage matrix into one real and one
-complex n x n matrix, each inverted once per step.  The continuous
+complex n x n matrix, each inverted once per step.  For an affine model
+(``SfDdaeModel.affine``) that matrix is the exact one of linear stage
+equations, so the step takes the first update.  The continuous
 extension is the cubic Hermite of each step, which is the collocation
 polynomial, stored as monomial coefficients when the segment is complete.
 """
@@ -320,7 +322,9 @@ def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats, last):
         if not err < err_prev:
             return None
         err_prev = err
-        if err <= opts.newton_tol:
+        # an affine model's stage equations are linear with exactly this
+        # matrix, so the first update solves them to rounding
+        if err <= opts.newton_tol or model.affine:
             z1 = z_prev + h * (RADAU_A[2] @ K)
             r_end = model.residual(stage_ts[2], z1, K[2], stage_lags[2])
             res = float(np.abs(r_end).max())

@@ -80,10 +80,15 @@ class SfDdaeModel:
     name : identifier used in reports
     state_names : informational component labels
     default_history : optional zero-argument callable building a history
+    affine : declares D and A affine in (z, zdot, lags) with JD_z, JD_zdot
+        and JA_z their exact, constant coefficients, so that one Newton
+        iteration solves a step's stage equations
+        (``lti.sf_model_from_linear`` sets it)
     """
 
     def __init__(self, n, d, a, tau, s_decl, D, A, JD_z, JD_zdot, JA_z,
-                 name="model", state_names=None, default_history=None):
+                 name="model", state_names=None, default_history=None,
+                 affine=False):
         if d + a != n:
             raise ValueError(f"d + a must equal n, got {d} + {a} != {n}")
         if s_decl < 0:
@@ -102,6 +107,7 @@ class SfDdaeModel:
         self.state_names = list(state_names) if state_names else [
             f"z_{i + 1}" for i in range(n)]
         self.default_history = default_history
+        self.affine = affine
 
     @property
     def n_lags(self):

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DdaeError, InadmissibleHistory, InconsistentInitialState,
-                     ShapeError)
+from .errors import (DataError, DdaeError, InadmissibleHistory,
+                     InconsistentInitialState, ShapeError)
 from .forcing import SymbolicSignal
 from .radau import IntegrationOptions, SegmentProblem, integrate_segment
 from .sfdae import SfDdaeModel
@@ -27,6 +27,7 @@ COMPLETE = "Complete"
 BROKE_DOWN = "BrokeDown"
 
 SWEEP_GRID_POINTS = 400    # shared grid of a delay sweep
+MAX_SEGMENTS = 10 ** 5     # most segments one run may solve
 
 logger = logging.getLogger(__name__)
 
@@ -171,6 +172,21 @@ def check_horizon(T):
         raise ValueError(f"horizon T must be finite and positive, got {T!r}")
 
 
+def segment_count(T, tau):
+    """ceil(T / tau), at least 1: the segments of a run on [0, T].
+
+    DataError when that exceeds MAX_SEGMENTS.  A run solves and keeps every
+    segment, so a mistyped tiny delay would otherwise run without bound.
+    """
+    ratio = T / tau - 1e-9
+    if not ratio <= MAX_SEGMENTS:
+        count = math.ceil(ratio) if math.isfinite(ratio) else ratio
+        raise DataError(
+            f"T = {T:g} with tau = {tau:g} needs {count} segments, more "
+            f"than the limit of {MAX_SEGMENTS}")
+    return max(1, math.ceil(ratio))
+
+
 def solve_itp(model, phi, T, opts=None):
     """Solve the initial trajectory problem on [0, T] by the method of steps.
 
@@ -185,7 +201,8 @@ def solve_itp(model, phi, T, opts=None):
     output only supplies values and first derivatives and such systems
     break down anyway.  Other integrator errors propagate with the segment
     index attached.  A history whose dimension is not the model's is a
-    ShapeError.
+    ShapeError, and a run of more than MAX_SEGMENTS segments a DataError
+    (``segment_count``); both are raised before anything is solved.
     """
     if phi.dim != model.n:
         raise ShapeError(
@@ -197,7 +214,7 @@ def solve_itp(model, phi, T, opts=None):
             f"declared delayed-derivative order {model.s_decl} needs dense "
             f"output beyond first derivatives; such systems are refused")
     tau = model.tau
-    n_segments = max(1, int(math.ceil(T / tau - 1e-9)))
+    n_segments = segment_count(T, tau)
     tr = Trajectory(model, phi)
     z0 = phi.eval(0.0)
     h = None

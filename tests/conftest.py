@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -39,3 +40,13 @@ def well_conditioned(rng, n, spread=2.0):
     Q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
     sigma = np.exp(rng.uniform(-np.log(spread), np.log(spread), n))
     return Q1 @ np.diag(sigma) @ Q2
+
+
+def signal_term_scale(s, t, order):
+    """Per component of the signal ``s``, the sum of the magnitudes of the
+    terms ``s.eval(t, order)`` adds up, which rounding scales."""
+    return np.array([
+        sum(abs(c) * math.perm(j, order) * abs(t) ** (j - order)
+            for j, c in enumerate(poly) if j >= order)
+        + sum(abs(a) * w ** order for a, w, _ in sin)
+        for poly, sin in zip(s.poly, s.sin)])

@@ -27,7 +27,7 @@ from ddaekit.radau import IntegrationOptions
 from ddaekit.steps import audit, evaluate, solve_itp, write_trajectory_csv
 
 
-def _linear_export_model():
+def linear_export_model():
     """The shifted solution-space example with the linear-export
     benchmark's kind of forcing: a linear f plus two sinusoids, a
     quadratic g."""
@@ -61,8 +61,8 @@ def runs():
     for name, (build, T) in cases.items():
         yield name, build, T, None, 1000
         yield f"{name}-h0.001", build, T, 0.001, 1000
-    yield "linear-export", _linear_export_model, 10.0, None, 10000
-    yield "linear-export-h0.001", _linear_export_model, 2.0, 0.001, 1000
+    yield "linear-export", linear_export_model, 10.0, None, 10000
+    yield "linear-export-h0.001", linear_export_model, 2.0, 0.001, 1000
 
 
 def digest(build, T, h, points, workdir):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddaekit import cli, models, pencil, steps
+from ddaekit.errors import DataError
 
 
 def run_cli(*args):
@@ -550,6 +551,32 @@ def test_sweep_refuses_a_bad_delay_before_solving(taus, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "sweep delays must be finite and positive" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "pmsd-hybrid", "--tau", "1e-9", "--T", "1"],
+    ["sweep", "--model", "pmsd-hybrid", "--tau", "0.05,1e-9", "--T", "1"]])
+def test_a_run_of_too_many_segments_is_refused_before_solving(
+        argv, monkeypatch, capsys):
+    # ceil(1 / 1e-9) segments would run for hours and keep every one
+    solved = []
+    monkeypatch.setattr(steps, "integrate_segment",
+                        lambda *a: solved.append(a))
+    rc = cli.main(argv)
+    assert rc == 2
+    assert solved == []
+    captured = capsys.readouterr()
+    assert "needs 1000000000 segments" in captured.err
+    assert f"limit of {steps.MAX_SEGMENTS}" in captured.err
+    assert captured.out == ""
+
+
+def test_segment_count_limit_is_inclusive():
+    tau = 1.0 / steps.MAX_SEGMENTS
+    assert steps.segment_count(1.0, tau) == steps.MAX_SEGMENTS
+    with pytest.raises(DataError, match="needs 100001 segments"):
+        steps.segment_count(1.0 + tau, tau)
+    assert steps.segment_count(0.3, 1.0) == 1
 
 
 @pytest.mark.parametrize("tau", ["0.5", "0.01"])

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from ddaekit.errors import ShapeError
 from ddaekit.forcing import SymbolicSignal
 
+from conftest import signal_term_scale
+
 
 def test_polynomial_derivatives_exact():
     # p(t) = 1 + 2t + 3t^2 + 0.5 t^3
@@ -114,3 +116,63 @@ def test_eval_equals_term_by_term_formula_bit_for_bit(poly, sin, t, orders):
     # repeated orders read the terms cached by the first
     for k in orders:
         assert s.eval(t, k).tobytes() == _eval_term_by_term(s, t, k).tobytes()
+
+
+_signal_rows = st.lists(
+    st.tuples(st.lists(st.floats(-10.0, 10.0), max_size=5),
+              st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 20.0),
+                                 st.floats(-4.0, 4.0)), max_size=2)),
+    min_size=1, max_size=3)
+
+
+def _with_zeros(M, rows, cols):
+    """M with the rows and columns flagged in ``rows``/``cols`` zeroed."""
+    M = np.array(M)
+    M[np.array(rows, dtype=bool)] = 0.0
+    M[:, np.array(cols, dtype=bool)] = 0.0
+    return M
+
+
+@st.composite
+def _mapped_signals(draw):
+    comps = draw(_signal_rows)
+    s = SymbolicSignal(poly=[p for p, _ in comps], sin=[w for _, w in comps])
+    m = draw(st.integers(0, 3))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        M = draw(st.lists(st.lists(st.floats(-5.0, 5.0), min_size=s.dim,
+                                   max_size=s.dim), min_size=m, max_size=m))
+        M = _with_zeros(np.array(M).reshape(m, s.dim),
+                        draw(st.lists(st.booleans(), min_size=m, max_size=m)),
+                        draw(st.lists(st.booleans(), min_size=s.dim,
+                                      max_size=s.dim)))
+        terms.append((M, draw(st.integers(0, 3))))
+    return s, terms
+
+
+@given(drawn=_mapped_signals(), t=st.floats(-5.0, 5.0),
+       k=st.integers(0, 2))
+def test_linear_map_equals_the_matrices_applied_to_derivatives(drawn, t, k):
+    s, terms = drawn
+    mapped = s.linear_map(terms)
+    assert mapped.dim == terms[0][0].shape[0]
+    # the k-th derivative of the map is the map of the k-th derivatives
+    want = sum(M @ s.eval(t, o + k) for M, o in terms)
+    scale = sum(np.abs(M) @ signal_term_scale(s, t, o + k) for M, o in terms)
+    # relative to the terms summed; the floor covers subnormal draws only
+    assert np.all(np.abs(mapped.eval(t, k) - want) <= 1e-13 * scale + 1e-300)
+    # zero rows of every matrix stay empty components
+    for i in range(mapped.dim):
+        if not any(M[i].any() for M, _ in terms):
+            assert mapped.poly[i] == () and mapped.sin[i] == ()
+    back = SymbolicSignal.from_json(mapped.to_json())
+    assert back.poly == mapped.poly and back.sin == mapped.sin
+    assert back.eval(t, k).tobytes() == mapped.eval(t, k).tobytes()
+
+
+def test_linear_map_rejects_mismatched_matrices():
+    s = SymbolicSignal(poly=[[1.0], [2.0]])
+    with pytest.raises(ShapeError):
+        s.linear_map([(np.ones((1, 3)), 0)])
+    with pytest.raises(ShapeError):
+        s.linear_map([(np.ones((1, 2)), 0), (np.ones((2, 2)), 1)])

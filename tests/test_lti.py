@@ -2,16 +2,22 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from ddaekit.errors import ShapeError, SingularPencil
+from ddaekit.errors import IllConditioned, ShapeError, SingularPencil
+from ddaekit.forcing import SymbolicSignal
 from ddaekit.lti import (LinearDdae, LtiDescriptor, classify_linear, couple,
                          hybrid_shifted, regularity_theorem_check,
                          sf_model_from_linear)
 from ddaekit.pencil import DEFAULT_TOL, is_regular, weierstrass
+from ddaekit.radau import IntegrationOptions
 from ddaekit.sfdae import Classification, SfDdaeModel, classify
-from ddaekit import models
+from ddaekit import models, radau
+from ddaekit.steps import solve_itp
 
-from conftest import fd_jacobian, well_conditioned
+from conftest import fd_jacobian, signal_term_scale, well_conditioned
+from output_digest import linear_export_model
 
 
 def scalar_integrator():
@@ -287,3 +293,180 @@ def test_json_roundtrips(rng):
     d = models.ex_advanced_linear(1.0)
     d2 = LinearDdae.from_json(d.to_json())
     assert np.allclose(d.A1, d2.A1) and d.tau == d2.tau
+
+
+# -- folded forcing -----------------------------------------------------------
+
+def _closure_wrap(ld, tol=DEFAULT_TOL):
+    """The wrap's D and A as closures that form every product and read the
+    whole forcing at each call, with ``scale(t, z, zdot, zlags)``: per row
+    of [D; A], the magnitudes of the terms they add up, which rounding
+    scales."""
+    w = weierstrass(ld.pencil, tol)
+    d = w.d
+    Sd, Sa = w.S[:d], w.S[d:]
+    Pa = np.linalg.solve(w.T, np.eye(ld.n))[d:]
+    Npows = [np.eye(w.a)]
+    for _ in range(1, w.nu):
+        Npows.append(w.N @ Npows[-1])
+    lag_mats = [Npow @ Sa @ ld.A1 for Npow in Npows]
+    f = ld.f
+
+    def D(t, z, zdot, ztau):
+        return Sd @ (ld.E @ zdot - ld.A0 @ z - ld.A1 @ ztau) - Sd @ f.eval(t)
+
+    def A(t, z, zlags):
+        acc = Pa @ z
+        for M, lag in zip(lag_mats, zlags):
+            acc += M @ lag
+        for j, Npow in enumerate(Npows):
+            acc += Npow @ Sa @ f.eval(t, j)
+        return acc
+
+    def scale(t, z, zdot, zlags):
+        a = np.abs
+        rows_d = a(Sd) @ (a(ld.E) @ a(zdot) + a(ld.A0) @ a(z)
+                          + a(ld.A1) @ a(zlags[0])
+                          + signal_term_scale(f, t, 0))
+        rows_a = a(Pa) @ a(z) + sum(
+            a(Npow) @ a(Sa) @ (a(ld.A1) @ a(lag)) for Npow, lag
+            in zip(Npows, zlags)) + sum(
+            a(Npow) @ a(Sa) @ signal_term_scale(f, t, j)
+            for j, Npow in enumerate(Npows))
+        return np.concatenate([rows_d, rows_a])
+
+    return D, A, scale
+
+
+def _assert_wrap_equals_closures(ld, rng, points=5):
+    m = sf_model_from_linear(ld)
+    D, A, scale = _closure_wrap(ld)
+    assert m.affine
+    for _ in range(points):
+        t = float(rng.uniform(-2.0, 2.0))
+        z, zdot = rng.uniform(-2.0, 2.0, (2, ld.n))
+        zlags = rng.uniform(-2.0, 2.0, (3, ld.n))
+        got = np.concatenate([m.D(t, z, zdot, zlags[0]),
+                              m.A(t, z, zlags[:m.s_decl])])
+        want = np.concatenate([D(t, z, zdot, zlags[0]),
+                               A(t, z, zlags[:m.s_decl])])
+        assert np.all(np.abs(got - want)
+                      <= 1e-13 * (1.0 + scale(t, z, zdot, zlags)))
+
+
+def _random_forcing(rng, n):
+    return SymbolicSignal(
+        poly=[rng.uniform(-1.0, 1.0, int(rng.integers(0, 4)))
+              for _ in range(n)],
+        sin=[[tuple(rng.uniform((-1.0, 0.0, -3.0), (1.0, 8.0, 3.0)))
+              for _ in range(int(rng.integers(0, 3)))] for _ in range(n)])
+
+
+def test_wrap_equals_closures_on_the_examples(rng):
+    f = SymbolicSignal(poly=[[0.31, -0.07]],
+                       sin=[[(0.42, 13.1, 0.9), (0.17, 7.3, 4.2)]])
+    g = SymbolicSignal(poly=[[1.2, 0.11, -0.013]], sin=[[(0.3, 2.0, 0.1)]])
+    _assert_wrap_equals_closures(models.ex_shift_linear(0.5, f=f, g=g), rng)
+    adv = models.ex_advanced_linear(1.0)
+    adv = LinearDdae(adv.E, adv.A0, adv.A1, adv.tau, _random_forcing(rng, 2))
+    assert sf_model_from_linear(adv).s_decl == 2
+    _assert_wrap_equals_closures(adv, rng)
+
+
+@given(d=st.integers(0, 3), a=st.integers(0, 4),
+       chain=st.lists(st.booleans(), min_size=3, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_wrap_equals_closures_on_random_regular_pencils(d, a, chain, seed):
+    # (E, A0) = S (diag(I, N), diag(J, I)) T with N nilpotent: regular by
+    # construction, of index up to a, in random coordinates
+    assume(d + a > 0)
+    rng = np.random.default_rng(seed)
+    n = d + a
+    E, A0 = np.zeros((n, n)), np.zeros((n, n))
+    E[:d, :d] = np.eye(d)
+    A0[:d, :d] = rng.uniform(-2.0, 2.0, (d, d))
+    E[d:, d:] = np.diag(np.array(chain[:max(a - 1, 0)], dtype=float), 1)
+    A0[d:, d:] = np.eye(a)
+    S, T = well_conditioned(rng, n), well_conditioned(rng, n)
+    ld = LinearDdae(S @ E @ T, S @ A0 @ T, rng.uniform(-2.0, 2.0, (n, n)),
+                    0.7, _random_forcing(rng, n))
+    try:
+        weierstrass(ld.pencil)
+    except IllConditioned:
+        assume(False)
+    _assert_wrap_equals_closures(ld, rng)
+
+
+def test_each_callback_reads_the_forcing_once(monkeypatch):
+    model, history = linear_export_model()
+    reads = [0]
+    signal_eval = SymbolicSignal.eval
+
+    def counting(self, t, order=0):
+        reads[0] += 1
+        return signal_eval(self, t, order)
+
+    monkeypatch.setattr(SymbolicSignal, "eval", counting)
+    per_call = {"D": [], "A": []}
+
+    def counted(name, fn):
+        def call(*args):
+            before = reads[0]
+            out = fn(*args)
+            per_call[name].append(reads[0] - before)
+            return out
+        return call
+
+    model.D = counted("D", model.D)
+    model.A = counted("A", model.A)
+    solve_itp(model, history, 1.5)
+    assert len(per_call["D"]) > 1000 and len(per_call["A"]) > 1000
+    assert set(per_call["D"]) == set(per_call["A"]) == {1}
+
+
+def test_one_newton_iteration_solves_each_step(monkeypatch):
+    # The wrap is affine and its Jacobians exact, so the first update
+    # solves the stage equations; a second one, computed here after every
+    # successful step, must not exceed newton_tol.
+    model, history = linear_export_model()
+    newton_tol = IntegrationOptions().newton_tol
+    newton_update = radau._newton_update
+    solve_step = radau._solve_step
+    updates = []
+    second = []
+
+    def recording_update(factors, R):
+        delta = newton_update(factors, R)
+        updates.append((factors, delta))
+        return delta
+
+    def checked_step(model, t0, h, z_prev, k_guess, problem, opts, stats,
+                     last):
+        updates.clear()
+        result = solve_step(model, t0, h, z_prev, k_guess, problem, opts,
+                            stats, last)
+        if result is not None:
+            assert len(updates) == 1
+            factors, delta = updates[0]
+            K = np.array([k_guess] * 3) - delta
+            Z = z_prev + h * (radau.RADAU_A @ K)
+            R = np.array([model.residual(t0 + c * h, Z[i], K[i],
+                                         problem.lags(t0 + c * h))
+                          for i, c in enumerate(radau.RADAU_C.tolist())])
+            step = newton_update(factors, R)
+            second.append(h * float(np.abs(step).max())
+                          / (1.0 + float(np.abs(z_prev).max())))
+        return result
+
+    monkeypatch.setattr(radau, "_newton_update", recording_update)
+    monkeypatch.setattr(radau, "_solve_step", checked_step)
+    for h in (None, 0.001):
+        second.clear()
+        tr = solve_itp(model, history, 2.0, IntegrationOptions(h=h))
+        stats = tr.stats
+        assert stats["halvings"] == 0
+        # one iteration per attempted step: accepted or rejected
+        assert stats["newton_iterations"] == (stats["steps"]
+                                              + stats["rejected"])
+        assert len(second) == stats["steps"] + stats["rejected"]
+        assert max(second) <= newton_tol
