@@ -25,7 +25,7 @@ from .pencil import DEFAULT_TOL, MatrixPencil, analyze
 from .radau import IntegrationOptions
 from .sfdae import Classification, SfDdaeModel, classify
 from .steps import (BROKE_DOWN, audit, check_horizon, segment_count,
-                    solve_itp, sweep_deviation, sweep_reference,
+                    solve_itp, step_count, sweep_deviation, sweep_reference,
                     write_trajectory_csv)
 
 EXIT_OK = 0
@@ -96,6 +96,15 @@ def _resolve(args):
     return entry.make(params), name
 
 
+def _check_out_directory(out):
+    """DataError when --out names a directory that does not exist, so that
+    a run fails before it solves rather than when it writes."""
+    directory = os.path.dirname(out or "")
+    if directory and not os.path.isdir(directory):
+        raise DataError(f"--out {out}: no directory {directory!r} to write "
+                        f"into")
+
+
 def _emit(data, out_path):
     text = json.dumps(data, indent=2)
     if out_path:
@@ -155,6 +164,7 @@ def cmd_simulate(args):
         sys.stderr.write(f"error: --out {args.out} would overwrite the model "
                          f"file {args.model}\n")
         return EXIT_USAGE
+    _check_out_directory(args.out)
     if args.history:
         phi = _parse_history(args.history)
     elif model.default_history is not None:
@@ -222,11 +232,15 @@ def cmd_sweep(args):
         sys.stderr.write("error: sweep takes its delays from --tau, not "
                          "from --param tau=...\n")
         return EXIT_USAGE
+    _check_out_directory(args.out)
     reference = model_zoo.REGISTRY[entry.reference].make(params)
+    opts = _options_from(args)
     # a run too long to solve fails the sweep, not just its row
     for tau in (reference.tau, *args.tau_list):
-        segment_count(args.T, tau)
-    opts = _options_from(args)
+        if opts.h is None:
+            segment_count(args.T, tau)
+        else:
+            step_count(args.T, tau, opts.h)
     try:
         ref = sweep_reference(reference, args.T, opts)
     except (DdaeError, ValueError) as exc:

@@ -11,12 +11,11 @@ structure is numerically unstable.  J and N are reduced to real Schur
 """
 
 import cmath
+import functools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgesdd
 
 from .errors import DataError, IllConditioned, ShapeError, SingularPencil
 
@@ -197,11 +196,20 @@ def _rank_split(sigma, tol, floor, context):
     return r
 
 
+@functools.cache
+def _scipy_linalg():
+    """scipy.linalg, imported by the first decomposition rather than with
+    this module: simulating a registry model decomposes no pencil, and the
+    import would be most of its start-up time."""
+    import scipy.linalg
+    return scipy.linalg
+
+
 def _svd(M, compute_uv=1, full_matrices=1):
     """(U, sigma, Vh) from LAPACK dgesdd; on a pencil's small matrices
     numpy's SVD wrapper costs more than the factorisation."""
-    U, sigma, Vh, info = dgesdd(M, compute_uv=compute_uv,
-                                full_matrices=full_matrices)
+    U, sigma, Vh, info = _scipy_linalg().lapack.dgesdd(
+        M, compute_uv=compute_uv, full_matrices=full_matrices)
     if info:
         raise np.linalg.LinAlgError(f"SVD did not converge (info {info})")
     return U, sigma, Vh
@@ -298,10 +306,9 @@ def _decompose(p, tol):
     # unchanged and rotates S = P^-1 the same way.  A block of size <= 1 is
     # already triangular and its Schur factor is the identity; rotating by
     # that identity still turns each -0.0 into +0.0, as Schur's factor did.
-    QJ = (scipy.linalg.schur(S[:d] @ A @ V, output="real")[1] if d > 1
-          else np.eye(d))
-    QN = (scipy.linalg.schur(S[d:] @ E @ W, output="real")[1] if a > 1
-          else np.eye(a))
+    schur = _scipy_linalg().schur
+    QJ = schur(S[:d] @ A @ V, output="real")[1] if d > 1 else np.eye(d)
+    QN = schur(S[d:] @ E @ W, output="real")[1] if a > 1 else np.eye(a)
     V = V @ QJ
     W = W @ QN
     T = np.hstack([V, W])

@@ -33,7 +33,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dlange, zlange
 
 from .errors import InconsistentInitialState, NewtonDivergence
 
@@ -248,10 +247,18 @@ def _newton_factors(Fz, Fdot, h):
     """
     real, cplx = _GAMMA * Fdot + h * Fz, _ALPHA_BETA * Fdot + h * Fz
     factors = np.linalg.inv(real), np.linalg.inv(cplx)
-    # LAPACK's norms: numpy's four would cost about as much as both inverses
-    cond = max(dlange("1", real) * dlange("1", factors[0]),
-               zlange("1", cplx) * zlange("1", factors[1]))
+    norm_real, norm_real_inv, norm_cplx, norm_cplx_inv = _one_norms(
+        real, factors[0], cplx, factors[1])
+    cond = max(norm_real * norm_real_inv, norm_cplx * norm_cplx_inv)
     return factors, cond
+
+
+def _one_norms(*matrices):
+    """1-norms of n x n matrices, in one batch: separate numpy reductions
+    would cost about twice as much.  A real matrix's norm equals LAPACK's
+    dlange bit for bit; a complex one's rounds |z| differently from
+    zlange, by at most a few units in the last place."""
+    return np.abs(np.array(matrices)).sum(axis=1).max(axis=1).tolist()
 
 
 def _newton_update(factors, R):

@@ -28,6 +28,7 @@ BROKE_DOWN = "BrokeDown"
 
 SWEEP_GRID_POINTS = 400    # shared grid of a delay sweep
 MAX_SEGMENTS = 10 ** 5     # most segments one run may solve
+MAX_STEPS = 10 ** 6        # most fixed steps one run may plan
 
 logger = logging.getLogger(__name__)
 
@@ -187,6 +188,32 @@ def segment_count(T, tau):
     return max(1, math.ceil(ratio))
 
 
+def step_count(T, tau, h):
+    """Steps a run on [0, T] plans at the fixed step h: ceil(length / h),
+    at least 1, per segment, as ``integrate_segment`` fits h to a segment.
+
+    DataError when that exceeds MAX_STEPS, or when the run has too many
+    segments (``segment_count``).  A run keeps every step, and below the
+    resolution of t a step does not advance t at all, so a mistyped tiny
+    h would otherwise run without bound.
+    """
+    n = segment_count(T, tau)
+
+    def steps(length):
+        ratio = length / h - 1e-12
+        return max(1, math.ceil(ratio)) if ratio <= MAX_STEPS else ratio
+
+    count = steps(T - (n - 1) * tau)
+    if n > 1:
+        count += (n - 1) * steps(tau)
+    if count > MAX_STEPS:
+        shown = f"{count:.3g}" if count > 1e12 else f"{count:.0f}"
+        raise DataError(
+            f"T = {T:g} with tau = {tau:g} and h = {h:g} needs {shown} "
+            f"steps, more than the limit of {MAX_STEPS}")
+    return count
+
+
 def solve_itp(model, phi, T, opts=None):
     """Solve the initial trajectory problem on [0, T] by the method of steps.
 
@@ -201,8 +228,9 @@ def solve_itp(model, phi, T, opts=None):
     output only supplies values and first derivatives and such systems
     break down anyway.  Other integrator errors propagate with the segment
     index attached.  A history whose dimension is not the model's is a
-    ShapeError, and a run of more than MAX_SEGMENTS segments a DataError
-    (``segment_count``); both are raised before anything is solved.
+    ShapeError, and a run of more than MAX_SEGMENTS segments or, at a fixed
+    step, of more than MAX_STEPS steps a DataError (``segment_count``,
+    ``step_count``); all are raised before anything is solved.
     """
     if phi.dim != model.n:
         raise ShapeError(
@@ -215,6 +243,8 @@ def solve_itp(model, phi, T, opts=None):
             f"output beyond first derivatives; such systems are refused")
     tau = model.tau
     n_segments = segment_count(T, tau)
+    if opts.h is not None:
+        step_count(T, tau, opts.h)
     tr = Trajectory(model, phi)
     z0 = phi.eval(0.0)
     h = None

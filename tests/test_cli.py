@@ -579,6 +579,85 @@ def test_segment_count_limit_is_inclusive():
     assert steps.segment_count(0.3, 1.0) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "pmsd-hybrid", "--T", "0.1", "--h", "1e-300"],
+    ["sweep", "--model", "pmsd-hybrid", "--tau", "0.05", "--T", "0.1",
+     "--h", "1e-300"]])
+def test_a_run_of_too_many_fixed_steps_is_refused_before_solving(
+        argv, monkeypatch, capsys):
+    # below the resolution of t such a step cannot advance t at all
+    solved = []
+    monkeypatch.setattr(steps, "integrate_segment",
+                        lambda *a: solved.append(a))
+    rc = cli.main(argv)
+    assert rc == 2
+    assert solved == []
+    captured = capsys.readouterr()
+    assert "needs 1e+299 steps" in captured.err
+    assert f"limit of {steps.MAX_STEPS}" in captured.err
+    assert captured.out == ""
+
+
+def test_step_count_limit_is_inclusive():
+    h = 1.0 / steps.MAX_STEPS
+    assert steps.step_count(1.0, 0.25, h) == steps.MAX_STEPS
+    with pytest.raises(DataError, match="needs 1000004 steps"):
+        steps.step_count(1.0, 0.25, 1.0 / (steps.MAX_STEPS + 1))
+    # a short last segment and a step longer than a segment
+    assert steps.step_count(1.1, 0.25, 0.1) == 4 * 3 + 1
+    assert steps.step_count(0.3, 1.0, 1.0) == 1
+    # T / h overflows to inf, in one segment and in several
+    for T in (0.1, 2.0):
+        with pytest.raises(DataError, match="needs inf steps"):
+            steps.step_count(T, 1.0, 5e-324)
+
+
+@pytest.mark.parametrize("command, solver", [
+    (["simulate", "--T", "2"], "solve_itp"),
+    (["sweep", "--tau", "0.05", "--T", "0.2"], "sweep_reference")])
+def test_out_into_a_missing_directory_is_refused_before_solving(
+        command, solver, tmp_path, monkeypatch, capsys):
+    solved = []
+    monkeypatch.setattr(cli, solver, lambda *a: solved.append(a))
+    out = tmp_path / "missing" / "run"
+    rc = cli.main([command[0], "--model", "pmsd-hybrid", *command[1:],
+                   "--out", str(out)])
+    assert rc == 2
+    assert solved == []
+    assert "no directory" in capsys.readouterr().err
+
+
+_FRESH_RUN = """\
+import contextlib, io, json, sys
+from ddaekit import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    rc = cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "out": out.getvalue(),
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.partition(".")[0] == "scipy")}))
+"""
+
+
+def fresh_run(*argv):
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_simulate_starts_without_scipy():
+    # a registry sf-model decomposes no pencil, so nothing imports scipy
+    run = fresh_run("simulate", "--model", "pmsd-hybrid", "--T", "0.1")
+    assert run["rc"] == 0
+    assert run["scipy"] == []
+    # a decomposition imports it when it first needs it
+    run = fresh_run("analyze", "--model", "ex-split-index")
+    assert run["rc"] == 0
+    assert json.loads(run["out"])["nu"] == 1
+    assert "scipy.linalg" in run["scipy"]
+
+
 @pytest.mark.parametrize("tau", ["0.5", "0.01"])
 def test_advanced_default_history_runs_into_the_breakdown(tau, capsys):
     # the default history is admissible at every tau, so the run reaches

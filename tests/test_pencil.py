@@ -1,3 +1,4 @@
+import builtins
 import cmath
 import logging
 
@@ -302,6 +303,24 @@ def test_analyze_takes_no_2_norm_and_no_trivial_schur(monkeypatch):
     report = analyze(MatrixPencil(np.diag([1.0, 0.0]), np.diag([-1.0, 1.0])))
     assert (report.d, report.a, report.nu) == (1, 1, 1)
     assert norms == [] and schurs == []
+
+
+def test_analyze_imports_scipy_at_most_once(monkeypatch):
+    # d = 2, a = 3, nu = 3: several rank decisions and both Schur forms
+    imports = []
+    real_import = builtins.__import__
+
+    def counting_import(name, *args, **kwargs):
+        if name.partition(".")[0] == "scipy":
+            imports.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counting_import)
+    E = scipy.linalg.block_diag(np.eye(2), nilpotent_block(3))
+    A = scipy.linalg.block_diag([[0.0, 1.0], [-2.0, -0.5]], np.eye(3))
+    report = analyze(MatrixPencil(E, A))
+    assert (report.d, report.a, report.nu) == (2, 3, 3)
+    assert len(imports) <= 1, imports
 
 
 def test_det_samples_match_one_det_per_sample(rng):

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dlange, zlange
 
 from ddaekit import models
 from ddaekit.errors import InconsistentInitialState, NewtonDivergence
 from ddaekit.radau import (_ALPHA_BETA, _GAMMA, RADAU_A, RADAU_C,
                            IntegrationOptions, SegmentProblem,
                            SegmentSolution, _newton_factors, _newton_update,
-                           integrate_segment)
+                           _one_norms, integrate_segment)
 from ddaekit.sfdae import SfDdaeModel
 
 
@@ -237,6 +238,13 @@ def test_split_newton_update_matches_assembled_solve(rng, n, d):
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e-12 * np.abs(want).max())
     # the reported condition is the worse of the two blocks' in the 1-norm
-    assert cond == pytest.approx(max(
-        np.linalg.cond(_GAMMA * Fdot + h * Fz, 1),
-        np.linalg.cond(_ALPHA_BETA * Fdot + h * Fz, 1)), rel=1e-9)
+    real, cplx = _GAMMA * Fdot + h * Fz, _ALPHA_BETA * Fdot + h * Fz
+    assert cond == pytest.approx(max(np.linalg.cond(real, 1),
+                                     np.linalg.cond(cplx, 1)), rel=1e-9)
+    # taken from LAPACK's norms of both blocks and their inverses; numpy
+    # rounds a complex |z| differently from zlange, but a real one alike
+    lapack = max(dlange("1", real) * dlange("1", factors[0]),
+                 zlange("1", cplx) * zlange("1", factors[1]))
+    assert cond == pytest.approx(lapack, rel=1e-15, abs=0)
+    norms = _one_norms(real, factors[0], cplx, factors[1])
+    assert norms[:2] == [dlange("1", real), dlange("1", factors[0])]
