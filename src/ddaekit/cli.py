@@ -24,9 +24,8 @@ from .lti import (LinearDdae, LtiDescriptor, classify_linear, delay_terms,
 from .pencil import DEFAULT_TOL, MatrixPencil, analyze
 from .radau import IntegrationOptions
 from .sfdae import Classification, SfDdaeModel, classify
-from .steps import (BROKE_DOWN, audit, check_horizon, segment_count,
-                    solve_itp, step_count, sweep_deviation, sweep_reference,
-                    write_trajectory_csv)
+from .steps import (BROKE_DOWN, audit, check_horizon, plan_run, solve_itp,
+                    sweep_deviation, sweep_reference, write_trajectory_csv)
 
 EXIT_OK = 0
 EXIT_MODEL = 2
@@ -237,10 +236,7 @@ def cmd_sweep(args):
     opts = _options_from(args)
     # a run too long to solve fails the sweep, not just its row
     for tau in (reference.tau, *args.tau_list):
-        if opts.h is None:
-            segment_count(args.T, tau)
-        else:
-            step_count(args.T, tau, opts.h)
+        plan_run(args.T, tau, opts.h)
     try:
         ref = sweep_reference(reference, args.T, opts)
     except (DdaeError, ValueError) as exc:

@@ -166,13 +166,19 @@ class SymbolicSignal:
                 "sin": [[list(tr) for tr in row] for row in self.sin]}
 
     @classmethod
-    def from_json(cls, data):
-        poly = data.get("poly")
-        sin = data.get("sin")
-        dim = None
-        if poly is None and sin is None:
-            dim = int(data["dim"])
-        return cls(poly=poly, sin=sin, dim=dim)
+    def from_json(cls, data, dim=None, mismatch="signal dimension {} != {}"):
+        """The signal of ``to_json`` output or the zero one of ``{"dim":
+        n}``, else DataError.  With ``dim``, one of another dimension k is
+        ShapeError(mismatch.format(k, dim)), raised before it is built."""
+        try:
+            poly, sin = data.get("poly"), data.get("sin")
+            count = (len(poly) if poly is not None else
+                     len(sin) if sin is not None else int(data["dim"]))
+            if dim is not None and count != dim:
+                raise ShapeError(mismatch.format(count, dim))
+            return cls(poly=poly, sin=sin, dim=count)
+        except (AttributeError, TypeError, OverflowError) as exc:
+            raise DataError(f"malformed signal: {exc}") from exc
 
     def __repr__(self):
         return f"SymbolicSignal(dim={self.dim})"

@@ -23,6 +23,8 @@ class LtiDescriptor:
     subsystems are legal inputs to the analysis routines.
     """
 
+    _FORCING_MISMATCH = "forcing dimension {} != state dim {}"
+
     def __init__(self, E, A, B=None, C=None, f=None):
         self.E = as_matrix(E, "E")
         self.A = as_matrix(A, "A")
@@ -40,7 +42,7 @@ class LtiDescriptor:
         self.p = self.C.shape[0]
         self.f = f if f is not None else SymbolicSignal.zero(n)
         if self.f.dim != n:
-            raise ShapeError(f"forcing dimension {self.f.dim} != state dim {n}")
+            raise ShapeError(self._FORCING_MISMATCH.format(self.f.dim, n))
 
     @property
     def pencil(self):
@@ -53,8 +55,8 @@ class LtiDescriptor:
 
     @classmethod
     def from_json(cls, data):
-        f = SymbolicSignal.from_json(data["f"]) if "f" in data else None
-        return cls(data["E"], data["A"], data.get("B"), data.get("C"), f)
+        return _with_json_forcing(
+            cls(data["E"], data["A"], data.get("B"), data.get("C")), data)
 
     def __repr__(self):
         return f"LtiDescriptor(n={self.n}, m={self.m}, p={self.p})"
@@ -62,6 +64,8 @@ class LtiDescriptor:
 
 class LinearDdae:
     """Linear delay system  E z'(t) = A0 z(t) + A1 z(t - tau) + f(t)."""
+
+    _FORCING_MISMATCH = "forcing dimension mismatch"
 
     def __init__(self, E, A0, A1, tau, f=None):
         self.E = as_matrix(E, "E")
@@ -75,7 +79,7 @@ class LinearDdae:
         self.tau = check_delay(tau)
         self.f = f if f is not None else SymbolicSignal.zero(n)
         if self.f.dim != n:
-            raise ShapeError("forcing dimension mismatch")
+            raise ShapeError(self._FORCING_MISMATCH)
 
     @property
     def pencil(self):
@@ -88,11 +92,20 @@ class LinearDdae:
 
     @classmethod
     def from_json(cls, data):
-        f = SymbolicSignal.from_json(data["f"]) if "f" in data else None
-        return cls(data["E"], data["A0"], data["A1"], data["tau"], f)
+        return _with_json_forcing(
+            cls(data["E"], data["A0"], data["A1"], data["tau"]), data)
 
     def __repr__(self):
         return f"LinearDdae(n={self.n}, tau={self.tau})"
+
+
+def _with_json_forcing(system, data):
+    """``system`` with the forcing of its JSON ``data``, if any, refused
+    with the system's mismatch message before a wrong one is built."""
+    if "f" in data:
+        system.f = SymbolicSignal.from_json(data["f"], system.n,
+                                            system._FORCING_MISMATCH)
+    return system
 
 
 def _interconnection(s1, s2):

@@ -133,25 +133,34 @@ class IntegrationOptions:
                 f"audit needs at least 2 points, got {self.audit_points}")
 
 
+def fit_steps(length, h):
+    """The one step-fit rule: ceil(length / h) equal steps cover a segment,
+    at least 1, where a ratio a relative 1e-12 above an integer is that
+    integer up to rounding.  An overflowing ratio comes back as inf."""
+    ratio = length / h * (1.0 - 1e-12)
+    return max(1, math.ceil(ratio)) if math.isfinite(ratio) else math.inf
+
+
 class SegmentProblem:
-    """One delay-free DAE segment with known delayed data.
+    """One delay-free DAE segment.  Its delayed data z(t - tau), z'(t -
+    tau), ... are read from ``source``, the piece solved before it (the
+    history or the previous ``SegmentSolution``), at min(t - tau,
+    ``source_end``), the trajectory's end."""
 
-    ``delayed_source(t, k)`` returns the k-th derivative of z(t - tau) at
-    global time t, for k up to the model's declared order minus one.
-    """
-
-    def __init__(self, model, t_start, t_end, z0, delayed_source):
+    def __init__(self, model, t_start, t_end, z0, source, source_end):
         if t_end <= t_start:
             raise ValueError("segment must have positive length")
         self.model = model
         self.t_start = float(t_start)
         self.t_end = float(t_end)
         self.z0 = np.asarray(z0, dtype=float).copy()
-        self.delayed_source = delayed_source
+        self.source = source
+        self.source_end = source_end
 
     def lags(self, t):
-        src = self.delayed_source
-        return np.array([src(t, k) for k in range(self.model.n_lags)])
+        t = min(t - self.model.tau, self.source_end)
+        src = self.source
+        return np.array([src.eval(t, k) for k in range(self.model.n_lags)])
 
 
 def _hermite(h, z0, z1, d0, d1):
@@ -423,7 +432,7 @@ def integrate_segment(problem, opts=None, h_start=None):
     controlled = opts.h is None
     # the fixed step, or the controller's floor, fitted to the segment
     h_floor = tau / STEPS_PER_SEGMENT if controlled else opts.h
-    h_floor = length / max(1, int(math.ceil(length / h_floor - 1e-12)))
+    h_floor = length / int(fit_steps(length, h_floor))  # int(inf) raises
     h_next = h_floor
     if controlled and h_start is not None:
         h_next = min(max(h_start, h_floor), length)

@@ -56,8 +56,10 @@ class Classification:
 
 def check_delay(tau):
     """tau as a float; DataError unless it is a finite positive number (a
-    zero delay makes the shifted coupling collapse)."""
-    if not (isinstance(tau, numbers.Real) and math.isfinite(tau) and tau > 0):
+    zero delay makes the shifted coupling collapse); a bool is no number
+    here."""
+    if not (isinstance(tau, numbers.Real) and not isinstance(tau, bool)
+            and math.isfinite(tau) and tau > 0):
         raise DataError(f"tau must be a finite positive number, got {tau!r}")
     return float(tau)
 

@@ -20,7 +20,8 @@ import numpy as np
 from .errors import (DataError, DdaeError, InadmissibleHistory,
                      InconsistentInitialState, ShapeError)
 from .forcing import SymbolicSignal
-from .radau import IntegrationOptions, SegmentProblem, integrate_segment
+from .radau import (IntegrationOptions, SegmentProblem, fit_steps,
+                    integrate_segment)
 from .sfdae import SfDdaeModel
 
 COMPLETE = "Complete"
@@ -155,70 +156,45 @@ def evaluate_grid(tr, ts, order=0):
     return out
 
 
-def _lag_reader(src, end, tau):
-    """``delayed_source`` of the next segment: the k-th right derivative of
-    z(t - tau), read from ``src`` at ``min(t - tau, end)``.  The lag times
-    of segment i fall in the history (i = 1) or in segment i - 1 alone, so
-    with ``src`` that piece and ``end`` the trajectory's end this is the
-    read ``evaluate`` would make."""
-    def read(t, k):
-        t -= tau
-        return src.eval(t if t < end else end, k)
-    return read
-
-
 def check_horizon(T):
     """ValueError unless the horizon T is finite and positive."""
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"horizon T must be finite and positive, got {T!r}")
 
 
-def segment_count(T, tau):
-    """ceil(T / tau), at least 1: the segments of a run on [0, T].
-
-    DataError when that exceeds MAX_SEGMENTS.  A run solves and keeps every
-    segment, so a mistyped tiny delay would otherwise run without bound.
-    """
+def plan_run(T, tau, h=None):
+    """(segments, steps) of a run on [0, T]: ceil(T / tau) segments, at
+    least 1, and at the fixed step h the sum of their ``fit_steps`` (None
+    without h).  ValueError for a bad horizon, DataError past MAX_SEGMENTS
+    or MAX_STEPS: a run keeps every segment and step, and a step below the
+    resolution of t never advances it, so a mistyped tiny delay or h
+    would otherwise run without bound."""
+    check_horizon(T)
     ratio = T / tau - 1e-9
     if not ratio <= MAX_SEGMENTS:
         count = math.ceil(ratio) if math.isfinite(ratio) else ratio
         raise DataError(
             f"T = {T:g} with tau = {tau:g} needs {count} segments, more "
             f"than the limit of {MAX_SEGMENTS}")
-    return max(1, math.ceil(ratio))
-
-
-def step_count(T, tau, h):
-    """Steps a run on [0, T] plans at the fixed step h: ceil(length / h),
-    at least 1, per segment, as ``integrate_segment`` fits h to a segment.
-
-    DataError when that exceeds MAX_STEPS, or when the run has too many
-    segments (``segment_count``).  A run keeps every step, and below the
-    resolution of t a step does not advance t at all, so a mistyped tiny
-    h would otherwise run without bound.
-    """
-    n = segment_count(T, tau)
-
-    def steps(length):
-        ratio = length / h - 1e-12
-        return max(1, math.ceil(ratio)) if ratio <= MAX_STEPS else ratio
-
-    count = steps(T - (n - 1) * tau)
-    if n > 1:
-        count += (n - 1) * steps(tau)
+    n = max(1, math.ceil(ratio))
+    if h is None:
+        return n, None
+    count = fit_steps(T - (n - 1) * tau, h)
+    if n > 1:   # in floats, so that a sum past the float range reads inf
+        count += (n - 1) * float(fit_steps(tau, h))
     if count > MAX_STEPS:
         shown = f"{count:.3g}" if count > 1e12 else f"{count:.0f}"
         raise DataError(
             f"T = {T:g} with tau = {tau:g} and h = {h:g} needs {shown} "
             f"steps, more than the limit of {MAX_STEPS}")
-    return count
+    return n, int(count)
 
 
 def solve_itp(model, phi, T, opts=None):
     """Solve the initial trajectory problem on [0, T] by the method of steps.
 
     Every segment reads its delayed data from the piece solved just before
-    it, the history or the previous segment (``_lag_reader``), starts with
+    it, the history or the previous segment (``SegmentProblem``), starts with
     the step its predecessor would have taken next, and
     ``integrate_segment`` decides whether it starts consistently.  An
     inconsistent start of the first segment is an inadmissible history
@@ -229,29 +205,26 @@ def solve_itp(model, phi, T, opts=None):
     break down anyway.  Other integrator errors propagate with the segment
     index attached.  A history whose dimension is not the model's is a
     ShapeError, and a run of more than MAX_SEGMENTS segments or, at a fixed
-    step, of more than MAX_STEPS steps a DataError (``segment_count``,
-    ``step_count``); all are raised before anything is solved.
+    step, of more than MAX_STEPS steps a DataError (``plan_run``); all are
+    raised before anything is solved.
     """
     if phi.dim != model.n:
         raise ShapeError(
             f"history has {phi.dim} components, model needs {model.n}")
     opts = opts or IntegrationOptions()
-    check_horizon(T)
+    n_segments, _ = plan_run(T, model.tau, opts.h)
     if model.s_decl >= 3:
         raise DdaeError(
             f"declared delayed-derivative order {model.s_decl} needs dense "
             f"output beyond first derivatives; such systems are refused")
     tau = model.tau
-    n_segments = segment_count(T, tau)
-    if opts.h is not None:
-        step_count(T, tau, opts.h)
     tr = Trajectory(model, phi)
     z0 = phi.eval(0.0)
     h = None
     src = phi
     for i in range(1, n_segments + 1):
         problem = SegmentProblem(model, (i - 1) * tau, min(i * tau, T), z0,
-                                 _lag_reader(src, tr.t_end, tau))
+                                 src, tr.t_end)
         try:
             seg = integrate_segment(problem, opts, h)
         except InconsistentInitialState as exc:

@@ -63,6 +63,10 @@ def runs():
         yield f"{name}-h0.001", build, T, 0.001, 1000
     yield "linear-export", linear_export_model, 10.0, None, 10000
     yield "linear-export-h0.001", linear_export_model, 2.0, 0.001, 1000
+    # 0.05 / 0.0007 is not an integer: the fit shortens the step so that
+    # 72 equal steps cover each segment
+    build, _ = cases["pmsd-hybrid"]
+    yield "pmsd-hybrid-h0.0007", build, 0.5, 0.0007, 1000
 
 
 def digest(build, T, h, points, workdir):

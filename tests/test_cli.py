@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ddaekit import cli, models, pencil, steps
+from ddaekit import cli, models, pencil, radau, steps
 from ddaekit.errors import DataError
 
 
@@ -211,10 +211,25 @@ def _shift_linear_with_tau(tau):
     return data
 
 
+def _with_forcing(data, f):
+    return {**data, "f": f}
+
+
+_SHIFT_LINEAR = models.ex_shift_linear(0.5).to_json()
+_SCALAR_LINEAR = {"E": [[1.0]], "A0": [[-1.0]], "A1": [[0.5]], "tau": 0.5}
+_LTI = models.msd_subsystem().to_json()
+
+
 @pytest.mark.parametrize("payload", [
     [1, 2], _shift_linear_with_tau("0.5"),
-    _shift_linear_with_tau(float("nan")),
-], ids=["not-an-object", "tau-string", "tau-nan"])
+    _shift_linear_with_tau(float("nan")), _shift_linear_with_tau(True),
+    _with_forcing(_SCALAR_LINEAR, {"poly": 5}),
+    _with_forcing(_SCALAR_LINEAR, [1]),
+    _with_forcing(_LTI, None),
+    _with_forcing(_SCALAR_LINEAR, {"sin": [5]}),
+    _with_forcing(_SCALAR_LINEAR, {"poly": [[1, None]]}),
+], ids=["not-an-object", "tau-string", "tau-nan", "tau-bool", "f-poly-int",
+        "f-list", "f-null", "f-sin-int", "f-poly-null"])
 @pytest.mark.parametrize("command", [
     ("analyze",), ("classify",),
     ("simulate", "--T", "0.1", "--history", "poly:0;1"),
@@ -226,6 +241,22 @@ def test_malformed_json_model_is_a_model_error(tmp_path, payload, command):
     assert rc == 2, err
     assert "Traceback" not in err
     assert "model error" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("payload, message", [
+    (_SHIFT_LINEAR, "forcing dimension mismatch"),
+    (_LTI, "forcing dimension 10000000000000000000 != state dim 2")],
+    ids=["linear-ddae", "lti"])
+def test_a_forcing_of_another_dimension_is_refused_before_it_is_built(
+        tmp_path, payload, message):
+    # 10**19 components could not even be counted by a list; the check
+    # must come before any is built
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_with_forcing(payload, {"dim": 10 ** 19})))
+    rc, out, err = run_cli("analyze", "--model", str(path))
+    assert rc == 2, err
+    assert f"model error: {message}" in err
     assert out == ""
 
 
@@ -573,10 +604,10 @@ def test_a_run_of_too_many_segments_is_refused_before_solving(
 
 def test_segment_count_limit_is_inclusive():
     tau = 1.0 / steps.MAX_SEGMENTS
-    assert steps.segment_count(1.0, tau) == steps.MAX_SEGMENTS
+    assert steps.plan_run(1.0, tau) == (steps.MAX_SEGMENTS, None)
     with pytest.raises(DataError, match="needs 100001 segments"):
-        steps.segment_count(1.0 + tau, tau)
-    assert steps.segment_count(0.3, 1.0) == 1
+        steps.plan_run(1.0 + tau, tau)
+    assert steps.plan_run(0.3, 1.0) == (1, None)
 
 
 @pytest.mark.parametrize("argv", [
@@ -600,16 +631,26 @@ def test_a_run_of_too_many_fixed_steps_is_refused_before_solving(
 
 def test_step_count_limit_is_inclusive():
     h = 1.0 / steps.MAX_STEPS
-    assert steps.step_count(1.0, 0.25, h) == steps.MAX_STEPS
+    assert steps.plan_run(1.0, 0.25, h) == (4, steps.MAX_STEPS)
     with pytest.raises(DataError, match="needs 1000004 steps"):
-        steps.step_count(1.0, 0.25, 1.0 / (steps.MAX_STEPS + 1))
+        steps.plan_run(1.0, 0.25, 1.0 / (steps.MAX_STEPS + 1))
     # a short last segment and a step longer than a segment
-    assert steps.step_count(1.1, 0.25, 0.1) == 4 * 3 + 1
-    assert steps.step_count(0.3, 1.0, 1.0) == 1
+    assert steps.plan_run(1.1, 0.25, 0.1) == (5, 4 * 3 + 1)
+    assert steps.plan_run(0.3, 1.0, 1.0) == (1, 1)
     # T / h overflows to inf, in one segment and in several
     for T in (0.1, 2.0):
         with pytest.raises(DataError, match="needs inf steps"):
-            steps.step_count(T, 1.0, 5e-324)
+            steps.plan_run(T, 1.0, 5e-324)
+
+
+@pytest.mark.parametrize("h, count", [(1e-7, 500000), (1e-6, 50000),
+                                      (2e-6, 25000)])
+def test_the_step_fit_absorbs_relative_rounding(h, count):
+    # 0.05 / 1e-7 is 500000.00000000006: an absolute slack of 1e-12 is
+    # below one ulp there and fitted one step more per segment; at 1e-7
+    # the plan is exactly at MAX_STEPS
+    assert radau.fit_steps(0.05, h) == count
+    assert steps.plan_run(0.1, 0.05, h) == (2, 2 * count)
 
 
 @pytest.mark.parametrize("command, solver", [

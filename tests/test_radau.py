@@ -8,6 +8,7 @@ from scipy.linalg.lapack import dlange, zlange
 
 from ddaekit import models
 from ddaekit.errors import InconsistentInitialState, NewtonDivergence
+from ddaekit.forcing import SymbolicSignal
 from ddaekit.radau import (_ALPHA_BETA, _GAMMA, RADAU_A, RADAU_C,
                            IntegrationOptions, SegmentProblem,
                            SegmentSolution, _newton_factors, _newton_update,
@@ -26,8 +27,8 @@ def scalar_ode(rhs, drhs):
         name="scalar-ode")
 
 
-def zero_source(t, k):
-    return np.zeros(1)
+# the delayed data of a scalar model without delay terms
+ZERO = SymbolicSignal.zero(1)
 
 
 def test_butcher_tableau_consistency():
@@ -40,7 +41,7 @@ def test_butcher_tableau_consistency():
 
 def test_linear_decay_endpoint():
     m = scalar_ode(lambda t, z: -z, lambda t, z: -1.0)
-    prob = SegmentProblem(m, 0.0, 1.0, np.array([1.0]), zero_source)
+    prob = SegmentProblem(m, 0.0, 1.0, np.array([1.0]), ZERO, 0.0)
     sol = integrate_segment(prob)
     assert sol.endpoint[0] == pytest.approx(math.exp(-1.0), abs=1e-8)
     assert sol.stats["n_steps"] == 200
@@ -51,7 +52,7 @@ def test_convergence_order_at_least_four():
     m = scalar_ode(lambda t, z: -z * z, lambda t, z: -2.0 * z)
     errs = []
     for h in (0.1, 0.05):
-        prob = SegmentProblem(m, 0.0, 1.0, np.array([1.0]), zero_source)
+        prob = SegmentProblem(m, 0.0, 1.0, np.array([1.0]), ZERO, 0.0)
         sol = integrate_segment(prob, IntegrationOptions(h=h))
         errs.append(abs(sol.endpoint[0] - 0.5))
     slope = math.log2(errs[0] / errs[1])
@@ -60,7 +61,7 @@ def test_convergence_order_at_least_four():
 
 def test_dense_output_reproduces_nodes_and_is_continuous():
     m = scalar_ode(lambda t, z: math.cos(t) * z, lambda t, z: math.cos(t))
-    prob = SegmentProblem(m, 0.0, 1.0, np.array([1.0]), zero_source)
+    prob = SegmentProblem(m, 0.0, 1.0, np.array([1.0]), ZERO, 0.0)
     sol = integrate_segment(prob, IntegrationOptions(h=0.125))
     for k, t in enumerate(sol.ts):
         assert sol.eval(t)[0] == pytest.approx(sol.zs[k][0], abs=1e-14)
@@ -74,9 +75,8 @@ def test_dense_output_reproduces_nodes_and_is_continuous():
 def test_determinism_bitwise():
     m = models.pmsd_hybrid_shifted()
     phi = m.default_history()
-    src = lambda t, k: phi.eval(t - m.tau, k)
     z0 = phi.eval(0.0)
-    sols = [integrate_segment(SegmentProblem(m, 0.0, m.tau, z0, src))
+    sols = [integrate_segment(SegmentProblem(m, 0.0, m.tau, z0, phi, 0.0))
             for _ in range(2)]
     assert np.array_equal(sols[0].ts, sols[1].ts)
     assert np.array_equal(sols[0].zs, sols[1].zs)
@@ -86,8 +86,7 @@ def test_determinism_bitwise():
 def test_shift_example_segment_matches_closed_form():
     m = models.ex_shift_model(0.5)
     phi = m.default_history()
-    prob = SegmentProblem(m, 0.0, 0.5, phi.eval(0.0),
-                          lambda t, k: phi.eval(t - 0.5, k))
+    prob = SegmentProblem(m, 0.0, 0.5, phi.eval(0.0), phi, 0.0)
     sol = integrate_segment(prob)
     f, g = m.f_signal, m.g_signal
     # x1(t) = phi1(0) + int_0^t (g(s) + f(s)) ds for the default data
@@ -103,8 +102,7 @@ def test_pendulum_segment_keeps_constraints():
     p = models.PmsdParams()
     m = models.pmsd_hybrid_shifted(p, theta0=0.12)
     phi = m.default_history()
-    prob = SegmentProblem(m, 0.0, p.tau, phi.eval(0.0),
-                          lambda t, k: phi.eval(t - p.tau, k))
+    prob = SegmentProblem(m, 0.0, p.tau, phi.eval(0.0), phi, 0.0)
     sol = integrate_segment(prob)
     worst = 0.0
     for t in np.linspace(0.0, p.tau, 50):
@@ -121,8 +119,7 @@ def test_inconsistent_initial_state_rejected():
     z0 = phi.eval(0.0).copy()
     z0[2] += 1e-3              # leave the rod-length manifold
     with pytest.raises(InconsistentInitialState):
-        integrate_segment(SegmentProblem(m, 0.0, p.tau, z0,
-                                         lambda t, k: phi.eval(t - p.tau, k)))
+        integrate_segment(SegmentProblem(m, 0.0, p.tau, z0, phi, 0.0))
 
 
 def test_nan_initial_state_is_inconsistent():
@@ -132,7 +129,7 @@ def test_nan_initial_state_is_inconsistent():
     phi = m.default_history()
     with pytest.raises(InconsistentInitialState) as info:
         integrate_segment(SegmentProblem(m, 0.0, p.tau, np.full(m.n, np.nan),
-                                         lambda t, k: phi.eval(t - p.tau, k)))
+                                         phi, 0.0))
     assert np.isnan(info.value.residual).all()
 
 
@@ -146,8 +143,8 @@ def test_newton_divergence_when_constraint_loses_solutions():
         JD_zdot=lambda t, z, zdot, ztau: np.zeros((0, 1)),
         JA_z=lambda t, z, zlags: np.array([[2.0 * z[0]]]),
         name="vanishing-constraint")
-    prob = SegmentProblem(m, 0.0, 1.0, np.array([math.sqrt(0.5)]),
-                          zero_source)
+    prob = SegmentProblem(m, 0.0, 1.0, np.array([math.sqrt(0.5)]), ZERO,
+                          0.0)
     with pytest.raises(NewtonDivergence) as err:
         integrate_segment(prob)
     assert err.value.t is not None and 0.4 < err.value.t < 0.6
@@ -163,7 +160,7 @@ def test_singular_stage_matrix_halves_then_diverges():
         JD_zdot=lambda t, z, zdot, ztau: np.zeros((0, 1)),
         JA_z=lambda t, z, zlags: np.zeros((1, 1)),
         name="singular-constraint")
-    prob = SegmentProblem(m, 0.0, 1.0, np.zeros(1), zero_source)
+    prob = SegmentProblem(m, 0.0, 1.0, np.zeros(1), ZERO, 0.0)
     with pytest.raises(NewtonDivergence) as err:
         integrate_segment(prob)
     assert err.value.t == 0.0
