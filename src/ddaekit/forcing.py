@@ -23,7 +23,7 @@ class SymbolicSignal:
 
     Component ``i`` is ``poly_i(t) + sum_k amp * sin(omega * t + phase)``
     where ``poly_i`` is stored as ascending coefficients.  A signal is not
-    changed once built: ``eval`` keeps the terms of each derivative order.
+    changed once built, so each of its derivatives is built once.
 
     Parameters
     ----------
@@ -53,8 +53,12 @@ class SymbolicSignal:
             for tr in row:
                 if not all(math.isfinite(v) for v in tr):
                     raise DataError("non-finite sinusoid parameter")
-        # derivative order -> ``_derivative_terms(order)``, built on first use
-        self._terms = {}
+        # per component, the (power, coefficient) pairs and the sinusoids
+        # that ``eval`` sums
+        self._terms = tuple((tuple(enumerate(row)), sin)
+                            for row, sin in zip(self.poly, self.sin))
+        # derivative order -> ``_derivative(order)``, built on first use
+        self._derivatives = {}
 
     # -- constructors ---------------------------------------------------
 
@@ -73,38 +77,33 @@ class SymbolicSignal:
         """Evaluate the ``order``-th derivative at time ``t``."""
         if order < 0:
             raise ValueError("derivative order must be >= 0")
-        terms = self._terms.get(order)
-        if terms is None:
-            terms = self._terms[order] = self._derivative_terms(order)
+        signal = self._derivative(order) if order else self
         out = np.zeros(self.dim)
-        for i, (poly, sin) in enumerate(terms):
+        for i, (poly, sin) in enumerate(signal._terms):
             acc = 0.0
-            for scaled, power in poly:
-                acc += scaled * t ** power
-            for amp, omega, phase, quarter in sin:
-                acc += amp * math.sin(omega * t + phase + quarter)
+            for power, c in poly:
+                acc += c * t ** power
+            for amp, omega, phase in sin:
+                acc += amp * math.sin(omega * t + phase)
             out[i] = acc
         return out
 
-    def _derivative_terms(self, order):
-        """Per component, the terms of the ``order``-th derivative:
-        ``(coeffs[j] * j!/(j-order)!, j - order)`` for the polynomial and
-        ``(amp * omega**order, omega, phase, order * pi/2)`` per sinusoid.
-        The products are the ones ``eval`` would form left to right, so
-        caching them changes no bit of its result."""
-        terms = []
-        for coeffs, sin in zip(self.poly, self.sin):
-            poly = []
-            for j in range(order, len(coeffs)):
-                fall = 1.0
-                for r in range(j, j - order, -1):
-                    fall *= r
-                poly.append((coeffs[j] * fall, j - order))
-            terms.append((
-                tuple(poly),
-                tuple((amp * omega ** order, omega, phase, order * _HALF_PI)
-                      for amp, omega, phase in sin)))
-        return terms
+    def _derivative(self, order):
+        """The one derivative rule: coefficient p of a polynomial moves to
+        p - order, times p!/(p - order)!, and a sinusoid ``(amp, omega,
+        phase)`` becomes ``(amp * omega**order, omega, phase + order *
+        pi/2)``.  Built on the first use of each order."""
+        if not order:
+            return self
+        signal = self._derivatives.get(order)
+        if signal is None:
+            signal = self._derivatives[order] = SymbolicSignal(
+                poly=[[c * math.perm(p, order) for p, c in enumerate(row)]
+                      [order:] for row in self.poly],
+                sin=[[(amp * omega ** order, omega, phase + order * _HALF_PI)
+                      for amp, omega, phase in row] for row in self.sin],
+                dim=self.dim)
+        return signal
 
     # -- algebra --------------------------------------------------------
 
@@ -131,11 +130,10 @@ class SymbolicSignal:
         ``(M_k, o_k)`` pairs of ``terms``, all ``M_k`` with the same row
         count and ``self.dim`` columns.
 
-        A derivative of a polynomial-plus-sinusoid signal is again one, so
-        the result is exact: the polynomial coefficients of the derivatives
-        combine linearly, and each sinusoid of component j is scaled by
-        ``M_k[i, j] * omega**o_k`` and gains ``o_k * pi/2`` in phase.
-        Zero entries of ``M_k`` contribute no term.
+        A derivative of a polynomial-plus-sinusoid signal is again one
+        (``_derivative``), so the result is exact: the coefficients of the
+        derivatives combine linearly, and each sinusoid of component j is
+        scaled by ``M_k[i, j]``.  Zero entries of ``M_k`` contribute no term.
         """
         rows = {np.shape(M)[0] for M, _ in terms}
         if len(rows) != 1 or any(np.shape(M)[1] != self.dim
@@ -146,17 +144,16 @@ class SymbolicSignal:
         poly = [[] for _ in range(m)]
         sin = [[] for _ in range(m)]
         for M, order in terms:
+            derivative = self._derivative(order)
             for i, j in zip(*np.nonzero(M)):
                 c = float(M[i, j])
                 row = poly[i]
-                coeffs = self.poly[j]
-                for p in range(order, len(coeffs)):
-                    if p - order == len(row):
-                        row.append(0.0)
-                    row[p - order] += c * coeffs[p] * math.perm(p, order)
-                sin[i] += [(c * amp * omega ** order, omega,
-                            phase + order * _HALF_PI)
-                           for amp, omega, phase in self.sin[j]]
+                coeffs = derivative.poly[j]
+                row += [0.0] * (len(coeffs) - len(row))
+                for p, a in enumerate(coeffs):
+                    row[p] += c * a
+                sin[i] += [(c * amp, omega, phase)
+                           for amp, omega, phase in derivative.sin[j]]
         return SymbolicSignal(poly=poly, sin=sin, dim=m)
 
     # -- serialization --------------------------------------------------
@@ -168,12 +165,15 @@ class SymbolicSignal:
     @classmethod
     def from_json(cls, data, dim=None, mismatch="signal dimension {} != {}"):
         """The signal of ``to_json`` output or the zero one of ``{"dim":
-        n}``, else DataError.  With ``dim``, one of another dimension k is
-        ShapeError(mismatch.format(k, dim)), raised before it is built."""
+        n}`` with n integral and no bool, else DataError.  With ``dim``, one
+        of another dimension k is ShapeError(mismatch.format(k, dim)),
+        raised before it is built."""
         try:
             poly, sin = data.get("poly"), data.get("sin")
             count = (len(poly) if poly is not None else
-                     len(sin) if sin is not None else int(data["dim"]))
+                     len(sin) if sin is not None else data["dim"])
+            if isinstance(count, bool) or count != int(count):
+                raise DataError(f"signal dim {count!r} is not an integer")
             if dim is not None and count != dim:
                 raise ShapeError(mismatch.format(count, dim))
             return cls(poly=poly, sin=sin, dim=count)

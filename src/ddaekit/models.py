@@ -47,9 +47,6 @@ class PmsdParams:
         self.tau = check_delay(self.tau)
 
 
-PMSD_STATES = ["y1", "x2", "y2", "v1", "v2", "v3", "lambda"]
-
-
 def msd_subsystem(params=None, forcing=None):
     """Mass-spring-damper in first-order descriptor form.
 
@@ -224,7 +221,7 @@ def _pmsd_model(p, delayed_force, force_jac_z, s_decl, name):
     return SfDdaeModel(
         n=7, d=4, a=3, tau=p.tau, s_decl=s_decl,
         D=D, A=A, JD_z=JD_z, JD_zdot=JD_zdot, JA_z=JA_z,
-        name=name, state_names=PMSD_STATES)
+        name=name)
 
 
 def pmsd_hybrid_shifted(params=None, theta0=0.1, y10=0.0,
@@ -363,7 +360,7 @@ def ex_shift_model(tau=0.5, f=None, g=None, phi1=None):
         JD_z=lambda t, z, zdot, ztau: np.zeros((1, 2)),
         JD_zdot=lambda t, z, zdot, ztau: np.array([[1.0, 0.0]]),
         JA_z=lambda t, z, zlags: np.array([[0.0, 1.0]]),
-        name="ex-shift", state_names=["x1", "x2"])
+        name="ex-shift")
     phi1 = phi1 if phi1 is not None else SymbolicSignal(poly=[[0.3, 0.2]])
     history = phi1.stack(gshift)
     model.default_history = lambda: history
@@ -400,7 +397,7 @@ def ex_advanced_model(tau=1.0):
         JD_z=lambda t, z, zdot, ztau: np.zeros((0, 2)),
         JD_zdot=lambda t, z, zdot, ztau: np.zeros((0, 2)),
         JA_z=lambda t, z, zlags: np.eye(2),
-        name="ex-advanced", state_names=["x", "y"])
+        name="ex-advanced")
     model.default_history = lambda: SymbolicSignal(
         poly=[[1.0 - model.tau], [1.0, 1.0]])
     return model

@@ -17,13 +17,13 @@ fixed step at the floor.  An explicit ``h`` turns the controller off:
 fixed steps, halved only on Newton failure.
 
 The stage equations are solved by simplified Newton: the model Jacobians
-are evaluated once per step, at the predictor of the last stage, and
-Hairer's transformation of the Radau IIA matrix (Hairer & Wanner, Solving
-ODEs II, IV.8) splits the 3n x 3n stage matrix into one real and one
-complex n x n matrix, each inverted once per step.  For an affine model
-(``SfDdaeModel.affine``) that matrix is the exact one of linear stage
-equations, so the step takes the first update.  The continuous
-extension is the cubic Hermite of each step, which is the collocation
+are evaluated at the predictor of the last stage, and Hairer's
+transformation of the Radau IIA matrix (Hairer & Wanner, Solving ODEs II,
+IV.8) splits the 3n x 3n stage matrix into one real and one complex n x n
+matrix, each inverted once per step, or once per segment and step size for
+an affine model (``SfDdaeModel.affine``), whose stage equations are linear
+with exactly that matrix, so that its steps take the first update.  The
+continuous extension is the cubic Hermite of each step, the collocation
 polynomial, stored as monomial coefficients when the segment is complete.
 """
 
@@ -96,6 +96,7 @@ COND_WARN = 1e12
 STEPS_PER_SEGMENT = 200    # finest default step tau / STEPS_PER_SEGMENT
 SAFETY = 0.1               # the step controller aims at SAFETY * res_tol
 MAX_HALVINGS = 8           # per step, on Newton failure
+MAX_AUDIT_POINTS = 10**6   # residual audit grid, 8 bytes per point and state
 # algebraic residual above which an initial state, a history or a
 # breakpoint right limit is inconsistent
 CONSISTENCY_TOL = 1e-6
@@ -109,8 +110,8 @@ class IntegrationOptions:
     the residual of its continuous extension stays within ``res_tol``,
     never finer than tau / STEPS_PER_SEGMENT.  ``h`` (when given),
     ``newton_tol`` and ``res_tol`` must be finite and positive, Newton
-    needs at least one iteration and the residual audit at least two
-    points.
+    needs at least one iteration and the residual audit between two and
+    MAX_AUDIT_POINTS points.
     """
 
     h: float | None = None
@@ -131,6 +132,9 @@ class IntegrationOptions:
         if self.audit_points < 2:
             raise ValueError(
                 f"audit needs at least 2 points, got {self.audit_points}")
+        if self.audit_points > MAX_AUDIT_POINTS:
+            raise ValueError(f"audit takes at most {MAX_AUDIT_POINTS} "
+                             f"points, got {self.audit_points}")
 
 
 def fit_steps(length, h):
@@ -194,10 +198,6 @@ class SegmentSolution:
         # d_start, d_end: z' at each step start and end
         self.coeffs = _hermite(np.diff(self.ts)[:, None], zs[:-1], zs[1:],
                                np.asarray(d_start), np.asarray(d_end))
-
-    @property
-    def t_start(self):
-        return self.ts[0]
 
     @property
     def t_end(self):
@@ -287,36 +287,35 @@ def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats, last):
     end derivatives of the collocation cubic and Fdot the step's Jacobian
     with respect to z', or None on failure.
 
-    ``last`` is a one-item list holding the previous step's ``(h, Fz, Fdot,
-    factors, cond)``, or None; its factors are reused when h and both
-    Jacobians are equal to the bit, which makes them exactly the factors
-    ``_newton_factors`` would return, and replaced otherwise.
+    ``last`` is a one-item list holding an affine model's ``(h, Fdot,
+    factors, cond)`` from its last factorisation in the segment, or None.
+    At the same h they are reused: the model declares its Jacobians
+    constant, so they are exactly what ``_newton_factors`` would return.
     """
     n, d = model.n, model.d
     K = np.array([k_guess] * 3)
     scale = 1.0 + float(np.abs(z_prev).max())
     stage_ts = [t0 + c * h for c in _C]
     stage_lags = [problem.lags(ti) for ti in stage_ts]
-    # One Jacobian per step, at the predictor of the last stage.
-    z_pred = z_prev + h * k_guess
-    lags = stage_lags[2]
-    Fz = np.empty((n, n))
-    Fz[:d] = model.JD_z(stage_ts[2], z_pred, k_guess, lags[0])
-    Fz[d:] = model.JA_z(stage_ts[2], z_pred, lags[:model.s_decl])
-    Fdot = np.zeros((n, n))
-    Fdot[:d] = model.JD_zdot(stage_ts[2], z_pred, k_guess, lags[0])
-    if not (np.isfinite(Fz).all() and np.isfinite(Fdot).all()):
-        return None
-    prev = last[0]
-    if (prev is not None and prev[0] == h and prev[1].tobytes() == Fz.tobytes()
-            and prev[2].tobytes() == Fdot.tobytes()):
-        factors, cond = prev[3], prev[4]
+    if last[0] is not None and last[0][0] == h:
+        _, Fdot, factors, cond = last[0]
     else:
+        # the Jacobians at the predictor of the last stage
+        z_pred = z_prev + h * k_guess
+        lags = stage_lags[2]
+        Fz = np.empty((n, n))
+        Fz[:d] = model.JD_z(stage_ts[2], z_pred, k_guess, lags[0])
+        Fz[d:] = model.JA_z(stage_ts[2], z_pred, lags[:model.s_decl])
+        Fdot = np.zeros((n, n))
+        Fdot[:d] = model.JD_zdot(stage_ts[2], z_pred, k_guess, lags[0])
+        if not (np.isfinite(Fz).all() and np.isfinite(Fdot).all()):
+            return None
         try:
             factors, cond = _newton_factors(Fz, Fdot, h)
         except np.linalg.LinAlgError:
             return None
-        last[0] = h, Fz, Fdot, factors, cond
+        if model.affine:
+            last[0] = h, Fdot, factors, cond
     if cond > COND_WARN >= stats["max_stage_cond"]:
         logger.warning("stage Jacobian condition %.2e exceeds %.0e", cond,
                        COND_WARN)
@@ -448,11 +447,11 @@ def integrate_segment(problem, opts=None, h_start=None):
     z = problem.z0.copy()
     k_guess = np.zeros(model.n)
     d_prev = None
-    # the last step's Newton factors (Hairer & Wanner, Solving ODEs II,
-    # IV.8): a linear model at a repeated h reuses them
-    last = [None]
+    last = [None]  # an affine model's Newton factors, reused at a repeated h
     t = problem.t_start
-    while t < problem.t_end - 1e-12 * max(1.0, abs(problem.t_end)):
+    # a segment shorter than the end slack still takes one step
+    t_stop = problem.t_end - 1e-12 * max(1.0, abs(problem.t_end))
+    while len(ts) == 1 or t < t_stop:
         h = min(h_next, problem.t_end - t)
         halvings = 0
         while True:

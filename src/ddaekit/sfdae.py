@@ -80,17 +80,16 @@ class SfDdaeModel:
     JD_z, JD_zdot : Jacobians of D w.r.t. z and zdot, same signature as D
     JA_z : Jacobian of A w.r.t. z, same signature as A
     name : identifier used in reports
-    state_names : informational component labels
     default_history : optional zero-argument callable building a history
     affine : declares D and A affine in (z, zdot, lags) with JD_z, JD_zdot
-        and JA_z their exact, constant coefficients, so that one Newton
-        iteration solves a step's stage equations
-        (``lti.sf_model_from_linear`` sets it)
+        and JA_z their exact, constant coefficients: the integrator then
+        evaluates them and factors the stage matrix only when a segment
+        starts or h changes, and one Newton iteration solves a step's
+        stage equations (``lti.sf_model_from_linear`` sets it)
     """
 
     def __init__(self, n, d, a, tau, s_decl, D, A, JD_z, JD_zdot, JA_z,
-                 name="model", state_names=None, default_history=None,
-                 affine=False):
+                 name="model", default_history=None, affine=False):
         if d + a != n:
             raise ValueError(f"d + a must equal n, got {d} + {a} != {n}")
         if s_decl < 0:
@@ -106,8 +105,6 @@ class SfDdaeModel:
         self.JD_zdot = JD_zdot
         self.JA_z = JA_z
         self.name = name
-        self.state_names = list(state_names) if state_names else [
-            f"z_{i + 1}" for i in range(n)]
         self.default_history = default_history
         self.affine = affine
 

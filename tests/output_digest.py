@@ -39,6 +39,14 @@ def linear_export_model():
     return model, SymbolicSignal(poly=[[-0.2, 0.3]]).stack(g.shift(tau))
 
 
+def linear_export_sin_history():
+    """``linear_export_model`` with a sinusoid in x1's history, so that
+    the order-1 reads on [-tau, 0] differentiate one."""
+    model, history = linear_export_model()
+    x1 = SymbolicSignal(poly=[[-0.2, 0.3]], sin=[[(0.05, 9.7, 0.6)]])
+    return model, x1.stack(SymbolicSignal(poly=history.poly[1:]))
+
+
 def _registry(name, T, **params):
     def build():
         model = models.REGISTRY[name].make(params)
@@ -67,6 +75,8 @@ def runs():
     # 72 equal steps cover each segment
     build, _ = cases["pmsd-hybrid"]
     yield "pmsd-hybrid-h0.0007", build, 0.5, 0.0007, 1000
+    yield "linear-export-sin-history", linear_export_sin_history, 2.0, None, \
+        1000
 
 
 def digest(build, T, h, points, workdir):

@@ -193,6 +193,29 @@ def test_simulate_rejects_invalid_integration_options(flag, value):
     assert "segment" not in err, err
 
 
+def test_an_oversized_audit_is_refused_before_solving(monkeypatch, capsys):
+    # 10**20 points could not be allocated; the solve must not run first
+    solved = []
+    monkeypatch.setattr(cli, "solve_itp", lambda *a: solved.append(a))
+    rc = cli.main(["simulate", "--model", "ex-shift", "--T", "0.1",
+                   "--audit-points", str(10 ** 20)])
+    assert rc == 2
+    assert solved == []
+    captured = capsys.readouterr()
+    assert f"at most {radau.MAX_AUDIT_POINTS} points" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("--model", "pmsd-hybrid", "--T", "1e-13"),
+    # the last segment, 5e-13 long, is shorter than the step loop's slack
+    ("--model", "ex-shift", "--tau", "1e-5", "--T", "0.0100000000005",
+     "--h", "1e-5")], ids=["one-short-segment", "short-last-segment"])
+def test_a_segment_shorter_than_the_end_slack_takes_a_step(args):
+    data = run_json("simulate", *args)
+    assert data["status"] == "Complete"
+
+
 @pytest.mark.parametrize("command", [
     ("analyze",), ("simulate", "--T", "0.1"), ("classify",),
 ])
@@ -228,8 +251,11 @@ _LTI = models.msd_subsystem().to_json()
     _with_forcing(_LTI, None),
     _with_forcing(_SCALAR_LINEAR, {"sin": [5]}),
     _with_forcing(_SCALAR_LINEAR, {"poly": [[1, None]]}),
+    _with_forcing(_SHIFT_LINEAR, {"dim": 2.7}),
+    _with_forcing(_SCALAR_LINEAR, {"dim": True}),
 ], ids=["not-an-object", "tau-string", "tau-nan", "tau-bool", "f-poly-int",
-        "f-list", "f-null", "f-sin-int", "f-poly-null"])
+        "f-list", "f-null", "f-sin-int", "f-poly-null", "f-dim-float",
+        "f-dim-bool"])
 @pytest.mark.parametrize("command", [
     ("analyze",), ("classify",),
     ("simulate", "--T", "0.1", "--history", "poly:0;1"),

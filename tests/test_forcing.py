@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -98,7 +99,7 @@ def _eval_term_by_term(signal, t, order):
             acc += coeffs[j] * fall * t ** (j - order)
         for amp, omega, phase in signal.sin[i]:
             acc += amp * omega ** order * math.sin(
-                omega * t + phase + order * (math.pi / 2.0))
+                omega * t + (phase + order * (math.pi / 2.0)))
         out[i] = acc
     return out
 
@@ -123,6 +124,33 @@ _signal_rows = st.lists(
               st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 20.0),
                                  st.floats(-4.0, 4.0)), max_size=2)),
     min_size=1, max_size=3)
+
+
+# the k-th derivative of sin, for k mod 4
+_SIN_DERIVATIVES = (math.sin, math.cos, lambda x: -math.sin(x),
+                    lambda x: -math.cos(x))
+
+
+def _derivative_oracle(signal, t, k):
+    """The k-th derivative by numpy's polynomial calculus and the
+    four-cycle of sine derivatives, apart from the signal's own rule."""
+    out = np.zeros(signal.dim)
+    for i, (coeffs, sin) in enumerate(zip(signal.poly, signal.sin)):
+        if coeffs:
+            out[i] = P.polyval(t, P.polyder(coeffs, k))
+        for amp, omega, phase in sin:
+            out[i] += amp * omega ** k * _SIN_DERIVATIVES[k % 4](
+                omega * t + phase)
+    return out
+
+
+@given(comps=_signal_rows, t=st.floats(-5.0, 5.0), k=st.integers(0, 4))
+def test_eval_matches_an_independent_derivative_oracle(comps, t, k):
+    s = SymbolicSignal(poly=[p for p, _ in comps], sin=[w for _, w in comps])
+    want = _derivative_oracle(s, t, k)
+    # relative to the terms summed; the floor covers subnormal draws only
+    tol = 1e-13 * signal_term_scale(s, t, k) + 1e-300
+    assert np.all(np.abs(s.eval(t, k) - want) <= tol)
 
 
 def _with_zeros(M, rows, cols):

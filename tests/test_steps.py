@@ -657,6 +657,8 @@ def test_linear_wrap_factors_once_per_segment_and_changed_step(
     m = sf_model_from_linear(models.ex_shift_linear(0.5, f=f, g=g))
     phi = SymbolicSignal(poly=[[0.2, 0.1]]).stack(g.shift(0.5))
     factors, attempts = _count_factorizations(monkeypatch)
+    jd_zdot, jacobians = m.JD_zdot, []
+    m.JD_zdot = lambda *a: jacobians.append(a) or jd_zdot(*a)
     tr = solve_itp(m, phi, 2.0)
     # constant Jacobians: a new factorization only where a segment starts
     # or h differs from the attempt before
@@ -664,6 +666,8 @@ def test_linear_wrap_factors_once_per_segment_and_changed_step(
                   for hs in attempts)
     assert len(factors) == changes
     assert len(factors) < 0.1 * tr.stats["steps"]
+    # the Jacobians are evaluated only for a factorization
+    assert len(jacobians) == len(factors)
 
 
 def test_nonlinear_model_factors_once_per_step(monkeypatch):
