@@ -13,8 +13,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import models as model_zoo
 from .errors import (DataError, DdaeError, IllConditioned,
                      InadmissibleHistory, SingularPencil)
@@ -105,7 +103,9 @@ def _check_out_directory(out):
 
 
 def _emit(data, out_path):
-    text = json.dumps(data, indent=2)
+    # RFC 8259 has no inf or NaN: a summary writes either as null
+    data = json.loads(json.dumps(data), parse_constant=lambda name: None)
+    text = json.dumps(data, indent=2, allow_nan=False)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -177,7 +177,7 @@ def cmd_simulate(args):
         traj = solve_itp(model, phi, args.T, opts)
     except InadmissibleHistory as exc:
         summary = {"model": name, "status": "InadmissibleHistory",
-                   "residual_norm": float(np.linalg.norm(exc.residual)),
+                   "residual_norm": exc.norm,
                    "runtime": time.perf_counter() - started}
         _emit(summary, f"{args.out}.json" if args.out else None)
         return EXIT_INADMISSIBLE
@@ -197,11 +197,9 @@ def cmd_simulate(args):
         "stats": traj.stats,
     }
     if traj.status == BROKE_DOWN:
-        summary["breakdown"] = {
-            "segment": traj.breakdown_index,
-            "breakpoint": traj.breakdown_time,
-            "residual_norm": float(np.linalg.norm(traj.breakdown_residual)),
-        }
+        summary["breakdown"] = {"segment": traj.breakdown_index,
+                                "breakpoint": traj.breakdown_time,
+                                "residual_norm": traj.breakdown_norm}
     if args.out:
         write_trajectory_csv(traj, f"{args.out}.csv", audited)
     _emit(summary, f"{args.out}.json" if args.out else None)
@@ -327,7 +325,8 @@ def main(argv=None):
     except SingularPencil as exc:
         sys.stderr.write(f"singular pencil: {exc}\n")
         return EXIT_MODEL
-    except (DdaeError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (DdaeError, ValueError, OverflowError, OSError,
+            json.JSONDecodeError) as exc:
         sys.stderr.write(f"model error: {exc}\n")
         return EXIT_MODEL
 

@@ -48,17 +48,15 @@ class NewtonDivergence(DdaeError):
 
 
 class InconsistentInitialState(DdaeError):
-    """Initial state violates the algebraic part beyond tolerance."""
+    """Initial state violates the algebraic part beyond tolerance; carries
+    the time, the residual and the norm ``radau.start_consistency`` took."""
 
-    def __init__(self, message, t=None, residual=None):
+    def __init__(self, message, t=None, residual=None, norm=None):
         super().__init__(message)
         self.t = t
         self.residual = residual
+        self.norm = norm
 
 
-class InadmissibleHistory(DdaeError):
+class InadmissibleHistory(InconsistentInitialState):
     """History function endpoint is not consistent for the first segment."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual

@@ -74,17 +74,21 @@ class SymbolicSignal:
     # -- evaluation -----------------------------------------------------
 
     def eval(self, t, order=0):
-        """Evaluate the ``order``-th derivative at time ``t``."""
+        """Evaluate the ``order``-th derivative at time ``t``, a float, or
+        at an array of times, one column per time."""
         if order < 0:
             raise ValueError("derivative order must be >= 0")
         signal = self._derivative(order) if order else self
-        out = np.zeros(self.dim)
+        if isinstance(t, float):
+            sine, out = math.sin, np.zeros(self.dim)
+        else:
+            sine, out = np.sin, np.zeros((self.dim, *np.shape(t)))
         for i, (poly, sin) in enumerate(signal._terms):
             acc = 0.0
             for power, c in poly:
                 acc += c * t ** power
             for amp, omega, phase in sin:
-                acc += amp * math.sin(omega * t + phase)
+                acc += amp * sine(omega * t + phase)
             out[i] = acc
         return out
 

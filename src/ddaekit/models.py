@@ -10,6 +10,7 @@ selection that stays regular while the rod is not horizontal and in
 particular near the hanging rest configuration.
 """
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -94,7 +95,6 @@ class PendulumRecord:
         return -2.0 * z[2] * (z[1] - z[5]) - p.m * p.g
 
     def jac_z(self, t, z, zdot, u):
-        p = self.params
         J = np.zeros((6, 6))
         J[0, 3] = -1.0
         J[1, 4] = -1.0
@@ -132,8 +132,8 @@ def rest_state(params=None, y1=0.0, theta=0.0):
     delayed arguments frozen at the same state, so the returned point is
     consistent for both the hybrid and the delay-free coupled model."""
     p = params or PmsdParams()
-    x2 = p.L * np.sin(theta)
-    y2 = y1 - p.L * np.cos(theta)
+    x2 = p.L * math.sin(theta)
+    y2 = y1 - p.L * math.cos(theta)
     delta = y2 - y1
     denom = 4.0 * delta ** 2 / p.M - 4.0 * p.L ** 2 / p.m
     lam = 2.0 * delta * (p.g - (p.m * p.g + p.K * y1) / p.M) / denom

@@ -96,7 +96,7 @@ COND_WARN = 1e12
 STEPS_PER_SEGMENT = 200    # finest default step tau / STEPS_PER_SEGMENT
 SAFETY = 0.1               # the step controller aims at SAFETY * res_tol
 MAX_HALVINGS = 8           # per step, on Newton failure
-MAX_AUDIT_POINTS = 10**6   # residual audit grid, 8 bytes per point and state
+MAX_AUDIT_POINTS = 10**6   # audit grid; peak ~60 bytes per point and state
 # algebraic residual above which an initial state, a history or a
 # breakpoint right limit is inconsistent
 CONSISTENCY_TOL = 1e-6
@@ -382,10 +382,11 @@ def _sampled_residual(problem, t0, h, z0, step):
 
 def start_consistency(model, t, z, zlags):
     """The one consistency rule of a history endpoint or a breakpoint right
-    limit: (ok, r, norm(r)) for the algebraic residual r of state z at time
-    t; ok is norm(r) <= CONSISTENCY_TOL, so a NaN residual fails."""
-    r = model.algebraic_residual(t, z, zlags)
-    norm = float(np.linalg.norm(r))
+    limit: (ok, r, norm(r)) for the algebraic residual r of z at time t, no
+    overflow warned; ok is norm(r) <= CONSISTENCY_TOL, so NaN or inf fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = model.algebraic_residual(t, z, zlags)
+        norm = float(np.linalg.norm(r))
     return norm <= CONSISTENCY_TOL, r, norm
 
 
@@ -413,7 +414,7 @@ def integrate_segment(problem, opts=None, h_start=None):
     if not ok:
         raise InconsistentInitialState(
             f"initial state violates the algebraic part: |r| = "
-            f"{norm_r0:.3e}", t=problem.t_start, residual=r0)
+            f"{norm_r0:.3e}", t=problem.t_start, residual=r0, norm=norm_r0)
     if model.a:
         # spot-check: the algebraic rows must have full row rank here,
         # thresholded like the pencil rank decisions

@@ -114,11 +114,15 @@ class SfDdaeModel:
         return max(1, self.s_decl)
 
     def residual(self, t, z, zdot, zlags):
-        """Stacked [D; A] residual; zlags rows are z_tau^(j)."""
+        """Stacked [D; A] residual; zlags rows are z_tau^(j).  At the m times
+        of an array t, every state, lag row and result takes a trailing axis
+        of length m.  An empty block's callback is never called."""
         zlags = np.atleast_2d(zlags)
-        out = np.empty(self.n)
-        out[:self.d] = self.D(t, z, zdot, zlags[0])
-        out[self.d:] = self.A(t, z, zlags[:self.s_decl])
+        out = np.empty(z.shape)
+        if self.d:
+            out[:self.d] = self.D(t, z, zdot, zlags[0])
+        if self.a:
+            out[self.d:] = self.A(t, z, zlags[:self.s_decl])
         return out
 
     def algebraic_residual(self, t, z, zlags):

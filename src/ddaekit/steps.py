@@ -43,8 +43,8 @@ class Trajectory:
     ``solve_itp`` appends one ``SegmentSolution`` per solved segment.
     ``status`` is "Complete" or "BrokeDown"; in the latter case
     ``breakdown_index`` is the 1-based segment whose initial state was
-    inconsistent and ``breakdown_residual`` the offending algebraic
-    residual vector.
+    inconsistent, ``breakdown_residual`` the offending algebraic residual
+    vector and ``breakdown_norm`` its norm.
     """
 
     model: SfDdaeModel
@@ -53,6 +53,7 @@ class Trajectory:
     status: str = COMPLETE
     breakdown_index: int | None = None
     breakdown_residual: np.ndarray | None = None
+    breakdown_norm: float | None = None
 
     @property
     def complete(self):
@@ -123,7 +124,7 @@ def evaluate_grid(tr, ts, order=0):
     up to a rounding slack (t_end is 0 while no segment is solved), and a
     time past t_end reads t_end; a time outside raises ValueError, for the
     first such time.  The history signal is read for t < 0 and while no
-    segment is solved, one time at a time; otherwise the dense output of
+    segment is solved, in one ``eval`` call; otherwise the dense output of
     the covering segment (``Trajectory.segment_indices``), one
     ``SegmentSolution.eval_grid`` call per segment.  At interior
     breakpoints the value is continuous by construction and derivatives
@@ -144,8 +145,8 @@ def evaluate_grid(tr, ts, order=0):
     ts = np.minimum(ts, t_end)
     out = np.empty((ts.size, tr.model.n))
     past = ts < 0.0 if tr.segments else np.ones(ts.size, dtype=bool)
-    for j in np.flatnonzero(past):
-        out[j] = tr.history.eval(ts[j], order)
+    if past.any():
+        out[past] = tr.history.eval(ts[past], order).T
     rows = np.flatnonzero(~past)
     if rows.size:
         seg_of = tr.segment_indices(ts[rows])
@@ -231,11 +232,11 @@ def solve_itp(model, phi, T, opts=None):
             if i == 1:
                 raise InadmissibleHistory(
                     f"history endpoint violates the algebraic part: |r| = "
-                    f"{np.linalg.norm(exc.residual):.3e}",
-                    residual=exc.residual) from exc
+                    f"{exc.norm:.3e}", exc.t, exc.residual, exc.norm) from exc
             tr.status = BROKE_DOWN
             tr.breakdown_index = i
             tr.breakdown_residual = exc.residual
+            tr.breakdown_norm = exc.norm
             return tr
         except DdaeError as exc:
             raise type(exc)(f"segment {i}: {exc}") from exc
@@ -256,10 +257,10 @@ def solve_itp(model, phi, T, opts=None):
 def audit(tr, n_points=1000):
     """Independent residual re-check on a uniform grid.
 
-    Evaluates the stacked [D; A] residual of the original delay system with
-    all delayed arguments routed through the trajectory's own dense output.
-    Returns (grid, stacked residual inf-norms, algebraic residual norms,
-    states read on the grid).
+    Evaluates the stacked [D; A] residual of the original delay system, in
+    one ``SfDdaeModel.residual`` call over the grid, with every delayed
+    argument read from the trajectory's own dense output.  Returns (grid,
+    stacked residual inf-norms, algebraic residual norms, states read).
     """
     m = tr.model
     # A broken-down trajectory solves the equations only on [0, t_end); the
@@ -267,17 +268,10 @@ def audit(tr, n_points=1000):
     ts = np.linspace(0.0, tr.t_end, n_points, endpoint=tr.complete)
     states = evaluate_grid(tr, ts)
     rates = evaluate_grid(tr, ts, 1)
-    lag_ts = ts - m.tau
-    # one (n_lags, n) block per point, laid out as np.stack of the rows
-    lags = np.stack([evaluate_grid(tr, lag_ts, k) for k in range(m.n_lags)],
-                    axis=1)
-    full = np.empty(n_points)
-    alg = np.empty(n_points)
-    for j, t in enumerate(ts):
-        r = m.residual(t, states[j], rates[j], lags[j])
-        full[j] = np.abs(r).max() if r.size else 0.0
-        ra = r[m.d:]
-        alg[j] = np.abs(ra).max() if ra.size else 0.0
+    lags = np.stack([evaluate_grid(tr, ts - m.tau, k).T
+                     for k in range(m.n_lags)])
+    r = np.abs(m.residual(ts, states.T, rates.T, lags))
+    full, alg = r.max(axis=0, initial=0.0), r[m.d:].max(axis=0, initial=0.0)
     return ts, full, alg, states
 
 

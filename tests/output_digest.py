@@ -10,11 +10,23 @@ of times.  Run it on two checkouts and compare the output::
     PYTHONPATH=<other checkout>/src python tests/output_digest.py > old.txt
     diff old.txt new.txt
 
+or let it run the other checkout itself and name what moved::
+
+    PYTHONPATH=src python tests/output_digest.py --compare <other>/src
+
+The compare mode prints one line per run, ``unchanged`` or the other
+checkout's digest and then this one's.  Below a changed run it prints every
+output that differs: an array with its largest absolute difference, text
+with the number of lines that differ.
+
 pytest does not collect this file.
 """
 
+import argparse
 import hashlib
 import os
+import pickle
+import subprocess
 import sys
 import tempfile
 
@@ -79,35 +91,98 @@ def runs():
         1000
 
 
-def digest(build, T, h, points, workdir):
+def outputs(build, T, h, points, workdir):
+    """Every output of one run as (label, array or bytes) pairs, in the
+    order the digest hashes them."""
     model, history = build()
     tr = solve_itp(model, history, T, IntegrationOptions(h=h))
-    sha = hashlib.sha256()
-    for seg in tr.segments:
-        sha.update(np.asarray(seg.ts).tobytes())
-        sha.update(seg.coeffs.tobytes())
-        sha.update(repr(sorted(seg.stats.items())).encode())
-    sha.update(repr((tr.status, tr.breakdown_index)).encode())
+    for i, seg in enumerate(tr.segments, start=1):
+        yield f"segment {i} ts", np.asarray(seg.ts)
+        yield f"segment {i} coeffs", seg.coeffs
+        yield f"segment {i} stats", repr(sorted(seg.stats.items())).encode()
+    yield "status", repr((tr.status, tr.breakdown_index)).encode()
     if tr.breakdown_residual is not None:
-        sha.update(np.asarray(tr.breakdown_residual).tobytes())
-    sha.update(repr(sorted(tr.stats.items())).encode())
+        yield "breakdown residual", np.asarray(tr.breakdown_residual)
+    yield "stats", repr(sorted(tr.stats.items())).encode()
     audited = audit(tr, points)
-    for array in audited:
-        sha.update(array.tobytes())
+    yield from zip(("audit grid", "audit full", "audit algebraic",
+                    "audit states"), audited)
     path = os.path.join(workdir, "run.csv")
     write_trajectory_csv(tr, path, audited)
     with open(path, "rb") as fh:
-        sha.update(fh.read())
-    for t in np.linspace(-model.tau, tr.t_end, 97):
+        yield "csv", fh.read()
+    for j, t in enumerate(np.linspace(-model.tau, tr.t_end, 97)):
         for order in (0, 1):
-            sha.update(evaluate(tr, float(t), order).tobytes())
+            yield (f"evaluate {j} (t = {t:.6g}) order {order}",
+                   evaluate(tr, float(t), order))
+
+
+def digest(items):
+    sha = hashlib.sha256()
+    for _, value in items:
+        sha.update(value if isinstance(value, bytes) else value.tobytes())
     return sha.hexdigest()
 
 
-def main():
+def differences(old, new):
+    """One (label, description) per output that differs between two lists
+    of ``outputs`` pairs of the same run."""
+    old, new = dict(old), dict(new)
+    for label in [*old, *(k for k in new if k not in old)]:
+        a, b = old.get(label), new.get(label)
+        if a is None or b is None:
+            yield label, "only in the " + ("other" if b is None else "this")
+        elif isinstance(a, bytes):
+            if a != b:
+                lines_a, lines_b = a.splitlines(), b.splitlines()
+                changed = sum(x != y for x, y in zip(lines_a, lines_b))
+                changed += abs(len(lines_a) - len(lines_b))
+                yield label, (f"{changed} of {max(len(lines_a), len(lines_b))}"
+                              f" lines differ")
+        elif a.shape != b.shape:
+            yield label, f"shape {a.shape} against {b.shape}"
+        elif a.tobytes() != b.tobytes():
+            with np.errstate(invalid="ignore", over="ignore"):
+                gap = np.abs(a - b).max()
+            yield label, f"largest absolute difference {gap:.3g}"
+
+
+def all_outputs(workdir):
+    for name, build, T, h, points in runs():
+        yield name, list(outputs(build, T, h, points, workdir))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", metavar="SRC",
+                        help="src directory of a second checkout to run and "
+                             "compare with, output by output")
+    # the compare mode's child process: pickle every output to PATH
+    parser.add_argument("--dump", metavar="PATH", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as workdir:
-        for name, build, T, h, points in runs():
-            print(name, digest(build, T, h, points, workdir))
+        if args.dump:
+            with open(args.dump, "wb") as fh:
+                pickle.dump(dict(all_outputs(workdir)), fh)
+            return 0
+        if not args.compare:
+            for name, items in all_outputs(workdir):
+                print(name, digest(items))
+            return 0
+        path = os.path.join(workdir, "other.pickle")
+        subprocess.run([sys.executable, os.path.abspath(__file__), "--dump",
+                        path], check=True,
+                       env={**os.environ, "PYTHONPATH": args.compare})
+        with open(path, "rb") as fh:
+            other = pickle.load(fh)
+        for name, items in all_outputs(workdir):
+            before, after = digest(other[name]), digest(items)
+            if before == after:
+                print(name, "unchanged")
+                continue
+            print(name, before, after)
+            for label, text in differences(other[name], items):
+                print(f"  {label}: {text}")
     return 0
 
 

@@ -568,12 +568,28 @@ def cli_argv(draw):
     return argv
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON number (RFC 8259)")
+
+
 @settings(max_examples=38)
 @given(cli_argv())
 # a wider run of this fuzzer found these two: a non-finite horizon and a
 # non-finite model parameter both ended in an uncaught exception
 @example(["simulate", "--model", "ex-shift", "--T=inf"])
 @example(["simulate", "--model", "pmsd-hybrid", "--T=0.01", "--param=M=inf"])
+# inadmissible histories whose residual norm overflows: the summary printed
+# "residual_norm": Infinity, and numpy's overflow warning leaked
+@example(["simulate", "--model", "ex-advanced", "--T", "2", "--history",
+          "poly:1e308;-1e308"])
+@example(["simulate", "--model", "ex-shift", "--T", "1", "--history",
+          "poly:0;1e200,1e200,1e200"])
+# an overflowing delay shift and rod length ended in an OverflowError
+@example(["simulate", "--model", "ex-shift", "--T", "1", "--tau", "1e200"])
+@example(["simulate", "--model", "pmsd-hybrid", "--T", "0.1", "--tau",
+          "0.05", "--param", "L=1e200"])
+@example(["sweep", "--model", "pmsd-hybrid", "--T", "0.1", "--tau", "0.05",
+          "--param", "L=1e200"])
 def test_fuzzed_flag_values_map_to_documented_exit_codes(argv):
     # in-process, so that no draw starts a process
     out, err = io.StringIO(), io.StringIO()
@@ -581,6 +597,9 @@ def test_fuzzed_flag_values_map_to_documented_exit_codes(argv):
         rc = cli.main(argv)
     assert rc in (0, 2, 3, 4, 5, 64), (argv, err.getvalue())
     assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+    # every command but sweep (a CSV table) prints a JSON summary
+    if argv[0] != "sweep" and out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
 
 
 @pytest.mark.parametrize("T", ["0", "-1", "nan", "inf"])

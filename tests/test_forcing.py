@@ -144,13 +144,20 @@ def _derivative_oracle(signal, t, k):
     return out
 
 
-@given(comps=_signal_rows, t=st.floats(-5.0, 5.0), k=st.integers(0, 4))
-def test_eval_matches_an_independent_derivative_oracle(comps, t, k):
+@given(comps=_signal_rows, t=st.floats(-5.0, 5.0), k=st.integers(0, 4),
+       more=st.lists(st.floats(-5.0, 5.0), max_size=3))
+def test_eval_matches_an_independent_derivative_oracle(comps, t, k, more):
     s = SymbolicSignal(poly=[p for p, _ in comps], sin=[w for _, w in comps])
-    want = _derivative_oracle(s, t, k)
-    # relative to the terms summed; the floor covers subnormal draws only
-    tol = 1e-13 * signal_term_scale(s, t, k) + 1e-300
-    assert np.all(np.abs(s.eval(t, k) - want) <= tol)
+    # each time read as a float and all of them as one array, a column each
+    ts = [t, *more]
+    grid = s.eval(np.array(ts), k)
+    assert grid.shape == (s.dim, len(ts))
+    for j, tj in enumerate(ts):
+        want = _derivative_oracle(s, tj, k)
+        # relative to the terms summed; the floor covers subnormal draws only
+        tol = 1e-13 * signal_term_scale(s, tj, k) + 1e-300
+        assert np.all(np.abs(s.eval(tj, k) - want) <= tol)
+        assert np.all(np.abs(grid[:, j] - want) <= tol)
 
 
 def _with_zeros(M, rows, cols):

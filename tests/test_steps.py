@@ -560,6 +560,47 @@ def test_audit_equals_scalar_reads_and_makes_none(case, monkeypatch):
         assert a.tobytes() == b.tobytes()
 
 
+SIMULATABLE = sorted(name for name, entry in models.REGISTRY.items()
+                     if isinstance(entry.make(), SfDdaeModel))
+
+
+def _point_axis_case(name):
+    """(model, history): a simulatable registry model, the linear wrap of
+    ``ex_shift_linear`` (d = 1) and of x = x(t - tau) / 2 + f (d = 0), both
+    forced by sinusoids, or the a = 0 test model."""
+    if name in SIMULATABLE:
+        m = models.REGISTRY[name].make()
+        return m, m.default_history()
+    if name == "delayed-ode":
+        return delayed_ode(0.5), SymbolicSignal(poly=[[1.0, -0.3]])
+    return _forced_linear(int(name == "linear-shift"), 0.5, 0.5, 20.0)
+
+
+@pytest.mark.parametrize(
+    "name", [*SIMULATABLE, "linear-shift", "linear-d0", "delayed-ode"])
+def test_audit_point_axis_equals_per_point_residuals(name, monkeypatch):
+    m, phi = _point_axis_case(name)
+    tr = solve_itp(m, phi, 2.5 * m.tau)
+    ts = np.linspace(0.0, tr.t_end, 501, endpoint=tr.complete)
+    states, rates = evaluate_grid(tr, ts), evaluate_grid(tr, ts, 1)
+    lags = np.stack([evaluate_grid(tr, ts - m.tau, k)
+                     for k in range(m.n_lags)], axis=1)
+    rows = [np.abs(m.residual(t, states[j], rates[j], lags[j]))
+            for j, t in enumerate(ts)]
+    full = [r.max(initial=0.0) for r in rows]
+    alg = [r[m.d:].max(initial=0.0) for r in rows]
+    calls = []
+    residual = SfDdaeModel.residual
+    monkeypatch.setattr(SfDdaeModel, "residual",
+                        lambda *a: calls.append(a) or residual(*a))
+    got = audit(tr, 501)
+    assert len(calls) == 1
+    assert got[0].tobytes() == ts.tobytes()
+    assert got[3].tobytes() == states.tobytes()
+    np.testing.assert_allclose(got[1], full, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(got[2], alg, rtol=1e-12, atol=1e-14)
+
+
 def _lag_case(case, tau):
     """A model and a history whose run reads lags on several segments; the
     ex-advanced runs break down."""
