@@ -93,6 +93,15 @@ def _resolve(args):
     return entry.make(params), name
 
 
+def _overflow_message(args):
+    """An overflow names the model and the flags that set its values."""
+    flags = [f"--param {pair}" for pair in args.param or []]
+    if isinstance(getattr(args, "tau", None), float):
+        flags.append(f"--tau {args.tau:g}")
+    return (f"model {args.model!r} overflows with "
+            f"{' '.join(flags) or 'its own values'}")
+
+
 def _check_out_directory(out):
     """DataError when --out names a directory that does not exist, so that
     a run fails before it solves rather than when it writes."""
@@ -325,8 +334,10 @@ def main(argv=None):
     except SingularPencil as exc:
         sys.stderr.write(f"singular pencil: {exc}\n")
         return EXIT_MODEL
-    except (DdaeError, ValueError, OverflowError, OSError,
-            json.JSONDecodeError) as exc:
+    except OverflowError:
+        sys.stderr.write(f"model error: {_overflow_message(args)}\n")
+        return EXIT_MODEL
+    except (DdaeError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"model error: {exc}\n")
         return EXIT_MODEL
 

@@ -22,8 +22,10 @@ transformation of the Radau IIA matrix (Hairer & Wanner, Solving ODEs II,
 IV.8) splits the 3n x 3n stage matrix into one real and one complex n x n
 matrix, each inverted once per step, or once per segment and step size for
 an affine model (``SfDdaeModel.affine``), whose stage equations are linear
-with exactly that matrix, so that its steps take the first update.  The
-continuous extension is the cubic Hermite of each step, the collocation
+with exactly that matrix, so that its steps take the first update.  Its
+steps at a repeated h solve that linear system directly, from stage data
+read for several steps at once (``_stage_block``).  The continuous
+extension is the cubic Hermite of each step, the collocation
 polynomial, stored as monomial coefficients when the segment is complete.
 """
 
@@ -97,6 +99,7 @@ STEPS_PER_SEGMENT = 200    # finest default step tau / STEPS_PER_SEGMENT
 SAFETY = 0.1               # the step controller aims at SAFETY * res_tol
 MAX_HALVINGS = 8           # per step, on Newton failure
 MAX_AUDIT_POINTS = 10**6   # audit grid; peak ~60 bytes per point and state
+MAX_BLOCK = 256            # most steps an affine model's stage block covers
 # algebraic residual above which an initial state, a history or a
 # breakpoint right limit is inconsistent
 CONSISTENCY_TOL = 1e-6
@@ -162,9 +165,18 @@ class SegmentProblem:
         self.source_end = source_end
 
     def lags(self, t):
-        t = min(t - self.model.tau, self.source_end)
-        src = self.source
-        return np.array([src.eval(t, k) for k in range(self.model.n_lags)])
+        """The lag rows z(t - tau), z'(t - tau), ... at a float t, or at
+        each of an array of times along a trailing axis, as
+        ``SfDdaeModel.residual`` takes them: one ``eval`` or ``eval_grid``
+        read of the source per row."""
+        src, orders = self.source, range(self.model.n_lags)
+        if isinstance(t, float):
+            t = min(t - self.model.tau, self.source_end)
+            return np.array([src.eval(t, k) for k in orders])
+        t = np.minimum(t - self.model.tau, self.source_end)
+        if isinstance(src, SegmentSolution):
+            return np.stack([src.eval_grid(t, k).T for k in orders])
+        return np.stack([src.eval(t, k) for k in orders])
 
 
 def _hermite(h, z0, z1, d0, d1):
@@ -287,7 +299,7 @@ def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats, last):
     end derivatives of the collocation cubic and Fdot the step's Jacobian
     with respect to z', or None on failure.
 
-    ``last`` is a one-item list holding an affine model's ``(h, Fdot,
+    ``last`` is a one-item list holding an affine model's ``(h, Fz, Fdot,
     factors, cond)`` from its last factorisation in the segment, or None.
     At the same h they are reused: the model declares its Jacobians
     constant, so they are exactly what ``_newton_factors`` would return.
@@ -298,7 +310,7 @@ def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats, last):
     stage_ts = [t0 + c * h for c in _C]
     stage_lags = [problem.lags(ti) for ti in stage_ts]
     if last[0] is not None and last[0][0] == h:
-        _, Fdot, factors, cond = last[0]
+        _, _, Fdot, factors, cond = last[0]
     else:
         # the Jacobians at the predictor of the last stage
         z_pred = z_prev + h * k_guess
@@ -315,7 +327,7 @@ def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats, last):
         except np.linalg.LinAlgError:
             return None
         if model.affine:
-            last[0] = h, Fdot, factors, cond
+            last[0] = h, Fz, Fdot, factors, cond
     if cond > COND_WARN >= stats["max_stage_cond"]:
         logger.warning("stage Jacobian condition %.2e exceeds %.0e", cond,
                        COND_WARN)
@@ -340,15 +352,62 @@ def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats, last):
         # an affine model's stage equations are linear with exactly this
         # matrix, so the first update solves them to rounding
         if err <= opts.newton_tol or model.affine:
-            z1 = z_prev + h * (RADAU_A[2] @ K)
-            r_end = model.residual(stage_ts[2], z1, K[2], stage_lags[2])
-            res = float(np.abs(r_end).max())
-            if res > opts.res_tol:
-                return None
-            stats["max_endpoint_residual"] = max(
-                stats["max_endpoint_residual"], res)
-            return z1, _L_AT_0 @ K, K[2].copy(), Fdot
+            return _step_end(model, stage_ts[2], h, z_prev, K, stage_lags[2],
+                             Fdot, opts, stats)
     return None
+
+
+def _step_end(model, t1, h, z_prev, K, lags, Fdot, opts, stats):
+    """``_solve_step``'s result for the solved stage derivatives K, or None
+    when the endpoint residual, with the lag rows ``lags`` of t1, exceeds
+    ``res_tol``."""
+    z1 = z_prev + h * (RADAU_A[2] @ K)
+    res = float(np.abs(model.residual(t1, z1, K[2], lags)).max())
+    if res > opts.res_tol:
+        return None
+    stats["max_endpoint_residual"] = max(stats["max_endpoint_residual"], res)
+    return z1, _L_AT_0 @ K, K[2].copy(), Fdot
+
+
+def _stage_block(problem, t, h, size):
+    """The stage data of an affine model's next ``size`` steps at h from t
+    that end in the segment, as {(start, h): (g, lags)}.
+
+    The starts are the loop's own sums t + h + h + ..., which ``np.cumsum``
+    adds in the same order, and the stage times its t + c_i h, so that a
+    step finds its entry exactly.  g holds the model's residual at zero
+    state and rate at each stage, one row per stage, from one read of the
+    lags and one residual call over all the block's stage times; lags are
+    the lag rows at the step's end.
+    """
+    starts = np.cumsum([t] + [h] * (size - 1))
+    starts = starts[problem.t_end - starts >= h]
+    stage_ts = (starts[:, None] + RADAU_C * h).ravel()
+    lags = problem.lags(stage_ts)
+    zero = np.zeros((problem.model.n, stage_ts.size))
+    g = problem.model.residual(stage_ts, zero, zero, lags)
+    g = g.T.reshape(starts.size, 3, -1)
+    ends = lags[:, :, 2::3].transpose(2, 0, 1)
+    return dict(zip([(s, h) for s in starts.tolist()], zip(g, ends)))
+
+
+def _block_step(model, t0, h, z_prev, stage, opts, stats, cached):
+    """One step of an affine model from its ``_stage_block`` entry
+    ``stage``; returns what ``_solve_step`` returns.
+
+    The stage equations F_z Z_i + F_zdot K_i + g_i = 0, with Z_i = z_prev +
+    h sum_j a_ij K_j, are linear, so K = -M^-1 (F_z z_prev (x) 1 + g) with
+    the stage matrix M of ``_newton_update``, inverted at h by the model's
+    last ``_solve_step`` (``cached``, its ``last`` entry).  That step also
+    took the condition number into ``max_stage_cond``.
+    """
+    g, lags = stage
+    _, Fz, Fdot, factors, _ = cached
+    K = -_newton_update(factors, g + Fz @ z_prev)
+    if not np.isfinite(K).all():
+        return None
+    stats["newton_iterations"] += 1
+    return _step_end(model, t0 + h, h, z_prev, K, lags, Fdot, opts, stats)
 
 
 def _start_defect(model, t0, z0, step, d_prev, lags0):
@@ -383,10 +442,15 @@ def _sampled_residual(problem, t0, h, z0, step):
 def start_consistency(model, t, z, zlags):
     """The one consistency rule of a history endpoint or a breakpoint right
     limit: (ok, r, norm(r)) for the algebraic residual r of z at time t, no
-    overflow warned; ok is norm(r) <= CONSISTENCY_TOL, so NaN or inf fails."""
+    overflow warned; ok is norm(r) <= CONSISTENCY_TOL, so NaN or inf fails.
+    A finite r whose squares overflow takes its norm scaled by its largest
+    entry, so that the norm is finite (up to about 1.8e308)."""
     with np.errstate(over="ignore", invalid="ignore"):
         r = model.algebraic_residual(t, z, zlags)
         norm = float(np.linalg.norm(r))
+        if norm == math.inf and np.isfinite(r).all():
+            big = np.abs(r).max()
+            norm = float(big * np.linalg.norm(r / big))
     return norm <= CONSISTENCY_TOL, r, norm
 
 
@@ -449,15 +513,33 @@ def integrate_segment(problem, opts=None, h_start=None):
     k_guess = np.zeros(model.n)
     d_prev = None
     last = [None]  # an affine model's Newton factors, reused at a repeated h
+    # an affine model's ``_stage_block`` and the size of its next one, which
+    # doubles while its steps come from blocks
+    block, size = {}, 1
+    h_prev = None
     t = problem.t_start
     # a segment shorter than the end slack still takes one step
     t_stop = problem.t_end - 1e-12 * max(1.0, abs(problem.t_end))
     while len(ts) == 1 or t < t_stop:
         h = min(h_next, problem.t_end - t)
+        stage = None
+        if model.affine and h == h_prev:
+            stage = block.pop((t, h), None)
+            if stage is None:
+                block = _stage_block(problem, t, h, size)
+                size = min(2 * size, MAX_BLOCK)
+                stage = block.pop((t, h))
         halvings = 0
         while True:
-            result = _solve_step(model, t, h, z, k_guess, problem, opts,
-                                 stats, last)
+            if stage is None:
+                # the first step at an h and every retry
+                result = _solve_step(model, t, h, z, k_guess, problem, opts,
+                                     stats, last)
+                size = 1
+            else:
+                result = _block_step(model, t, h, z, stage, opts, stats,
+                                     last[0])
+                stage = None
             if result is None:
                 halvings += 1
                 stats["halvings"] += 1
@@ -485,6 +567,7 @@ def integrate_segment(problem, opts=None, h_start=None):
             stats["rejected"] += 1
             h = h_next
         z1, d0, d1, _ = result
+        h_prev = h
         t = t + h
         ts.append(t)
         zs.append(z1)

@@ -10,7 +10,6 @@ produce right limits that are not consistent (an O(1) jump, not
 integration drift) and the solution ceases to exist there.
 """
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -30,6 +29,7 @@ BROKE_DOWN = "BrokeDown"
 SWEEP_GRID_POINTS = 400    # shared grid of a delay sweep
 MAX_SEGMENTS = 10 ** 5     # most segments one run may solve
 MAX_STEPS = 10 ** 6        # most fixed steps one run may plan
+CSV_CHUNK = 1000           # rows the CSV export formats per write
 
 logger = logging.getLogger(__name__)
 
@@ -305,13 +305,21 @@ def write_trajectory_csv(tr, path, audited):
 
     ``audited`` is the ``audit(tr, ...)`` result whose grid, states and
     algebraic residuals the rows report; the trajectory is not read again.
+    Each row is one ``%``-format string, and the file the bytes
+    ``csv.writer`` writes for these fields: none of them needs quoting, and
+    every line ends in ``"\\r\\n"``.  Rows are formatted and written
+    CSV_CHUNK at a time, which keeps the memory of an export small.
     """
     ts, _, alg, states = audited
-    labels = [f"z_{i + 1}" for i in range(tr.model.n)]
+    n = tr.model.n
+    header = ["t", *(f"z_{i + 1}" for i in range(n)), "segment_index",
+              "A_residual_norm"]
+    row = ",".join(["%.12g"] * (n + 1) + ["%d", "%.6g"]) + "\r\n"
+    seg_of = tr.segment_indices(ts)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", *labels, "segment_index", "A_residual_norm"])
-        seg_of = tr.segment_indices(ts).tolist()
-        for j, t in enumerate(ts):
-            writer.writerow([f"{t:.12g}", *(f"{v:.12g}" for v in states[j]),
-                             seg_of[j], f"{alg[j]:.6g}"])
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, ts.size, CSV_CHUNK):
+            rows = slice(lo, lo + CSV_CHUNK)
+            fh.write("".join(row % (t, *z, i, r) for t, z, i, r in zip(
+                ts[rows].tolist(), states[rows].tolist(),
+                seg_of[rows].tolist(), alg[rows].tolist())))

@@ -39,13 +39,12 @@ from ddaekit.radau import IntegrationOptions
 from ddaekit.steps import audit, evaluate, solve_itp, write_trajectory_csv
 
 
-def linear_export_model():
+def linear_export_model(sin=((0.42, 13.1, 0.9), (0.17, 7.3, 4.2))):
     """The shifted solution-space example with the linear-export
-    benchmark's kind of forcing: a linear f plus two sinusoids, a
+    benchmark's kind of forcing: a linear f plus the sinusoids ``sin``, a
     quadratic g."""
     tau = 0.5
-    f = SymbolicSignal(poly=[[0.31, -0.07]],
-                       sin=[[(0.42, 13.1, 0.9), (0.17, 7.3, 4.2)]])
+    f = SymbolicSignal(poly=[[0.31, -0.07]], sin=[sin])
     g = SymbolicSignal(poly=[[1.2, 0.11, -0.013]])
     model = sf_model_from_linear(models.ex_shift_linear(tau, f=f, g=g))
     return model, SymbolicSignal(poly=[[-0.2, 0.3]]).stack(g.shift(tau))
@@ -57,6 +56,13 @@ def linear_export_sin_history():
     model, history = linear_export_model()
     x1 = SymbolicSignal(poly=[[-0.2, 0.3]], sin=[[(0.05, 9.7, 0.6)]])
     return model, x1.stack(SymbolicSignal(poly=history.poly[1:]))
+
+
+def linear_smooth_model():
+    """``linear_export_model`` with one slow sinusoid, f = 0.31 - 0.07 t +
+    0.02 sin(1.1 t + 0.9): the controller changes h on nearly every step,
+    so its run pins the affine path at a varying h."""
+    return linear_export_model(sin=[(0.02, 1.1, 0.9)])
 
 
 def _registry(name, T, **params):
@@ -89,6 +95,7 @@ def runs():
     yield "pmsd-hybrid-h0.0007", build, 0.5, 0.0007, 1000
     yield "linear-export-sin-history", linear_export_sin_history, 2.0, None, \
         1000
+    yield "linear-smooth", linear_smooth_model, 10.0, None, 1000
 
 
 def outputs(build, T, h, points, workdir):

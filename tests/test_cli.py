@@ -602,6 +602,33 @@ def test_fuzzed_flag_values_map_to_documented_exit_codes(argv):
         json.loads(out.getvalue(), parse_constant=_refuse_constant)
 
 
+def test_a_finite_breakdown_norm_past_1e154_is_reported(capsys):
+    # the squares of a 1e200 residual entry overflow; the norm does not
+    rc = cli.main(["simulate", "--model", "ex-advanced", "--T", "2",
+                   "--history", "poly:0;1e200,1e200"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    breakdown = json.loads(captured.out)["breakdown"]
+    assert breakdown["segment"] == 2
+    assert breakdown["residual_norm"] == pytest.approx(1e200, rel=1e-12)
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["simulate", "--model", "ex-shift", "--T", "1", "--tau", "1e200"],
+     "--tau 1e+200"),
+    (["simulate", "--model", "pmsd-hybrid", "--T", "0.1", "--tau", "0.05",
+      "--param", "L=1e200"], "--param L=1e200 --tau 0.05"),
+    (["sweep", "--model", "pmsd-hybrid", "--T", "0.1", "--tau", "0.05",
+      "--param", "L=1e200"], "--param L=1e200")])
+def test_an_overflow_names_the_model_and_its_flags(argv, flags, capsys):
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (f"model error: model {argv[2]!r} overflows with "
+                            f"{flags}\n")
+
+
 @pytest.mark.parametrize("T", ["0", "-1", "nan", "inf"])
 def test_sweep_refuses_a_bad_horizon_before_solving(T, monkeypatch, capsys):
     solved = []

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ddaekit.errors import IllConditioned, ShapeError, SingularPencil
@@ -13,11 +13,11 @@ from ddaekit.lti import (LinearDdae, LtiDescriptor, classify_linear, couple,
 from ddaekit.pencil import DEFAULT_TOL, is_regular, weierstrass
 from ddaekit.radau import IntegrationOptions
 from ddaekit.sfdae import Classification, SfDdaeModel, classify
-from ddaekit import models, radau
+from ddaekit import models, radau, steps
 from ddaekit.steps import solve_itp
 
 from conftest import fd_jacobian, signal_term_scale, well_conditioned
-from output_digest import linear_export_model
+from output_digest import linear_export_model, linear_smooth_model
 
 
 def scalar_integrator():
@@ -373,12 +373,10 @@ def test_wrap_equals_closures_on_the_examples(rng):
     _assert_wrap_equals_closures(adv, rng)
 
 
-@given(d=st.integers(0, 3), a=st.integers(0, 4),
-       chain=st.lists(st.booleans(), min_size=3, max_size=3),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_wrap_equals_closures_on_random_regular_pencils(d, a, chain, seed):
-    # (E, A0) = S (diag(I, N), diag(J, I)) T with N nilpotent: regular by
-    # construction, of index up to a, in random coordinates
+def _random_regular_ddae(d, a, chain, seed):
+    """(E, A0) = S (diag(I, N), diag(J, I)) T with N nilpotent: regular by
+    construction, of index up to a, in random coordinates; with a random
+    delay matrix and forcing, and the generator that drew them."""
     assume(d + a > 0)
     rng = np.random.default_rng(seed)
     n = d + a
@@ -394,10 +392,23 @@ def test_wrap_equals_closures_on_random_regular_pencils(d, a, chain, seed):
         weierstrass(ld.pencil)
     except IllConditioned:
         assume(False)
+    return ld, rng
+
+
+_PENCILS = dict(d=st.integers(0, 3), a=st.integers(0, 4),
+                chain=st.lists(st.booleans(), min_size=3, max_size=3),
+                seed=st.integers(0, 2 ** 32 - 1))
+
+
+@given(**_PENCILS)
+def test_wrap_equals_closures_on_random_regular_pencils(d, a, chain, seed):
+    ld, rng = _random_regular_ddae(d, a, chain, seed)
     _assert_wrap_equals_closures(ld, rng)
 
 
 def test_each_callback_reads_the_forcing_once(monkeypatch):
+    # also over the point axis of an affine model's stage block: one read
+    # per call, whatever the number of times it covers
     model, history = linear_export_model()
     reads = [0]
     signal_eval = SymbolicSignal.eval
@@ -408,37 +419,58 @@ def test_each_callback_reads_the_forcing_once(monkeypatch):
 
     monkeypatch.setattr(SymbolicSignal, "eval", counting)
     per_call = {"D": [], "A": []}
+    points = {"D": 0, "A": 0}
 
     def counted(name, fn):
-        def call(*args):
+        def call(t, *args):
             before = reads[0]
-            out = fn(*args)
+            out = fn(t, *args)
             per_call[name].append(reads[0] - before)
+            points[name] += np.size(t)
             return out
         return call
 
     model.D = counted("D", model.D)
     model.A = counted("A", model.A)
-    solve_itp(model, history, 1.5)
-    assert len(per_call["D"]) > 1000 and len(per_call["A"]) > 1000
+    tr = solve_itp(model, history, 1.5)
     assert set(per_call["D"]) == set(per_call["A"]) == {1}
+    # three stages and the endpoint of every step
+    n_steps = tr.stats["steps"]
+    assert n_steps >= 600
+    assert points["D"] >= 4 * n_steps and points["A"] >= 4 * n_steps
 
 
 def test_one_newton_iteration_solves_each_step(monkeypatch):
-    # The wrap is affine and its Jacobians exact, so the first update
-    # solves the stage equations; a second one, computed here after every
-    # successful step, must not exceed newton_tol.
+    # The wrap is affine and its Jacobians exact, so the first update, and
+    # a block step's direct solve, solve the stage equations; a second
+    # update, computed here from per-stage callback residuals at the solved
+    # stages of every successful attempt, must not exceed newton_tol.
     model, history = linear_export_model()
     newton_tol = IntegrationOptions().newton_tol
     newton_update = radau._newton_update
-    solve_step = radau._solve_step
-    updates = []
-    second = []
+    solve_step, block_step = radau._solve_step, radau._block_step
+    integrate = steps.integrate_segment
+    problems, updates, second, blocks = [], [], [], []
 
     def recording_update(factors, R):
         delta = newton_update(factors, R)
         updates.append((factors, delta))
         return delta
+
+    def recording_integrate(problem, *args):
+        problems.append(problem)
+        return integrate(problem, *args)
+
+    def check(t0, h, z_prev, K):
+        assert len(updates) == 1
+        factors, _ = updates[0]
+        Z = z_prev + h * (radau.RADAU_A @ K)
+        R = np.array([model.residual(t0 + c * h, Z[i], K[i],
+                                     problems[-1].lags(t0 + c * h))
+                      for i, c in enumerate(radau.RADAU_C.tolist())])
+        step = newton_update(factors, R)
+        second.append(h * float(np.abs(step).max())
+                      / (1.0 + float(np.abs(z_prev).max())))
 
     def checked_step(model, t0, h, z_prev, k_guess, problem, opts, stats,
                      last):
@@ -446,22 +478,24 @@ def test_one_newton_iteration_solves_each_step(monkeypatch):
         result = solve_step(model, t0, h, z_prev, k_guess, problem, opts,
                             stats, last)
         if result is not None:
-            assert len(updates) == 1
-            factors, delta = updates[0]
-            K = np.array([k_guess] * 3) - delta
-            Z = z_prev + h * (radau.RADAU_A @ K)
-            R = np.array([model.residual(t0 + c * h, Z[i], K[i],
-                                         problem.lags(t0 + c * h))
-                          for i, c in enumerate(radau.RADAU_C.tolist())])
-            step = newton_update(factors, R)
-            second.append(h * float(np.abs(step).max())
-                          / (1.0 + float(np.abs(z_prev).max())))
+            check(t0, h, z_prev, np.array([k_guess] * 3) - updates[0][1])
+        return result
+
+    def checked_block_step(model, t0, h, z_prev, stage, opts, stats, cached):
+        updates.clear()
+        result = block_step(model, t0, h, z_prev, stage, opts, stats, cached)
+        if result is not None:
+            check(t0, h, z_prev, -updates[0][1])
+            blocks.append(t0)
         return result
 
     monkeypatch.setattr(radau, "_newton_update", recording_update)
     monkeypatch.setattr(radau, "_solve_step", checked_step)
+    monkeypatch.setattr(radau, "_block_step", checked_block_step)
+    monkeypatch.setattr(steps, "integrate_segment", recording_integrate)
     for h in (None, 0.001):
         second.clear()
+        blocks.clear()
         tr = solve_itp(model, history, 2.0, IntegrationOptions(h=h))
         stats = tr.stats
         assert stats["halvings"] == 0
@@ -470,3 +504,64 @@ def test_one_newton_iteration_solves_each_step(monkeypatch):
                                               + stats["rejected"])
         assert len(second) == stats["steps"] + stats["rejected"]
         assert max(second) <= newton_tol
+        # both meshes repeat h: all but the first step of each segment and
+        # the steps around a rejection come from blocks
+        assert len(blocks) >= stats["steps"] - 2 * len(tr.segments) - 2 * \
+            stats["rejected"]
+
+
+@settings(max_examples=60)
+@given(**_PENCILS)
+def test_block_steps_equal_newton_steps_on_random_regular_pencils(
+        d, a, chain, seed):
+    # the same inputs through both paths: the block step's direct solve and
+    # _solve_step's one Newton update from the loop's predictor agree to
+    # 1e-12 of the step's scale (its largest state, rate or result entry);
+    # the result alone can be far smaller, after cancellation.  The block's
+    # endpoint residual, read with the block's lags, stays at rounding.
+    ld, rng = _random_regular_ddae(d, a, chain, seed)
+    m = sf_model_from_linear(ld)
+    history = _random_forcing(rng, ld.n)
+    h = m.tau / 50
+    problem = radau.SegmentProblem(m, 0.0, m.tau, history.eval(0.0), history,
+                                   0.0)
+    opts = IntegrationOptions(res_tol=1e300)
+    stats, block_stats = ({"max_endpoint_residual": 0.0,
+                           "max_stage_cond": 0.0, "newton_iterations": 0}
+                          for _ in range(2))
+    last = [None]
+    t, z, k = 0.0, problem.z0, np.zeros(m.n)
+    first = radau._solve_step(m, t, h, z, k, problem, opts, stats, last)
+    assume(first is not None)
+    t, z, k = t + h, first[0], first[2]
+    block = radau._stage_block(problem, t, h, 8)
+    assert len(block) == 8
+    for _ in range(8):
+        want = radau._solve_step(m, t, h, z, k, problem, opts, stats, last)
+        got = radau._block_step(m, t, h, z, block.pop((t, h)), opts,
+                                block_stats, last[0])
+        scale = max(float(np.abs(v).max()) for v in (z, k, *want[:3]))
+        for x, y in zip(got, want):
+            assert np.abs(x - y).max() <= 1e-12 * scale
+        assert block_stats["max_endpoint_residual"] <= 1e-11 * scale
+        t, z, k = t + h, want[0], want[2]
+    assert block_stats["newton_iterations"] == 8
+
+
+def test_a_varying_step_affine_run_reads_no_stage_block(monkeypatch):
+    # linear-smooth never repeats h on consecutive steps, so every step
+    # takes the Newton path: no residual call over a point axis while it
+    # solves
+    model, history = linear_smooth_model()
+    residual = SfDdaeModel.residual
+    axes = []
+
+    def recording(self, t, *args):
+        axes.append(np.ndim(t))
+        return residual(self, t, *args)
+
+    monkeypatch.setattr(SfDdaeModel, "residual", recording)
+    tr = solve_itp(model, history, 10.0)
+    assert tr.stats["steps"] > 600
+    assert len(axes) >= 4 * tr.stats["steps"]
+    assert set(axes) == {0}

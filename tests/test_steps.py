@@ -1,3 +1,4 @@
+import csv
 import functools
 import logging
 import re
@@ -18,7 +19,7 @@ from ddaekit.radau import (CONSISTENCY_TOL, STEPS_PER_SEGMENT,
 from ddaekit.sfdae import SfDdaeModel
 from ddaekit.steps import (BROKE_DOWN, Trajectory, audit, evaluate,
                            evaluate_grid, solve_itp, sweep_deviation,
-                           sweep_reference)
+                           sweep_reference, write_trajectory_csv)
 
 from test_sfdae import delayed_ode
 
@@ -601,6 +602,35 @@ def test_audit_point_axis_equals_per_point_residuals(name, monkeypatch):
     np.testing.assert_allclose(got[2], alg, rtol=1e-12, atol=1e-14)
 
 
+def _csv_writer_bytes(tr, audited, path):
+    """The export as ``csv.writer`` writes its fields."""
+    ts, _, alg, states = audited
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", *(f"z_{i + 1}" for i in range(tr.model.n)),
+                         "segment_index", "A_residual_norm"])
+        for j, (t, i) in enumerate(zip(ts, tr.segment_indices(ts).tolist())):
+            writer.writerow([f"{t:.12g}", *(f"{v:.12g}" for v in states[j]),
+                             i, f"{alg[j]:.6g}"])
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name", ["ex-advanced", "delayed-ode", "ex-shift"])
+def test_csv_export_writes_the_bytes_of_csv_writer(name, tmp_path):
+    # ex-advanced breaks down; the a = 0 model's residual column holds 0.0
+    m, phi = _point_axis_case(name)
+    tr = solve_itp(m, phi, 2.5 * m.tau)
+    assert tr.complete == (name != "ex-advanced")
+    audited = audit(tr, 2 * steps.CSV_CHUNK + 501)
+    if name == "delayed-ode":
+        assert not audited[2].any()
+    write_trajectory_csv(tr, tmp_path / "run.csv", audited)
+    got = (tmp_path / "run.csv").read_bytes()
+    assert got == _csv_writer_bytes(tr, audited, tmp_path / "want.csv")
+    assert got.count(b"\r\n") == 2 * steps.CSV_CHUNK + 502
+
+
 def _lag_case(case, tau):
     """A model and a history whose run reads lags on several segments; the
     ex-advanced runs break down."""
@@ -630,7 +660,11 @@ def test_solver_lag_reads_equal_grid_reads_bit_for_bit(case, tau, fixed):
 
     def recording(problem, t):
         zlags = lags(problem, t)
-        reads.append((problem.t_start, t, zlags))
+        if isinstance(t, float):
+            reads.append((problem.t_start, t, zlags))
+        else:   # an affine model's stage block: one read per column
+            reads.extend((problem.t_start, ti, zlags[..., j])
+                         for j, ti in enumerate(t.tolist()))
         return zlags
 
     opts = IntegrationOptions(h=m.tau / 50 if fixed else None)
