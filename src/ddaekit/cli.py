@@ -320,7 +320,10 @@ def build_parser():
 def main(argv=None):
     level = os.environ.get("DDAE_LOG")
     if level:
-        logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO))
+        # a level's number, or a "Level ..." string for any other name
+        level = logging.getLevelName(level.upper())
+        logging.basicConfig(
+            level=level if isinstance(level, int) else logging.INFO)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,6 +13,7 @@ structure is numerically unstable.  J and N are reduced to real Schur
 import cmath
 import functools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ DEFAULT_TOL = 1e-10
 # Rank decisions are refused when the retained/discarded singular value gap
 # is below this factor.
 GAP_FACTOR = 10.0
+
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def as_matrix(M, name):
@@ -165,7 +168,18 @@ def _regularity(p, tol):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if p.n == 0:
         return True, []
-    samples = _det_samples(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = _det_samples(p)
+    # Regularity does not change when E and A are multiplied by the same
+    # factor.  Samples that overflow or underflow are taken again from the
+    # pencil scaled by a power of two, exactly, to a largest entry below 1.
+    if not all(cmath.isfinite(det) and _TINY <= scale < np.inf
+               for _, det, scale in samples):
+        big = max(np.abs(p.E).max(), np.abs(p.A).max())
+        if big > 0.0:
+            e = -math.frexp(big)[1]
+            samples = _det_samples(MatrixPencil(np.ldexp(p.E, e),
+                                                np.ldexp(p.A, e)))
     return any(abs(det) > tol * scale for _, det, scale in samples), samples
 
 

@@ -20,13 +20,14 @@ The stage equations are solved by simplified Newton: the model Jacobians
 are evaluated at the predictor of the last stage, and Hairer's
 transformation of the Radau IIA matrix (Hairer & Wanner, Solving ODEs II,
 IV.8) splits the 3n x 3n stage matrix into one real and one complex n x n
-matrix, each inverted once per step, or once per segment and step size for
-an affine model (``SfDdaeModel.affine``), whose stage equations are linear
-with exactly that matrix, so that its steps take the first update.  Its
-steps at a repeated h solve that linear system directly, from stage data
-read for several steps at once (``_stage_block``).  The continuous
-extension is the cubic Hermite of each step, the collocation
-polynomial, stored as monomial coefficients when the segment is complete.
+matrix, each inverted once per step.  An affine model
+(``SfDdaeModel.affine``) has one step rule of its own (``_AffineSteps``):
+its stage equations are linear with constant Jacobians, read once per
+segment, so every step solves them directly, with the two inverses taken
+once per distinct h and the stage data read for several steps at once
+(``_stage_block``).  The continuous extension is the cubic Hermite of each
+step, the collocation polynomial, stored as monomial coefficients when the
+segment is complete.
 """
 
 import logging
@@ -260,9 +261,10 @@ class SegmentSolution:
         return (P[:, None, :] @ self.coeffs[k])[:, 0]
 
 
-def _newton_factors(Fz, Fdot, h):
-    """Inverses of the real and the complex block of the split stage matrix,
-    and the larger of the two blocks' 1-norm condition numbers.
+def _newton_factors(Fz, Fdot, h, stats):
+    """Inverses of the real and the complex block of the split stage matrix;
+    the larger of the two blocks' 1-norm condition numbers enters
+    ``stats["max_stage_cond"]``, with a warning the first time past COND_WARN.
 
     Raises LinAlgError when either block is singular.
     """
@@ -271,7 +273,11 @@ def _newton_factors(Fz, Fdot, h):
     norm_real, norm_real_inv, norm_cplx, norm_cplx_inv = _one_norms(
         real, factors[0], cplx, factors[1])
     cond = max(norm_real * norm_real_inv, norm_cplx * norm_cplx_inv)
-    return factors, cond
+    if cond > COND_WARN >= stats["max_stage_cond"]:
+        logger.warning("stage Jacobian condition %.2e exceeds %.0e", cond,
+                       COND_WARN)
+    stats["max_stage_cond"] = max(stats["max_stage_cond"], cond)
+    return factors
 
 
 def _one_norms(*matrices):
@@ -294,45 +300,36 @@ def _newton_update(factors, R):
     return _T @ W
 
 
-def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats, last):
-    """One collocation step; returns (z1, d0, d1, Fdot), with d0 and d1 the
-    end derivatives of the collocation cubic and Fdot the step's Jacobian
-    with respect to z', or None on failure.
-
-    ``last`` is a one-item list holding an affine model's ``(h, Fz, Fdot,
-    factors, cond)`` from its last factorisation in the segment, or None.
-    At the same h they are reused: the model declares its Jacobians
-    constant, so they are exactly what ``_newton_factors`` would return.
-    """
+def _jacobians(model, t, z, zdot, lags):
+    """F_z and F_zdot, the Jacobians of the model's residual at (t, z,
+    zdot) with the lag rows ``lags``."""
     n, d = model.n, model.d
+    Fz = np.empty((n, n))
+    Fz[:d] = model.JD_z(t, z, zdot, lags[0])
+    Fz[d:] = model.JA_z(t, z, lags[:model.s_decl])
+    Fdot = np.zeros((n, n))
+    Fdot[:d] = model.JD_zdot(t, z, zdot, lags[0])
+    return Fz, Fdot
+
+
+def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats):
+    """One simplified-Newton step of a callback model; returns (z1, d0, d1,
+    Fdot), with d0 and d1 the end derivatives of the collocation cubic and
+    Fdot the step's Jacobian with respect to z', or None on failure."""
     K = np.array([k_guess] * 3)
     scale = 1.0 + float(np.abs(z_prev).max())
     stage_ts = [t0 + c * h for c in _C]
     stage_lags = [problem.lags(ti) for ti in stage_ts]
-    if last[0] is not None and last[0][0] == h:
-        _, _, Fdot, factors, cond = last[0]
-    else:
-        # the Jacobians at the predictor of the last stage
-        z_pred = z_prev + h * k_guess
-        lags = stage_lags[2]
-        Fz = np.empty((n, n))
-        Fz[:d] = model.JD_z(stage_ts[2], z_pred, k_guess, lags[0])
-        Fz[d:] = model.JA_z(stage_ts[2], z_pred, lags[:model.s_decl])
-        Fdot = np.zeros((n, n))
-        Fdot[:d] = model.JD_zdot(stage_ts[2], z_pred, k_guess, lags[0])
-        if not (np.isfinite(Fz).all() and np.isfinite(Fdot).all()):
-            return None
-        try:
-            factors, cond = _newton_factors(Fz, Fdot, h)
-        except np.linalg.LinAlgError:
-            return None
-        if model.affine:
-            last[0] = h, Fz, Fdot, factors, cond
-    if cond > COND_WARN >= stats["max_stage_cond"]:
-        logger.warning("stage Jacobian condition %.2e exceeds %.0e", cond,
-                       COND_WARN)
-    stats["max_stage_cond"] = max(stats["max_stage_cond"], cond)
-    R = np.empty((3, n))
+    # the Jacobians at the predictor of the last stage
+    Fz, Fdot = _jacobians(model, stage_ts[2], z_prev + h * k_guess, k_guess,
+                          stage_lags[2])
+    if not (np.isfinite(Fz).all() and np.isfinite(Fdot).all()):
+        return None
+    try:
+        factors = _newton_factors(Fz, Fdot, h, stats)
+    except np.linalg.LinAlgError:
+        return None
+    R = np.empty((3, model.n))
     err_prev = math.inf
     for _ in range(opts.max_newton):
         Z = z_prev + h * (RADAU_A @ K)
@@ -349,9 +346,7 @@ def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats, last):
         if not err < err_prev:
             return None
         err_prev = err
-        # an affine model's stage equations are linear with exactly this
-        # matrix, so the first update solves them to rounding
-        if err <= opts.newton_tol or model.affine:
+        if err <= opts.newton_tol:
             return _step_end(model, stage_ts[2], h, z_prev, K, stage_lags[2],
                              Fdot, opts, stats)
     return None
@@ -391,23 +386,47 @@ def _stage_block(problem, t, h, size):
     return dict(zip([(s, h) for s in starts.tolist()], zip(g, ends)))
 
 
-def _block_step(model, t0, h, z_prev, stage, opts, stats, cached):
-    """One step of an affine model from its ``_stage_block`` entry
-    ``stage``; returns what ``_solve_step`` returns.
+class _AffineSteps:
+    """The step rule of an affine model in one segment.
 
     The stage equations F_z Z_i + F_zdot K_i + g_i = 0, with Z_i = z_prev +
-    h sum_j a_ij K_j, are linear, so K = -M^-1 (F_z z_prev (x) 1 + g) with
-    the stage matrix M of ``_newton_update``, inverted at h by the model's
-    last ``_solve_step`` (``cached``, its ``last`` entry).  That step also
-    took the condition number into ``max_stage_cond``.
+    h sum_j a_ij K_j, are linear, so a step solves them directly: K = -M^-1
+    (F_z z_prev (x) 1 + g), with the stage matrix M of ``_newton_update``.
+    The model declares F_z and F_zdot constant; ``jacobians`` holds them,
+    read once at the segment start, and M's two blocks are inverted once
+    per distinct h.  g and the end lags come from a ``_stage_block`` entry.
+    The first block at an h covers one step, and each next one at that h
+    twice as many, up to MAX_BLOCK.
     """
-    g, lags = stage
-    _, Fz, Fdot, factors, _ = cached
-    K = -_newton_update(factors, g + Fz @ z_prev)
-    if not np.isfinite(K).all():
-        return None
-    stats["newton_iterations"] += 1
-    return _step_end(model, t0 + h, h, z_prev, K, lags, Fdot, opts, stats)
+
+    def __init__(self, problem, jacobians, opts, stats):
+        self.problem, self.opts, self.stats = problem, opts, stats
+        self.Fz, self.Fdot = jacobians
+        self.factors, self.block, self.h, self.size = {}, {}, None, 1
+
+    def __call__(self, t0, h, z_prev, k_guess):
+        """One step; returns what ``_solve_step`` returns.  ``k_guess``,
+        the Newton start of ``_solve_step``, is not needed."""
+        factors = self.factors.get(h)
+        if factors is None:
+            try:
+                factors = self.factors[h] = _newton_factors(
+                    self.Fz, self.Fdot, h, self.stats)
+            except np.linalg.LinAlgError:
+                return None
+        stage = self.block.pop((t0, h), None)
+        if stage is None:
+            self.size = min(2 * self.size, MAX_BLOCK) if h == self.h else 1
+            self.h = h
+            self.block = _stage_block(self.problem, t0, h, self.size)
+            stage = self.block.pop((t0, h))
+        g, lags = stage
+        K = -_newton_update(factors, g + self.Fz @ z_prev)
+        if not np.isfinite(K).all():
+            return None
+        self.stats["newton_iterations"] += 1
+        return _step_end(self.problem.model, t0 + h, h, z_prev, K, lags,
+                         self.Fdot, self.opts, self.stats)
 
 
 def _start_defect(model, t0, z0, step, d_prev, lags0):
@@ -479,11 +498,22 @@ def integrate_segment(problem, opts=None, h_start=None):
         raise InconsistentInitialState(
             f"initial state violates the algebraic part: |r| = "
             f"{norm_r0:.3e}", t=problem.t_start, residual=r0, norm=norm_r0)
+    stats = {"max_endpoint_residual": 0.0, "max_stage_cond": 0.0,
+             "newton_iterations": 0, "halvings": 0, "rejected": 0,
+             "n_steps": 0, "start_residual": norm_r0}
+    k_guess = np.zeros(model.n)
+    # the one step rule of the segment
+    if model.affine:
+        step = _AffineSteps(problem, _jacobians(
+            model, problem.t_start, problem.z0, k_guess, lags0), opts, stats)
+    else:
+        def step(t, h, z, k_guess):
+            return _solve_step(model, t, h, z, k_guess, problem, opts, stats)
     if model.a:
         # spot-check: the algebraic rows must have full row rank here,
         # thresholded like the pencil rank decisions
-        JA = np.atleast_2d(model.JA_z(problem.t_start, problem.z0,
-                                      lags0[:model.s_decl]))
+        JA = step.Fz[model.d:] if model.affine else np.atleast_2d(
+            model.JA_z(problem.t_start, problem.z0, lags0[:model.s_decl]))
         sigma = np.linalg.svd(JA, compute_uv=False)
         if sigma[0] == 0.0 or sigma[-1] <= 1e-10 * sigma[0]:
             logger.warning(
@@ -502,44 +532,20 @@ def integrate_segment(problem, opts=None, h_start=None):
         h_next = min(max(h_start, h_floor), length)
     h_min = tau / 2 ** 15
 
-    stats = {"max_endpoint_residual": 0.0, "max_stage_cond": 0.0,
-             "newton_iterations": 0, "halvings": 0, "rejected": 0,
-             "n_steps": 0, "start_residual": norm_r0}
     ts = [problem.t_start]
     zs = [problem.z0.copy()]
     d_start = []
     d_end = []
     z = problem.z0.copy()
-    k_guess = np.zeros(model.n)
     d_prev = None
-    last = [None]  # an affine model's Newton factors, reused at a repeated h
-    # an affine model's ``_stage_block`` and the size of its next one, which
-    # doubles while its steps come from blocks
-    block, size = {}, 1
-    h_prev = None
     t = problem.t_start
-    # a segment shorter than the end slack still takes one step
+    # a step that ends within rounding of the segment end ends at it
     t_stop = problem.t_end - 1e-12 * max(1.0, abs(problem.t_end))
-    while len(ts) == 1 or t < t_stop:
+    while t < problem.t_end:
         h = min(h_next, problem.t_end - t)
-        stage = None
-        if model.affine and h == h_prev:
-            stage = block.pop((t, h), None)
-            if stage is None:
-                block = _stage_block(problem, t, h, size)
-                size = min(2 * size, MAX_BLOCK)
-                stage = block.pop((t, h))
         halvings = 0
         while True:
-            if stage is None:
-                # the first step at an h and every retry
-                result = _solve_step(model, t, h, z, k_guess, problem, opts,
-                                     stats, last)
-                size = 1
-            else:
-                result = _block_step(model, t, h, z, stage, opts, stats,
-                                     last[0])
-                stage = None
+            result = step(t, h, z, k_guess)
             if result is None:
                 halvings += 1
                 stats["halvings"] += 1
@@ -567,8 +573,7 @@ def integrate_segment(problem, opts=None, h_start=None):
             stats["rejected"] += 1
             h = h_next
         z1, d0, d1, _ = result
-        h_prev = h
-        t = t + h
+        t = t + h if t + h < t_stop else problem.t_end
         ts.append(t)
         zs.append(z1)
         d_start.append(d0)

@@ -83,9 +83,9 @@ class SfDdaeModel:
     default_history : optional zero-argument callable building a history
     affine : declares D and A affine in (z, zdot, lags) with JD_z, JD_zdot
         and JA_z their exact, constant coefficients: the integrator then
-        evaluates them and factors the stage matrix only when a segment
-        starts or h changes, and one Newton iteration solves a step's
-        stage equations (``lti.sf_model_from_linear`` sets it)
+        reads each once per segment, inverts the stage matrix once per
+        distinct h, and solves every step's linear stage equations
+        directly (``lti.sf_model_from_linear`` sets it)
     """
 
     def __init__(self, n, d, a, tau, s_decl, D, A, JD_z, JD_zdot, JA_z,

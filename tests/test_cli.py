@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import logging
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -56,6 +57,26 @@ def test_analyze_singular_pencil_reports_cleanly(tmp_path):
     data = run_json("analyze", "--model", str(path))
     assert data["regular"] is False
     assert "nu" not in data
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_a_regular_pencil_of_any_scale_is_regular(tmp_path, scale):
+    # diag(1, 0) and diag(0, -1), times a factor whose square overflows
+    # or underflows: the verdict of the unit pencil, and a linear model of
+    # that pencil simulates
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps({"E": [[scale, 0.0], [0.0, 0.0]],
+                                "A": [[0.0, 0.0], [0.0, -scale]]}))
+    data = run_json("analyze", "--model", str(path))
+    assert data["regular"] is True
+    assert (data["d"], data["a"], data["nu"]) == (1, 1, 1)
+    path = tmp_path / "linear.json"
+    path.write_text(json.dumps({"E": [[scale, 0.0], [0.0, 0.0]],
+                                "A0": [[0.0, 0.0], [0.0, -scale]],
+                                "A1": [[0.0, 0.0], [0.0, 0.0]], "tau": 0.5}))
+    data = run_json("simulate", "--model", str(path), "--T", "1",
+                    "--history", "poly:1;0")
+    assert data["status"] == "Complete"
 
 
 def test_analyze_linear_ddae_includes_classification(tmp_path):
@@ -482,6 +503,28 @@ def test_log_env_variable_accepted(tmp_path, monkeypatch):
          "ex-split-index"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["nu"] == 1
+
+
+@pytest.mark.parametrize("value, level", [
+    ("basic_format", logging.INFO), ("no-such-level", logging.INFO),
+    ("warn", logging.WARNING), ("Debug", logging.DEBUG)])
+def test_a_log_value_that_names_no_level_logs_at_info(value, level,
+                                                      monkeypatch):
+    # BASIC_FORMAT is a string attribute of the logging module, not a level
+    calls = []
+    monkeypatch.setenv("DDAE_LOG", value)
+    monkeypatch.setattr(logging, "basicConfig",
+                        lambda **kwargs: calls.append(kwargs))
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["classify", "--model", "ex-shift"]) == 0
+    assert calls == [{"level": level}]
+    if value == "basic_format":
+        import os
+        proc = subprocess.run(
+            [sys.executable, "-m", "ddaekit", "classify", "--model",
+             "ex-shift"], capture_output=True, text=True,
+            env=dict(os.environ, DDAE_LOG=value))
+        assert proc.returncode == 0 and proc.stderr == ""
 
 
 def test_simulate_reports_are_deterministic(tmp_path):

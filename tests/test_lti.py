@@ -441,16 +441,16 @@ def test_each_callback_reads_the_forcing_once(monkeypatch):
 
 
 def test_one_newton_iteration_solves_each_step(monkeypatch):
-    # The wrap is affine and its Jacobians exact, so the first update, and
-    # a block step's direct solve, solve the stage equations; a second
-    # update, computed here from per-stage callback residuals at the solved
-    # stages of every successful attempt, must not exceed newton_tol.
+    # The wrap is affine and its Jacobians exact, so an affine step's
+    # direct solve solves the stage equations; a second update, computed
+    # here from per-stage callback residuals at the solved stages of every
+    # successful attempt, must not exceed newton_tol.
     model, history = linear_export_model()
     newton_tol = IntegrationOptions().newton_tol
     newton_update = radau._newton_update
-    solve_step, block_step = radau._solve_step, radau._block_step
+    affine_step = radau._AffineSteps.__call__
     integrate = steps.integrate_segment
-    problems, updates, second, blocks = [], [], [], []
+    problems, updates, second, newton = [], [], [], []
 
     def recording_update(factors, R):
         delta = newton_update(factors, R)
@@ -461,64 +461,51 @@ def test_one_newton_iteration_solves_each_step(monkeypatch):
         problems.append(problem)
         return integrate(problem, *args)
 
-    def check(t0, h, z_prev, K):
-        assert len(updates) == 1
-        factors, _ = updates[0]
-        Z = z_prev + h * (radau.RADAU_A @ K)
-        R = np.array([model.residual(t0 + c * h, Z[i], K[i],
-                                     problems[-1].lags(t0 + c * h))
-                      for i, c in enumerate(radau.RADAU_C.tolist())])
-        step = newton_update(factors, R)
-        second.append(h * float(np.abs(step).max())
-                      / (1.0 + float(np.abs(z_prev).max())))
-
-    def checked_step(model, t0, h, z_prev, k_guess, problem, opts, stats,
-                     last):
+    def checked_step(self, t0, h, z_prev, k_guess):
         updates.clear()
-        result = solve_step(model, t0, h, z_prev, k_guess, problem, opts,
-                            stats, last)
+        result = affine_step(self, t0, h, z_prev, k_guess)
         if result is not None:
-            check(t0, h, z_prev, np.array([k_guess] * 3) - updates[0][1])
-        return result
-
-    def checked_block_step(model, t0, h, z_prev, stage, opts, stats, cached):
-        updates.clear()
-        result = block_step(model, t0, h, z_prev, stage, opts, stats, cached)
-        if result is not None:
-            check(t0, h, z_prev, -updates[0][1])
-            blocks.append(t0)
+            assert len(updates) == 1
+            factors, delta = updates[0]
+            K = -delta
+            Z = z_prev + h * (radau.RADAU_A @ K)
+            R = np.array([model.residual(t0 + c * h, Z[i], K[i],
+                                         problems[-1].lags(t0 + c * h))
+                          for i, c in enumerate(radau.RADAU_C.tolist())])
+            step = newton_update(factors, R)
+            second.append(h * float(np.abs(step).max())
+                          / (1.0 + float(np.abs(z_prev).max())))
         return result
 
     monkeypatch.setattr(radau, "_newton_update", recording_update)
-    monkeypatch.setattr(radau, "_solve_step", checked_step)
-    monkeypatch.setattr(radau, "_block_step", checked_block_step)
+    monkeypatch.setattr(radau._AffineSteps, "__call__", checked_step)
+    monkeypatch.setattr(radau, "_solve_step",
+                        lambda *args: newton.append(args))
     monkeypatch.setattr(steps, "integrate_segment", recording_integrate)
     for h in (None, 0.001):
         second.clear()
-        blocks.clear()
         tr = solve_itp(model, history, 2.0, IntegrationOptions(h=h))
         stats = tr.stats
         assert stats["halvings"] == 0
-        # one iteration per attempted step: accepted or rejected
+        # one solve per attempted step: accepted or rejected
         assert stats["newton_iterations"] == (stats["steps"]
                                               + stats["rejected"])
         assert len(second) == stats["steps"] + stats["rejected"]
         assert max(second) <= newton_tol
-        # both meshes repeat h: all but the first step of each segment and
-        # the steps around a rejection come from blocks
-        assert len(blocks) >= stats["steps"] - 2 * len(tr.segments) - 2 * \
-            stats["rejected"]
+    # no attempt takes the Newton of a callback model
+    assert newton == []
 
 
 @settings(max_examples=60)
 @given(**_PENCILS)
 def test_block_steps_equal_newton_steps_on_random_regular_pencils(
         d, a, chain, seed):
-    # the same inputs through both paths: the block step's direct solve and
-    # _solve_step's one Newton update from the loop's predictor agree to
+    # the same inputs through both rules: the affine step's direct solve
+    # and _solve_step's full Newton from the loop's predictor agree to
     # 1e-12 of the step's scale (its largest state, rate or result entry);
-    # the result alone can be far smaller, after cancellation.  The block's
-    # endpoint residual, read with the block's lags, stays at rounding.
+    # the result alone can be far smaller, after cancellation.  The affine
+    # step's endpoint residual, read with the block's lags, stays at
+    # rounding, and both rules report the same stage condition.
     ld, rng = _random_regular_ddae(d, a, chain, seed)
     m = sf_model_from_linear(ld)
     history = _random_forcing(rng, ld.n)
@@ -526,42 +513,52 @@ def test_block_steps_equal_newton_steps_on_random_regular_pencils(
     problem = radau.SegmentProblem(m, 0.0, m.tau, history.eval(0.0), history,
                                    0.0)
     opts = IntegrationOptions(res_tol=1e300)
-    stats, block_stats = ({"max_endpoint_residual": 0.0,
-                           "max_stage_cond": 0.0, "newton_iterations": 0}
-                          for _ in range(2))
-    last = [None]
+    stats, affine_stats = ({"max_endpoint_residual": 0.0,
+                            "max_stage_cond": 0.0, "newton_iterations": 0}
+                           for _ in range(2))
     t, z, k = 0.0, problem.z0, np.zeros(m.n)
-    first = radau._solve_step(m, t, h, z, k, problem, opts, stats, last)
-    assume(first is not None)
-    t, z, k = t + h, first[0], first[2]
-    block = radau._stage_block(problem, t, h, 8)
-    assert len(block) == 8
+    step = radau._AffineSteps(problem, radau._jacobians(
+        m, t, z, k, problem.lags(t)), opts, affine_stats)
     for _ in range(8):
-        want = radau._solve_step(m, t, h, z, k, problem, opts, stats, last)
-        got = radau._block_step(m, t, h, z, block.pop((t, h)), opts,
-                                block_stats, last[0])
+        want = radau._solve_step(m, t, h, z, k, problem, opts, stats)
+        assume(want is not None)
+        got = step(t, h, z, k)
         scale = max(float(np.abs(v).max()) for v in (z, k, *want[:3]))
         for x, y in zip(got, want):
             assert np.abs(x - y).max() <= 1e-12 * scale
-        assert block_stats["max_endpoint_residual"] <= 1e-11 * scale
+        assert affine_stats["max_endpoint_residual"] <= 1e-11 * scale
         t, z, k = t + h, want[0], want[2]
-    assert block_stats["newton_iterations"] == 8
+    assert affine_stats["newton_iterations"] == 8
+    assert affine_stats["max_stage_cond"] == stats["max_stage_cond"]
+    # at one h the blocks cover 1, 2, 4 and 8 steps: 7 entries are left
+    assert len(step.block) == 7
 
 
-def test_a_varying_step_affine_run_reads_no_stage_block(monkeypatch):
-    # linear-smooth never repeats h on consecutive steps, so every step
-    # takes the Newton path: no residual call over a point axis while it
-    # solves
+def test_linear_smooth_takes_every_step_from_a_stage_block(monkeypatch):
+    # linear-smooth changes h on almost every step, yet every attempted
+    # step finds its stage data in the block built for it, and none takes
+    # the Newton of a callback model
     model, history = linear_smooth_model()
-    residual = SfDdaeModel.residual
-    axes = []
+    stage_block, affine_step = radau._stage_block, radau._AffineSteps.__call__
+    entries, attempts, newton = set(), [], []
 
-    def recording(self, t, *args):
-        axes.append(np.ndim(t))
-        return residual(self, t, *args)
+    def recording_block(problem, t, h, size):
+        block = stage_block(problem, t, h, size)
+        entries.update(block)
+        return block
 
-    monkeypatch.setattr(SfDdaeModel, "residual", recording)
+    def recording_step(self, t0, h, *rest):
+        attempts.append((t0, h))
+        return affine_step(self, t0, h, *rest)
+
+    monkeypatch.setattr(radau, "_stage_block", recording_block)
+    monkeypatch.setattr(radau._AffineSteps, "__call__", recording_step)
+    monkeypatch.setattr(radau, "_solve_step",
+                        lambda *args: newton.append(args))
     tr = solve_itp(model, history, 10.0)
-    assert tr.stats["steps"] > 600
-    assert len(axes) >= 4 * tr.stats["steps"]
-    assert set(axes) == {0}
+    stats = tr.stats
+    assert stats["steps"] > 600
+    assert len(attempts) == (stats["steps"] + stats["rejected"]
+                             + stats["halvings"])
+    assert set(attempts) <= entries
+    assert newton == []

@@ -323,6 +323,25 @@ def test_analyze_imports_scipy_at_most_once(monkeypatch):
     assert len(imports) <= 1, imports
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
+def test_a_common_scale_does_not_change_the_verdict(scale, rng, recwarn):
+    # the norms of the first pencil overflow and the determinants of the
+    # second underflow; regularity does not change with the scale of the
+    # pencil, so each reads as its unit pencil does, without a warning
+    E, A = np.diag([1.0, 0.0]), np.diag([0.0, -1.0])
+    for E, A in [(E, A), (rng.standard_normal((4, 4)),
+                          rng.standard_normal((4, 4)))]:
+        unit = analyze(MatrixPencil(E, A))
+        report = analyze(MatrixPencil(scale * E, scale * A))
+        assert report.regular and unit.regular
+        assert (report.d, report.a, report.nu) == (unit.d, unit.a, unit.nu)
+    # exactly singular pencils stay singular, the all-zero one too
+    for E, A in [(np.diag([scale, 0.0]), np.zeros((2, 2))),
+                 (np.zeros((3, 3)), np.zeros((3, 3)))]:
+        assert not is_regular(MatrixPencil(E, A))
+    assert not [w for w in recwarn if w.category is RuntimeWarning]
+
+
 def test_det_samples_match_one_det_per_sample(rng):
     # reference: the per-sample loop the stacked sampling replaced; the
     # arithmetic is the same, so the results are equal, not close

@@ -230,7 +230,9 @@ def test_split_newton_update_matches_assembled_solve(rng, n, d):
     R = rng.standard_normal((3, n))
     J = np.kron(np.eye(3), Fdot) + h * np.kron(RADAU_A, Fz)
     want = np.linalg.solve(J, R.reshape(-1)).reshape(3, n)
-    factors, cond = _newton_factors(Fz, Fdot, h)
+    stats = {"max_stage_cond": 0.0}
+    factors = _newton_factors(Fz, Fdot, h, stats)
+    cond = stats["max_stage_cond"]
     got = _newton_update(factors, R)
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e-12 * np.abs(want).max())

@@ -21,6 +21,7 @@ from ddaekit.steps import (BROKE_DOWN, Trajectory, audit, evaluate,
                            evaluate_grid, solve_itp, sweep_deviation,
                            sweep_reference, write_trajectory_csv)
 
+import output_digest
 from test_sfdae import delayed_ode
 
 
@@ -696,27 +697,46 @@ def test_solver_makes_no_trajectory_reads(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("name", [
+    "ex-shift-tau0.5-h0.001", "ex-shift-tau0.37", "pmsd-hybrid-h0.0007",
+    "linear-export-h0.001", "linear-export-sin-history"])
+def test_every_segment_ends_at_its_breakpoint(name):
+    # the loop adds t + h + h + ..., which can fall short of the segment
+    # end by rounding; the step that ends within that slack ends at it
+    build, T, h = next((build, T, h) for run, build, T, h, _
+                       in output_digest.runs() if run == name)
+    m, phi = build()
+    tr = solve_itp(m, phi, T, IntegrationOptions(h=h))
+    ends = [min(i * m.tau, T) for i in range(1, len(tr.segments) + 1)]
+    assert [seg.ts[-1] for seg in tr.segments] == ends
+    assert tr.breakpoints == [0.0, *ends]
+
+
 def _count_factorizations(monkeypatch):
     """Record the h of every ``_newton_factors`` call and, per segment, of
-    every attempted step."""
+    every attempted step, by either step rule."""
     factors, attempts = [], []
     newton_factors, solve_step = radau._newton_factors, radau._solve_step
+    affine_step = radau._AffineSteps.__call__
     integrate = steps.integrate_segment
 
-    def counted_factors(Fz, Fdot, h):
+    def counted_factors(Fz, Fdot, h, stats):
         factors.append(h)
-        return newton_factors(Fz, Fdot, h)
+        return newton_factors(Fz, Fdot, h, stats)
 
-    def counted_step(model, t0, h, *rest):
-        attempts[-1].append(h)
-        return solve_step(model, t0, h, *rest)
+    def counted(step):
+        def call(first, t0, h, *rest):
+            attempts[-1].append(h)
+            return step(first, t0, h, *rest)
+        return call
 
     def counted_segment(*args):
         attempts.append([])
         return integrate(*args)
 
     monkeypatch.setattr(radau, "_newton_factors", counted_factors)
-    monkeypatch.setattr(radau, "_solve_step", counted_step)
+    monkeypatch.setattr(radau, "_solve_step", counted(solve_step))
+    monkeypatch.setattr(radau._AffineSteps, "__call__", counted(affine_step))
     monkeypatch.setattr(steps, "integrate_segment", counted_segment)
     return factors, attempts
 
@@ -732,17 +752,22 @@ def test_linear_wrap_factors_once_per_segment_and_changed_step(
     m = sf_model_from_linear(models.ex_shift_linear(0.5, f=f, g=g))
     phi = SymbolicSignal(poly=[[0.2, 0.1]]).stack(g.shift(0.5))
     factors, attempts = _count_factorizations(monkeypatch)
-    jd_zdot, jacobians = m.JD_zdot, []
-    m.JD_zdot = lambda *a: jacobians.append(a) or jd_zdot(*a)
+    reads = dict.fromkeys(("JD_z", "JD_zdot", "JA_z"), 0)
+
+    def counted(name, jacobian):
+        def call(*args):
+            reads[name] += 1
+            return jacobian(*args)
+        return call
+
+    for name in reads:
+        setattr(m, name, counted(name, getattr(m, name)))
     tr = solve_itp(m, phi, 2.0)
-    # constant Jacobians: a new factorization only where a segment starts
-    # or h differs from the attempt before
-    changes = sum(1 + sum(a != b for a, b in zip(hs, hs[1:]))
-                  for hs in attempts)
-    assert len(factors) == changes
+    # constant Jacobians: each is read once per segment, and the stage
+    # matrix is inverted once for each distinct h a segment attempts
+    assert len(factors) == sum(len(set(hs)) for hs in attempts)
     assert len(factors) < 0.1 * tr.stats["steps"]
-    # the Jacobians are evaluated only for a factorization
-    assert len(jacobians) == len(factors)
+    assert set(reads.values()) == {len(tr.segments)}
 
 
 def test_nonlinear_model_factors_once_per_step(monkeypatch):
