@@ -4,9 +4,10 @@ Signals are sums of a polynomial and finitely many sinusoids per component,
 so derivatives of any order are available in closed form.  This is what the
 delayed-derivative lags and the admissibility check require; arbitrary
 callables would only offer approximate derivatives.  A history is a plain
-signal: the first segment of ``steps.solve_itp`` reads its lags from it,
-and ``steps.evaluate_grid`` reads it on the trajectory's interval
-``[-tau, 0]`` and owns that domain check.
+signal, piece 0 of a trajectory: the first segment of ``steps.solve_itp``
+reads its lags from it, and ``steps.evaluate_grid`` reads it on
+``[-tau, 0]`` and owns that domain check, both through the ``eval``
+contract that a segment's dense output (``radau.SegmentSolution``) shares.
 """
 
 import math

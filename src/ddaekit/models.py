@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 from .forcing import SymbolicSignal
 from .lti import LinearDdae, LtiDescriptor, couple, hybrid_shifted
 from .pencil import MatrixPencil
@@ -136,6 +136,10 @@ def rest_state(params=None, y1=0.0, theta=0.0):
     y2 = y1 - p.L * math.cos(theta)
     delta = y2 - y1
     denom = 4.0 * delta ** 2 / p.M - 4.0 * p.L ** 2 / p.m
+    if denom == 0.0 or not math.isfinite(denom):
+        raise DataError(f"no rest multiplier at theta0 = {theta:g}: 4 "
+                        f"delta^2/M - 4 L^2/m = {denom:g} (m cos^2(theta0) "
+                        f"= M, or L^2 out of range)")
     lam = 2.0 * delta * (p.g - (p.m * p.g + p.K * y1) / p.M) / denom
     return np.array([y1, x2, y2, 0.0, 0.0, 0.0, lam])
 

@@ -141,6 +141,11 @@ class IntegrationOptions:
                              f"points, got {self.audit_points}")
 
 
+def _end_slack(t_end):
+    """A step that ends within this of the segment end t_end ends at it."""
+    return 1e-12 * max(1.0, abs(t_end))
+
+
 def fit_steps(length, h):
     """The one step-fit rule: ceil(length / h) equal steps cover a segment,
     at least 1, where a ratio a relative 1e-12 above an integer is that
@@ -153,9 +158,9 @@ class SegmentProblem:
     """One delay-free DAE segment.  Its delayed data z(t - tau), z'(t -
     tau), ... are read from ``source``, the piece solved before it (the
     history or the previous ``SegmentSolution``), at min(t - tau,
-    ``source_end``), the trajectory's end."""
+    ``t_start``): that piece ends at this segment's start."""
 
-    def __init__(self, model, t_start, t_end, z0, source, source_end):
+    def __init__(self, model, t_start, t_end, z0, source):
         if t_end <= t_start:
             raise ValueError("segment must have positive length")
         self.model = model
@@ -163,21 +168,17 @@ class SegmentProblem:
         self.t_end = float(t_end)
         self.z0 = np.asarray(z0, dtype=float).copy()
         self.source = source
-        self.source_end = source_end
 
     def lags(self, t):
         """The lag rows z(t - tau), z'(t - tau), ... at a float t, or at
         each of an array of times along a trailing axis, as
-        ``SfDdaeModel.residual`` takes them: one ``eval`` or ``eval_grid``
-        read of the source per row."""
-        src, orders = self.source, range(self.model.n_lags)
-        if isinstance(t, float):
-            t = min(t - self.model.tau, self.source_end)
-            return np.array([src.eval(t, k) for k in orders])
-        t = np.minimum(t - self.model.tau, self.source_end)
-        if isinstance(src, SegmentSolution):
-            return np.stack([src.eval_grid(t, k).T for k in orders])
-        return np.stack([src.eval(t, k) for k in orders])
+        ``SfDdaeModel.residual`` takes them: one ``eval`` read of the source
+        per row."""
+        tau, start = self.model.tau, self.t_start
+        t = (min(t - tau, start) if isinstance(t, float) else
+             np.minimum(t - tau, start))
+        return np.array([self.source.eval(t, k)
+                         for k in range(self.model.n_lags)])
 
 
 def _hermite(h, z0, z1, d0, d1):
@@ -222,33 +223,29 @@ class SegmentSolution:
         return np.vstack([self.coeffs[:, 0], self.endpoint])
 
     def eval(self, t, order=0):
-        """Dense output: state (order 0) or right derivative (order 1)."""
-        if order not in (0, 1):
-            raise ValueError("dense output supports orders 0 and 1 only")
-        ts = self.ts
-        slack = 1e-9 * max(1.0, abs(ts[-1]))
-        if t < ts[0] - slack or t > ts[-1] + slack:
-            raise ValueError(
-                f"t={t} outside segment [{ts[0]}, {ts[-1]}]")
-        k = min(max(bisect_right(ts, t) - 1, 0), len(ts) - 2)
-        h = ts[k + 1] - ts[k]
-        s = (t - ts[k]) / h
-        if order == 0:
-            return np.dot([1.0, s, s * s, s * s * s], self.coeffs[k])
-        return np.dot([0.0, 1.0 / h, 2.0 * s / h, 3.0 * s * s / h],
-                      self.coeffs[k])
-
-    def eval_grid(self, t, order=0):
-        """``eval`` at every time of the array ``t``, bit for bit, one row
-        per time; the times lie in the segment.
-
-        The step clamp is ``eval``'s and the basis rows are its products;
-        the batched ``matmul`` reproduces its ``np.dot`` exactly, which an
-        elementwise sum of the four terms would not.
+        """Dense output: state (order 0) or right derivative (order 1) at a
+        float t, (n,), or at an array of times in the segment, (n, m), one
+        column per time, as ``SymbolicSignal.eval`` returns them.  A float
+        is read by ``bisect`` and ``np.dot``, an array by ``searchsorted``
+        and a batched ``matmul`` with the same step clamp and basis, which
+        reproduces ``np.dot`` bit for bit (an elementwise sum would not).
         """
         if order not in (0, 1):
             raise ValueError("dense output supports orders 0 and 1 only")
-        ts = np.asarray(self.ts)
+        ts = self.ts
+        if isinstance(t, float):
+            slack = 1e-9 * max(1.0, abs(ts[-1]))
+            if t < ts[0] - slack or t > ts[-1] + slack:
+                raise ValueError(
+                    f"t={t} outside segment [{ts[0]}, {ts[-1]}]")
+            k = min(max(bisect_right(ts, t) - 1, 0), len(ts) - 2)
+            h = ts[k + 1] - ts[k]
+            s = (t - ts[k]) / h
+            if order == 0:
+                return np.dot([1.0, s, s * s, s * s * s], self.coeffs[k])
+            return np.dot([0.0, 1.0 / h, 2.0 * s / h, 3.0 * s * s / h],
+                          self.coeffs[k])
+        ts = np.asarray(ts)
         k = np.searchsorted(ts, t, side="right") - 1
         k = np.minimum(np.maximum(k, 0), len(ts) - 2)
         h = ts[k + 1] - ts[k]
@@ -258,7 +255,7 @@ class SegmentSolution:
         else:
             P = np.stack([np.zeros_like(s), 1.0 / h, 2.0 * s / h,
                           3.0 * s * s / h], axis=-1)
-        return (P[:, None, :] @ self.coeffs[k])[:, 0]
+        return (P[:, None, :] @ self.coeffs[k])[:, 0].T
 
 
 def _newton_factors(Fz, Fdot, h, stats):
@@ -366,7 +363,7 @@ def _step_end(model, t1, h, z_prev, K, lags, Fdot, opts, stats):
 
 def _stage_block(problem, t, h, size):
     """The stage data of an affine model's next ``size`` steps at h from t
-    that end in the segment, as {(start, h): (g, lags)}.
+    that the loop takes whole, as {(start, h): (g, lags)}.
 
     The starts are the loop's own sums t + h + h + ..., which ``np.cumsum``
     adds in the same order, and the stage times its t + c_i h, so that a
@@ -376,7 +373,7 @@ def _stage_block(problem, t, h, size):
     the lag rows at the step's end.
     """
     starts = np.cumsum([t] + [h] * (size - 1))
-    starts = starts[problem.t_end - starts >= h]
+    starts = starts[starts + h <= problem.t_end + _end_slack(problem.t_end)]
     stage_ts = (starts[:, None] + RADAU_C * h).ravel()
     lags = problem.lags(stage_ts)
     zero = np.zeros((problem.model.n, stage_ts.size))
@@ -538,11 +535,11 @@ def integrate_segment(problem, opts=None, h_start=None):
     d_end = []
     z = problem.z0.copy()
     d_prev = None
-    t = problem.t_start
-    # a step that ends within rounding of the segment end ends at it
-    t_stop = problem.t_end - 1e-12 * max(1.0, abs(problem.t_end))
-    while t < problem.t_end:
-        h = min(h_next, problem.t_end - t)
+    t, t_end = problem.t_start, problem.t_end
+    slack = _end_slack(t_end)
+    while t < t_end:
+        # h_next is taken whole when it passes t_end by rounding only
+        h = h_next if t + h_next <= t_end + slack else t_end - t
         halvings = 0
         while True:
             result = step(t, h, z, k_guess)
@@ -573,7 +570,7 @@ def integrate_segment(problem, opts=None, h_start=None):
             stats["rejected"] += 1
             h = h_next
         z1, d0, d1, _ = result
-        t = t + h if t + h < t_stop else problem.t_end
+        t = t + h if t + h < t_end - slack else t_end
         ts.append(t)
         zs.append(z1)
         d_start.append(d0)

@@ -123,13 +123,13 @@ def evaluate_grid(tr, ts, order=0):
     Trajectory reads have one domain rule: a time must lie in [-tau, t_end]
     up to a rounding slack (t_end is 0 while no segment is solved), and a
     time past t_end reads t_end; a time outside raises ValueError, for the
-    first such time.  The history signal is read for t < 0 and while no
-    segment is solved, in one ``eval`` call; otherwise the dense output of
-    the covering segment (``Trajectory.segment_indices``), one
-    ``SegmentSolution.eval_grid`` call per segment.  At interior
-    breakpoints the value is continuous by construction and derivatives
-    are taken from the right segment (smooth transitions across
-    breakpoints cannot be expected for delay systems).
+    first such time.  Each time is read from one piece of the trajectory:
+    the history (piece 0) for t < 0 and while no segment is solved, else
+    the covering segment (``Trajectory.segment_indices``), with one array
+    ``eval`` call per piece.  At interior breakpoints the value is
+    continuous by construction and derivatives are taken from the right
+    segment (smooth transitions across breakpoints cannot be expected for
+    delay systems).
     """
     if order not in (0, 1):
         raise ValueError("trajectory evaluation supports orders 0 and 1")
@@ -144,16 +144,12 @@ def evaluate_grid(tr, ts, order=0):
                          else f"t={t} beyond covered time {t_end}")
     ts = np.minimum(ts, t_end)
     out = np.empty((ts.size, tr.model.n))
-    past = ts < 0.0 if tr.segments else np.ones(ts.size, dtype=bool)
-    if past.any():
-        out[past] = tr.history.eval(ts[past], order).T
-    rows = np.flatnonzero(~past)
-    if rows.size:
-        seg_of = tr.segment_indices(ts[rows])
-        for i, seg in enumerate(tr.segments, start=1):
-            sel = rows[seg_of == i]
-            if sel.size:
-                out[sel] = seg.eval_grid(ts[sel], order)
+    piece = (np.where(ts < 0.0, 0, tr.segment_indices(ts)) if tr.segments
+             else np.zeros(ts.size, dtype=np.intp))
+    for i, src in enumerate([tr.history, *tr.segments]):
+        sel = np.flatnonzero(piece == i)
+        if sel.size:
+            out[sel] = src.eval(ts[sel], order).T
     return out
 
 
@@ -225,7 +221,7 @@ def solve_itp(model, phi, T, opts=None):
     src = phi
     for i in range(1, n_segments + 1):
         problem = SegmentProblem(model, (i - 1) * tau, min(i * tau, T), z0,
-                                 src, tr.t_end)
+                                 src)
         try:
             seg = integrate_segment(problem, opts, h)
         except InconsistentInitialState as exc:

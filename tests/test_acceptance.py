@@ -231,7 +231,7 @@ def test_criterion_10_order_and_jacobians():
         errs = []
         for h in (0.1, 0.05):
             prob = SegmentProblem(m, 0.0, 1.0, np.array([1.0]),
-                                  SymbolicSignal.zero(1), 0.0)
+                                  SymbolicSignal.zero(1))
             sol = integrate_segment(prob, IntegrationOptions(h=h))
             errs.append(abs(sol.endpoint[0] - 0.5))
         slope = math.log2(errs[0] / errs[1])

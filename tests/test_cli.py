@@ -633,6 +633,16 @@ def _refuse_constant(name):
           "0.05", "--param", "L=1e200"])
 @example(["sweep", "--model", "pmsd-hybrid", "--T", "0.1", "--tau", "0.05",
           "--param", "L=1e200"])
+# a rest state without a multiplier (m cos^2(theta0) = M, or L^2 underflows)
+# divided by zero
+@example(["simulate", "--model", "pmsd-hybrid", "--T", "0.2", "--param",
+          "M=0.2", "--param", "m=0.2", "--param", "theta0=0"])
+@example(["simulate", "--model", "pmsd-hybrid", "--T", "0.2", "--param",
+          "L=1e-200"])
+@example(["sweep", "--model", "pmsd-hybrid", "--T", "0.2", "--tau", "0.05",
+          "--param", "M=0.2", "--param", "m=0.2", "--param", "theta0=0"])
+@example(["sweep", "--model", "pmsd-hybrid", "--T", "0.2", "--tau", "0.05",
+          "--param", "L=1e-200"])
 def test_fuzzed_flag_values_map_to_documented_exit_codes(argv):
     # in-process, so that no draw starts a process
     out, err = io.StringIO(), io.StringIO()
@@ -670,6 +680,24 @@ def test_an_overflow_names_the_model_and_its_flags(argv, flags, capsys):
     assert rc == 2
     assert captured.err == (f"model error: model {argv[2]!r} overflows with "
                             f"{flags}\n")
+
+
+@pytest.mark.parametrize("params", [["M=0.2", "m=0.2", "theta0=0"],
+                                    ["L=1e-200"]])
+def test_a_rest_state_without_a_multiplier_is_a_model_error(params, capsys):
+    flags = [arg for p in params for arg in ("--param", p)]
+    rc = cli.main(["simulate", "--model", "pmsd-hybrid", "--T", "0.2",
+                   *flags])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("model error: no rest multiplier")
+    assert captured.out == ""
+    rc = cli.main(["sweep", "--model", "pmsd-hybrid", "--T", "0.2", "--tau",
+                   "0.05,0.1", *flags])
+    rows = capsys.readouterr().out.splitlines()
+    # the reference fails, so every delay's row does
+    assert rc == 0 and len(rows) == 3
+    assert all(",nan,error: no rest multiplier" in row for row in rows[1:])
 
 
 @pytest.mark.parametrize("T", ["0", "-1", "nan", "inf"])

@@ -510,8 +510,8 @@ def test_block_steps_equal_newton_steps_on_random_regular_pencils(
     m = sf_model_from_linear(ld)
     history = _random_forcing(rng, ld.n)
     h = m.tau / 50
-    problem = radau.SegmentProblem(m, 0.0, m.tau, history.eval(0.0), history,
-                                   0.0)
+    problem = radau.SegmentProblem(m, 0.0, m.tau, history.eval(0.0),
+                                   history)
     opts = IntegrationOptions(res_tol=1e300)
     stats, affine_stats = ({"max_endpoint_residual": 0.0,
                             "max_stage_cond": 0.0, "newton_iterations": 0}

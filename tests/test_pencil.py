@@ -49,6 +49,17 @@ def test_zero_A_invertible_E_regular():
     assert is_regular(MatrixPencil(np.eye(3), np.zeros((3, 3))))
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the |det| threshold scales with the Hadamard "
+                   "product of the row norms, which a random n x n "
+                   "matrix's |det| falls below as n grows")
+def test_a_random_gaussian_pencil_of_size_60_is_regular():
+    # regular with probability 1, yet read as singular at n = 60
+    rng = np.random.default_rng(60)
+    E, A = rng.standard_normal((2, 60, 60))
+    assert is_regular(MatrixPencil(E, A))
+
+
 def test_empty_pencil_regular_by_convention():
     p = MatrixPencil(np.zeros((0, 0)), np.zeros((0, 0)))
     assert is_regular(p)

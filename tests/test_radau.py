@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from ddaekit.radau import (_ALPHA_BETA, _GAMMA, RADAU_A, RADAU_C,
                            SegmentSolution, _newton_factors, _newton_update,
                            _one_norms, integrate_segment)
 from ddaekit.sfdae import SfDdaeModel
+from output_digest import linear_export_model
 
 
 def scalar_ode(rhs, drhs):
@@ -41,7 +43,7 @@ def test_butcher_tableau_consistency():
 
 def test_linear_decay_endpoint():
     m = scalar_ode(lambda t, z: -z, lambda t, z: -1.0)
-    prob = SegmentProblem(m, 0.0, 1.0, np.array([1.0]), ZERO, 0.0)
+    prob = SegmentProblem(m, 0.0, 1.0, np.array([1.0]), ZERO)
     sol = integrate_segment(prob)
     assert sol.endpoint[0] == pytest.approx(math.exp(-1.0), abs=1e-8)
     assert sol.stats["n_steps"] == 200
@@ -52,7 +54,7 @@ def test_convergence_order_at_least_four():
     m = scalar_ode(lambda t, z: -z * z, lambda t, z: -2.0 * z)
     errs = []
     for h in (0.1, 0.05):
-        prob = SegmentProblem(m, 0.0, 1.0, np.array([1.0]), ZERO, 0.0)
+        prob = SegmentProblem(m, 0.0, 1.0, np.array([1.0]), ZERO)
         sol = integrate_segment(prob, IntegrationOptions(h=h))
         errs.append(abs(sol.endpoint[0] - 0.5))
     slope = math.log2(errs[0] / errs[1])
@@ -61,7 +63,7 @@ def test_convergence_order_at_least_four():
 
 def test_dense_output_reproduces_nodes_and_is_continuous():
     m = scalar_ode(lambda t, z: math.cos(t) * z, lambda t, z: math.cos(t))
-    prob = SegmentProblem(m, 0.0, 1.0, np.array([1.0]), ZERO, 0.0)
+    prob = SegmentProblem(m, 0.0, 1.0, np.array([1.0]), ZERO)
     sol = integrate_segment(prob, IntegrationOptions(h=0.125))
     for k, t in enumerate(sol.ts):
         assert sol.eval(t)[0] == pytest.approx(sol.zs[k][0], abs=1e-14)
@@ -76,7 +78,7 @@ def test_determinism_bitwise():
     m = models.pmsd_hybrid_shifted()
     phi = m.default_history()
     z0 = phi.eval(0.0)
-    sols = [integrate_segment(SegmentProblem(m, 0.0, m.tau, z0, phi, 0.0))
+    sols = [integrate_segment(SegmentProblem(m, 0.0, m.tau, z0, phi))
             for _ in range(2)]
     assert np.array_equal(sols[0].ts, sols[1].ts)
     assert np.array_equal(sols[0].zs, sols[1].zs)
@@ -86,7 +88,7 @@ def test_determinism_bitwise():
 def test_shift_example_segment_matches_closed_form():
     m = models.ex_shift_model(0.5)
     phi = m.default_history()
-    prob = SegmentProblem(m, 0.0, 0.5, phi.eval(0.0), phi, 0.0)
+    prob = SegmentProblem(m, 0.0, 0.5, phi.eval(0.0), phi)
     sol = integrate_segment(prob)
     f, g = m.f_signal, m.g_signal
     # x1(t) = phi1(0) + int_0^t (g(s) + f(s)) ds for the default data
@@ -102,7 +104,7 @@ def test_pendulum_segment_keeps_constraints():
     p = models.PmsdParams()
     m = models.pmsd_hybrid_shifted(p, theta0=0.12)
     phi = m.default_history()
-    prob = SegmentProblem(m, 0.0, p.tau, phi.eval(0.0), phi, 0.0)
+    prob = SegmentProblem(m, 0.0, p.tau, phi.eval(0.0), phi)
     sol = integrate_segment(prob)
     worst = 0.0
     for t in np.linspace(0.0, p.tau, 50):
@@ -119,7 +121,7 @@ def test_inconsistent_initial_state_rejected():
     z0 = phi.eval(0.0).copy()
     z0[2] += 1e-3              # leave the rod-length manifold
     with pytest.raises(InconsistentInitialState):
-        integrate_segment(SegmentProblem(m, 0.0, p.tau, z0, phi, 0.0))
+        integrate_segment(SegmentProblem(m, 0.0, p.tau, z0, phi))
 
 
 def test_nan_initial_state_is_inconsistent():
@@ -129,7 +131,7 @@ def test_nan_initial_state_is_inconsistent():
     phi = m.default_history()
     with pytest.raises(InconsistentInitialState) as info:
         integrate_segment(SegmentProblem(m, 0.0, p.tau, np.full(m.n, np.nan),
-                                         phi, 0.0))
+                                         phi))
     assert np.isnan(info.value.residual).all()
 
 
@@ -143,8 +145,7 @@ def test_newton_divergence_when_constraint_loses_solutions():
         JD_zdot=lambda t, z, zdot, ztau: np.zeros((0, 1)),
         JA_z=lambda t, z, zlags: np.array([[2.0 * z[0]]]),
         name="vanishing-constraint")
-    prob = SegmentProblem(m, 0.0, 1.0, np.array([math.sqrt(0.5)]), ZERO,
-                          0.0)
+    prob = SegmentProblem(m, 0.0, 1.0, np.array([math.sqrt(0.5)]), ZERO)
     with pytest.raises(NewtonDivergence) as err:
         integrate_segment(prob)
     assert err.value.t is not None and 0.4 < err.value.t < 0.6
@@ -160,7 +161,7 @@ def test_singular_stage_matrix_halves_then_diverges():
         JD_zdot=lambda t, z, zdot, ztau: np.zeros((0, 1)),
         JA_z=lambda t, z, zlags: np.zeros((1, 1)),
         name="singular-constraint")
-    prob = SegmentProblem(m, 0.0, 1.0, np.zeros(1), ZERO, 0.0)
+    prob = SegmentProblem(m, 0.0, 1.0, np.zeros(1), ZERO)
     with pytest.raises(NewtonDivergence) as err:
         integrate_segment(prob)
     assert err.value.t == 0.0
@@ -218,6 +219,33 @@ def test_dense_output_matches_hermite_basis_property(seed, steps, fractions):
                                              steps)
     queries = [ts[0] + f * (ts[-1] - ts[0]) for f in fractions]
     check_dense_output(ts, zs, d_start, d_end, queries)
+
+
+@functools.cache
+def solved_segments():
+    """The first segment of pmsd-hybrid and of a linear wrap, each solved
+    from its history."""
+    pmsd = models.REGISTRY["pmsd-hybrid"].make()
+    cases = [(pmsd, pmsd.default_history()), linear_export_model()]
+    return [integrate_segment(SegmentProblem(m, 0.0, m.tau, phi.eval(0.0),
+                                             phi)) for m, phi in cases]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_an_array_read_is_the_float_reads_bit_for_bit(data):
+    # one contract, two paths: column j of an array read is the float read
+    # at ts[j], at mesh nodes, at the segment ends and between nodes
+    sol = data.draw(st.sampled_from(solved_segments()))
+    lo, hi = sol.ts[0], sol.ts[-1]
+    time = st.one_of(st.sampled_from(sol.ts), st.sampled_from([lo, hi]),
+                     st.floats(lo, hi))
+    ts = data.draw(st.lists(time, min_size=1, max_size=40))
+    for order in (0, 1):
+        grid = sol.eval(np.array(ts), order)
+        assert grid.shape == (sol.endpoint.size, len(ts))
+        for j, t in enumerate(ts):
+            assert grid[:, j].tobytes() == sol.eval(t, order).tobytes()
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (3, 2), (7, 4), (2, 0)])

@@ -550,14 +550,19 @@ def _scalar_audit(tr, n_points):
 def test_audit_equals_scalar_reads_and_makes_none(case, monkeypatch):
     tr = _grid_case(case)
     expected = _scalar_audit(tr, 777)
-    reads = []
+    reads, grid_reads = [], []
     scalar_evaluate, dense_eval = steps.evaluate, SegmentSolution.eval
+
+    def counted_eval(seg, t, order=0):
+        (reads if isinstance(t, float) else grid_reads).append(t)
+        return dense_eval(seg, t, order)
+
     monkeypatch.setattr(steps, "evaluate", lambda *a: reads.append(a)
                         or scalar_evaluate(*a))
-    monkeypatch.setattr(SegmentSolution, "eval", lambda *a: reads.append(a)
-                        or dense_eval(*a))
+    monkeypatch.setattr(SegmentSolution, "eval", counted_eval)
     got = audit(tr, 777)
-    assert reads == []
+    # the dense output is read by array only, never at one float time
+    assert reads == [] and grid_reads
     for a, b in zip(got, expected):
         assert a.tobytes() == b.tobytes()
 
@@ -739,6 +744,24 @@ def _count_factorizations(monkeypatch):
     monkeypatch.setattr(radau._AffineSteps, "__call__", counted(affine_step))
     monkeypatch.setattr(steps, "integrate_segment", counted_segment)
     return factors, attempts
+
+
+@pytest.mark.parametrize("name", [
+    "linear-export", "linear-export-h0.001", "linear-export-sin-history",
+    "pmsd-hybrid-h0.001", "ex-shift-tau0.37-h0.001"])
+def test_the_last_step_of_a_segment_is_not_clipped_by_rounding(
+        name, monkeypatch):
+    # t + h + h + ... can end a few ulps past the segment end; that step
+    # keeps its h, where clipping it to t_end - t cost a fresh inversion
+    build, T, h = next((build, T, h) for run, build, T, h, _
+                       in output_digest.runs() if run == name)
+    m, phi = build()
+    _, attempts = _count_factorizations(monkeypatch)
+    tr = solve_itp(m, phi, T, IntegrationOptions(h=h))
+    assert tr.complete and len(attempts) == len(tr.segments)
+    slack = 1e-12 * max(1.0, T)
+    for hs in attempts:
+        assert len(hs) < 2 or hs[-1] == hs[-2] or abs(hs[-1] - hs[-2]) > slack
 
 
 @pytest.mark.parametrize("amp, omega", [(0.5, 20.0), (0.2, 6.0), (0.4, 15.0)])
