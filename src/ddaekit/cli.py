@@ -6,6 +6,7 @@ analysis, 4 breakdown during simulation, 5 inadmissible history, 64 usage.
 """
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -20,7 +21,7 @@ from .forcing import SymbolicSignal
 from .lti import (LinearDdae, LtiDescriptor, classify_linear, delay_terms,
                   sf_model_from_linear)
 from .pencil import DEFAULT_TOL, MatrixPencil, analyze
-from .radau import IntegrationOptions
+from .radau import STEPS_PER_SEGMENT, IntegrationOptions
 from .sfdae import Classification, SfDdaeModel, classify
 from .steps import (BROKE_DOWN, audit, check_horizon, plan_run, solve_itp,
                     sweep_deviation, sweep_reference, write_trajectory_csv)
@@ -151,9 +152,9 @@ def cmd_classify(args):
 
 
 def _options_from(args):
-    return IntegrationOptions(
-        h=args.h, newton_tol=args.newton_tol, res_tol=args.res_tol,
-        max_newton=args.max_newton, audit_points=args.audit_points)
+    return IntegrationOptions(**{
+        f.name: getattr(args, f.name) for f in dataclasses.fields(
+            IntegrationOptions) if getattr(args, f.name) is not None})
 
 
 def cmd_simulate(args):
@@ -295,11 +296,11 @@ def build_parser():
         p.add_argument("--T", type=float, help="time horizon")
         p.add_argument("--h", type=float,
                        help="fixed step; default: residual-controlled, never "
-                            "finer than tau/200")
-        p.add_argument("--newton-tol", type=float, default=1e-10)
-        p.add_argument("--res-tol", type=float, default=1e-8)
-        p.add_argument("--max-newton", type=int, default=10)
-        p.add_argument("--audit-points", type=int, default=1000)
+                            f"finer than tau/{STEPS_PER_SEGMENT}")
+        p.add_argument("--newton-tol", type=float)
+        p.add_argument("--res-tol", type=float)
+        p.add_argument("--max-newton", type=int)
+        p.add_argument("--audit-points", type=int)
 
     p = sub.add_parser("simulate", help="method-of-steps run, CSV + summary")
     common(p)

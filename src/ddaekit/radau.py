@@ -141,9 +141,11 @@ class IntegrationOptions:
                              f"points, got {self.audit_points}")
 
 
-def _end_slack(t_end):
-    """A step that ends within this of the segment end t_end ends at it."""
-    return 1e-12 * max(1.0, abs(t_end))
+def _end_slack(t):
+    """The one breakpoint slack, at a float or an array of times t: a step
+    ending this close to a segment end t ends at t; a time this close to a
+    segment start t is read from that segment."""
+    return 1e-12 * np.maximum(1.0, np.abs(t))
 
 
 def fit_steps(length, h):
@@ -229,13 +231,15 @@ class SegmentSolution:
         is read by ``bisect`` and ``np.dot``, an array by ``searchsorted``
         and a batched ``matmul`` with the same step clamp and basis, which
         reproduces ``np.dot`` bit for bit (an elementwise sum would not).
+        A time outside the segment by more than rounding raises ValueError.
         """
         if order not in (0, 1):
             raise ValueError("dense output supports orders 0 and 1 only")
         ts = self.ts
+        slack = 1e-9 * max(1.0, abs(ts[-1]))
+        lo, hi = ts[0] - slack, ts[-1] + slack
         if isinstance(t, float):
-            slack = 1e-9 * max(1.0, abs(ts[-1]))
-            if t < ts[0] - slack or t > ts[-1] + slack:
+            if t < lo or t > hi:
                 raise ValueError(
                     f"t={t} outside segment [{ts[0]}, {ts[-1]}]")
             k = min(max(bisect_right(ts, t) - 1, 0), len(ts) - 2)
@@ -245,6 +249,9 @@ class SegmentSolution:
                 return np.dot([1.0, s, s * s, s * s * s], self.coeffs[k])
             return np.dot([0.0, 1.0 / h, 2.0 * s / h, 3.0 * s * s / h],
                           self.coeffs[k])
+        if t.min() < lo or t.max() > hi:
+            raise ValueError(f"t={t[(t < lo) | (t > hi)][0]} outside "
+                             f"segment [{ts[0]}, {ts[-1]}]")
         ts = np.asarray(ts)
         k = np.searchsorted(ts, t, side="right") - 1
         k = np.minimum(np.maximum(k, 0), len(ts) - 2)
@@ -536,7 +543,7 @@ def integrate_segment(problem, opts=None, h_start=None):
     z = problem.z0.copy()
     d_prev = None
     t, t_end = problem.t_start, problem.t_end
-    slack = _end_slack(t_end)
+    slack = float(_end_slack(t_end))
     while t < t_end:
         # h_next is taken whole when it passes t_end by rounding only
         h = h_next if t + h_next <= t_end + slack else t_end - t
@@ -579,5 +586,4 @@ def integrate_segment(problem, opts=None, h_start=None):
         k_guess = d_prev = d1
         stats["n_steps"] += 1
     stats["h_next"] = h_next
-    return SegmentSolution(np.array(ts), np.array(zs), np.array(d_start),
-                           np.array(d_end), stats)
+    return SegmentSolution(ts, zs, d_start, d_end, stats)

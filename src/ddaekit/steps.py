@@ -19,8 +19,8 @@ import numpy as np
 from .errors import (DataError, DdaeError, InadmissibleHistory,
                      InconsistentInitialState, ShapeError)
 from .forcing import SymbolicSignal
-from .radau import (IntegrationOptions, SegmentProblem, fit_steps,
-                    integrate_segment)
+from .radau import (IntegrationOptions, SegmentProblem, _end_slack,
+                    fit_steps, integrate_segment)
 from .sfdae import SfDdaeModel
 
 COMPLETE = "Complete"
@@ -36,7 +36,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass(eq=False)
 class Trajectory:
-    """Piecewise solution with breakpoints at multiples of tau.
+    """Piecewise solution with breakpoints at multiples of tau and at T.
 
     ``history`` is the solution on [-tau, 0], a plain ``SymbolicSignal``;
     the first segment's lags and ``evaluate_grid`` read it there.
@@ -70,9 +70,8 @@ class Trajectory:
 
     @property
     def breakdown_time(self):
-        if self.breakdown_index is None:
-            return None
-        return (self.breakdown_index - 1) * self.model.tau
+        """The breakpoint whose right limit broke down: the solved end."""
+        return None if self.breakdown_index is None else self.t_end
 
     @property
     def stats(self):
@@ -96,18 +95,11 @@ class Trajectory:
     def segment_indices(self, ts):
         """1-based index of the segment covering each time of the array
         ``ts``, each in [0, t_end]: the last segment that starts at or
-        before the time, where a time within rounding (1e-12 max(1, t)) of
-        a breakpoint, such as t - tau at a segment start, counts as that
-        breakpoint."""
-        # segment i starts at i * tau, so t / tau is off by at most one; the
-        # start after the last segment never comes
-        starts = np.array([*(seg.ts[0] for seg in self.segments), np.inf])
-        i = np.minimum((ts / self.model.tau).astype(np.intp),
-                       len(self.segments) - 1)
-        slack = 1e-12 * np.maximum(ts, 1.0)
-        up = ts >= starts[i + 1] - slack
-        down = ~up & (ts < starts[i] - slack)
-        return i + up - down + 1
+        before the time up to the breakpoint slack ``radau._end_slack``, so
+        that t - tau at a segment start reads that start; 0 while no
+        segment is solved."""
+        starts = np.array([seg.ts[0] for seg in self.segments])
+        return np.searchsorted(starts - _end_slack(starts), ts, side="right")
 
 
 def evaluate(tr, t, order=0):
@@ -124,12 +116,12 @@ def evaluate_grid(tr, ts, order=0):
     up to a rounding slack (t_end is 0 while no segment is solved), and a
     time past t_end reads t_end; a time outside raises ValueError, for the
     first such time.  Each time is read from one piece of the trajectory:
-    the history (piece 0) for t < 0 and while no segment is solved, else
-    the covering segment (``Trajectory.segment_indices``), with one array
-    ``eval`` call per piece.  At interior breakpoints the value is
-    continuous by construction and derivatives are taken from the right
-    segment (smooth transitions across breakpoints cannot be expected for
-    delay systems).
+    the history (piece 0) for t < 0, else the covering segment
+    (``Trajectory.segment_indices``, which reads 0 while no segment is
+    solved), with one array ``eval`` call per piece.  At interior
+    breakpoints the value is continuous by construction and derivatives are
+    taken from the right segment (smooth transitions across breakpoints
+    cannot be expected for delay systems).
     """
     if order not in (0, 1):
         raise ValueError("trajectory evaluation supports orders 0 and 1")
@@ -144,8 +136,7 @@ def evaluate_grid(tr, ts, order=0):
                          else f"t={t} beyond covered time {t_end}")
     ts = np.minimum(ts, t_end)
     out = np.empty((ts.size, tr.model.n))
-    piece = (np.where(ts < 0.0, 0, tr.segment_indices(ts)) if tr.segments
-             else np.zeros(ts.size, dtype=np.intp))
+    piece = np.where(ts < 0.0, 0, tr.segment_indices(ts))
     for i, src in enumerate([tr.history, *tr.segments]):
         sel = np.flatnonzero(piece == i)
         if sel.size:
@@ -160,20 +151,17 @@ def check_horizon(T):
 
 
 def plan_run(T, tau, h=None):
-    """(segments, steps) of a run on [0, T]: ceil(T / tau) segments, at
-    least 1, and at the fixed step h the sum of their ``fit_steps`` (None
-    without h).  ValueError for a bad horizon, DataError past MAX_SEGMENTS
-    or MAX_STEPS: a run keeps every segment and step, and a step below the
-    resolution of t never advances it, so a mistyped tiny delay or h
-    would otherwise run without bound."""
+    """(segments, steps) of a run on [0, T]: ``fit_steps(T, tau)`` segments,
+    fitted as steps are to a segment, and at the fixed step h the sum of
+    their ``fit_steps`` (None without h).  ValueError for a bad horizon,
+    DataError past MAX_SEGMENTS or MAX_STEPS: a run keeps every segment and
+    step, and a step below the resolution of t never advances it, so a
+    mistyped tiny delay or h would otherwise run without bound."""
     check_horizon(T)
-    ratio = T / tau - 1e-9
-    if not ratio <= MAX_SEGMENTS:
-        count = math.ceil(ratio) if math.isfinite(ratio) else ratio
-        raise DataError(
-            f"T = {T:g} with tau = {tau:g} needs {count} segments, more "
-            f"than the limit of {MAX_SEGMENTS}")
-    n = max(1, math.ceil(ratio))
+    n = fit_steps(T, tau)
+    if n > MAX_SEGMENTS:
+        raise DataError(f"T = {T:g} with tau = {tau:g} needs {n} segments, "
+                        f"more than the limit of {MAX_SEGMENTS}")
     if h is None:
         return n, None
     count = fit_steps(T - (n - 1) * tau, h)
@@ -190,6 +178,8 @@ def plan_run(T, tau, h=None):
 def solve_itp(model, phi, T, opts=None):
     """Solve the initial trajectory problem on [0, T] by the method of steps.
 
+    Segment i covers [(i - 1) tau, i tau], except that the last of the
+    ``plan_run`` segments ends at T, so a complete run ends exactly at T.
     Every segment reads its delayed data from the piece solved just before
     it, the history or the previous segment (``SegmentProblem``), starts with
     the step its predecessor would have taken next, and
@@ -199,11 +189,11 @@ def solve_itp(model, phi, T, opts=None):
     as a BrokeDown trajectory rather than raised.  Models declaring
     delayed-derivative order three or more are refused, since the dense
     output only supplies values and first derivatives and such systems
-    break down anyway.  Other integrator errors propagate with the segment
-    index attached.  A history whose dimension is not the model's is a
-    ShapeError, and a run of more than MAX_SEGMENTS segments or, at a fixed
-    step, of more than MAX_STEPS steps a DataError (``plan_run``); all are
-    raised before anything is solved.
+    break down anyway.  Other integrator errors propagate unchanged but for
+    the segment index prefixed to their message.  A history whose
+    dimension is not the model's is a ShapeError, and a run of more than
+    MAX_SEGMENTS segments or, at a fixed step, of more than MAX_STEPS steps
+    a DataError (``plan_run``); all are raised before anything is solved.
     """
     if phi.dim != model.n:
         raise ShapeError(
@@ -220,8 +210,8 @@ def solve_itp(model, phi, T, opts=None):
     h = None
     src = phi
     for i in range(1, n_segments + 1):
-        problem = SegmentProblem(model, (i - 1) * tau, min(i * tau, T), z0,
-                                 src)
+        problem = SegmentProblem(model, (i - 1) * tau,
+                                 T if i == n_segments else i * tau, z0, src)
         try:
             seg = integrate_segment(problem, opts, h)
         except InconsistentInitialState as exc:
@@ -235,7 +225,8 @@ def solve_itp(model, phi, T, opts=None):
             tr.breakdown_norm = exc.norm
             return tr
         except DdaeError as exc:
-            raise type(exc)(f"segment {i}: {exc}") from exc
+            exc.args = (f"segment {i}: {exc}",)
+            raise
         tr.segments.append(seg)
         src = seg
         z0 = seg.endpoint
@@ -250,8 +241,8 @@ def solve_itp(model, phi, T, opts=None):
     return tr
 
 
-def audit(tr, n_points=1000):
-    """Independent residual re-check on a uniform grid.
+def audit(tr, n_points=IntegrationOptions.audit_points):
+    """Independent residual re-check on a uniform grid of n_points points.
 
     Evaluates the stacked [D; A] residual of the original delay system, in
     one ``SfDdaeModel.residual`` call over the grid, with every delayed

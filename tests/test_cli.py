@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import logging
@@ -745,12 +746,27 @@ def test_a_run_of_too_many_segments_is_refused_before_solving(
     assert captured.out == ""
 
 
+def test_integrator_flags_not_given_keep_the_option_defaults():
+    parser = cli.build_parser()
+    args = parser.parse_args(["simulate", "--model", "pmsd-hybrid"])
+    assert cli._options_from(args) == radau.IntegrationOptions()
+    args = parser.parse_args(["sweep", "--model", "pmsd-hybrid", "--h",
+                              "0.01", "--res-tol", "1e-6", "--max-newton",
+                              "3", "--audit-points", "50"])
+    assert cli._options_from(args) == radau.IntegrationOptions(
+        h=0.01, res_tol=1e-6, max_newton=3, audit_points=50)
+    audit_default = inspect.signature(steps.audit).parameters["n_points"]
+    assert audit_default.default == radau.IntegrationOptions().audit_points
+
+
 def test_segment_count_limit_is_inclusive():
     tau = 1.0 / steps.MAX_SEGMENTS
     assert steps.plan_run(1.0, tau) == (steps.MAX_SEGMENTS, None)
     with pytest.raises(DataError, match="needs 100001 segments"):
         steps.plan_run(1.0 + tau, tau)
     assert steps.plan_run(0.3, 1.0) == (1, None)
+    with pytest.raises(DataError, match="needs inf segments"):
+        steps.plan_run(1.0, 5e-324)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -246,6 +247,26 @@ def test_an_array_read_is_the_float_reads_bit_for_bit(data):
         assert grid.shape == (sol.endpoint.size, len(ts))
         for j, t in enumerate(ts):
             assert grid[:, j].tobytes() == sol.eval(t, order).tobytes()
+
+
+def test_an_array_read_outside_the_segment_raises_the_float_error():
+    # ex-shift's first segment, [0, 0.5]: one domain for both read paths
+    m = models.ex_shift_model(0.5)
+    phi = m.default_history()
+    sol = integrate_segment(SegmentProblem(m, 0.0, m.tau, phi.eval(0.0), phi))
+    slack = 1e-9 * max(1.0, sol.ts[-1])
+    for bad in ([5.5], [0.25, 5.5, -1.0], [0.1, -1.0], [0.5 + 2 * slack]):
+        with pytest.raises(ValueError) as scalar:
+            for t in bad:
+                sol.eval(t)
+        for order in (0, 1):
+            with pytest.raises(ValueError,
+                               match=f"^{re.escape(str(scalar.value))}$"):
+                sol.eval(np.array(bad), order)
+    # within the rounding slack both paths read the segment
+    edge = [-slack / 2, 0.5 + slack / 2]
+    assert (sol.eval(np.array(edge)).T.tobytes()
+            == np.array([sol.eval(t) for t in edge]).tobytes())
 
 
 @pytest.mark.parametrize("n, d", [(1, 1), (3, 2), (7, 4), (2, 0)])

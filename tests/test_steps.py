@@ -5,11 +5,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddaekit import models, radau, steps
-from ddaekit.errors import InadmissibleHistory, ShapeError
+from ddaekit.errors import InadmissibleHistory, NewtonDivergence, ShapeError
 from ddaekit.forcing import SymbolicSignal
 from ddaekit.lti import (LinearDdae, LtiDescriptor, hybrid_shifted,
                          sf_model_from_linear)
@@ -136,6 +136,40 @@ def test_audit_and_start_residual_on_builtins():
         assert full.max() <= 10 * opts.res_tol
         # every breakpoint right limit was checked as a segment start
         assert tr.stats["max_start_residual"] <= CONSISTENCY_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(1, 7),
+       delta=st.sampled_from([0.0, 1e-13, -1e-13, 1e-11, 1e-10, 5e-10]))
+@example(k=3, delta=1e-11)
+@example(k=7, delta=1e-10)
+def test_a_complete_run_ends_at_T(k, delta):
+    # segments are fitted to [0, T] as steps are to a segment: a horizon a
+    # relative 1e-12 or more past k tau gets a short last segment to T
+    m = delayed_ode(0.3)
+    T = k * m.tau * (1.0 + delta)
+    tr = solve_itp(m, SymbolicSignal.constant([1.0]), T)
+    n = steps.plan_run(T, m.tau)[0]
+    assert tr.complete and tr.t_end == T and len(tr.segments) == n
+    assert tr.breakpoints == [0.0, *(i * m.tau for i in range(1, n)), T]
+
+
+def test_an_integrator_error_keeps_its_type_and_attributes():
+    # z' = z^2 from z = 1 is 1 / (1 - t): Newton fails before t = 1, in
+    # segment 2 of tau = 0.5
+    m = SfDdaeModel(
+        n=1, d=1, a=0, tau=0.5, s_decl=0,
+        D=lambda t, z, zdot, ztau: np.array([zdot[0] - z[0] ** 2]),
+        A=lambda t, z, zlags: np.zeros(0),
+        JD_z=lambda t, z, zdot, ztau: np.array([[-2.0 * z[0]]]),
+        JD_zdot=lambda t, z, zdot, ztau: np.eye(1),
+        JA_z=lambda t, z, zlags: np.zeros((0, 1)),
+        name="blow-up")
+    with pytest.raises(NewtonDivergence,
+                       match=r"^segment 2: Newton failed at t = ") as err:
+        solve_itp(m, SymbolicSignal.constant([1.0]), 2.0)
+    assert 0.5 <= err.value.t <= 1.0
+    assert err.value.iterate is not None and err.value.residual is not None
 
 
 def test_partial_final_segment():
@@ -500,8 +534,10 @@ def test_grid_reads_equal_scalar_reads_bit_for_bit(case, order, data):
     slack = 1e-9 * max(1.0, t_end)
     special = [-tau, 0.0, t_end - slack, t_end + slack / 2, t_end + slack]
     for b in tr.breakpoints:
+        edge = b - 1e-12 * max(b, 1.0)
         special += [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
-                    b - 1e-12 * max(b, 1.0), b + 1e-13]
+                    edge, np.nextafter(edge, -np.inf),
+                    np.nextafter(edge, np.inf), b + 1e-13]
     special = [t for t in special if -tau <= t <= t_end + slack]
     times = data.draw(st.lists(st.one_of(
         st.sampled_from(special),
