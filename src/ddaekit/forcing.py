@@ -5,9 +5,9 @@ so derivatives of any order are available in closed form.  This is what the
 delayed-derivative lags and the admissibility check require; arbitrary
 callables would only offer approximate derivatives.  A history is a plain
 signal, piece 0 of a trajectory: the first segment of ``steps.solve_itp``
-reads its lags from it, and ``steps.evaluate_grid`` reads it on
-``[-tau, 0]`` and owns that domain check, both through the ``eval``
-contract that a segment's dense output (``radau.SegmentSolution``) shares.
+reads its lags from it through the ``eval`` contract that a segment's dense
+output (``radau.SegmentSolution``) shares, and ``steps.evaluate_grid``
+reads it before 0, in one array ``eval``, and owns that domain check.
 """
 
 import math

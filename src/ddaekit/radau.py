@@ -148,6 +148,13 @@ def _end_slack(t):
     return 1e-12 * np.maximum(1.0, np.abs(t))
 
 
+def _read_slack(b):
+    """The one read slack at a float domain bound b, for a caller's rounding
+    there (t - tau, a ``linspace`` end); the finer ``_end_slack`` decides
+    which side of a breakpoint a time reads and where a step ends."""
+    return 1e-9 * max(1.0, abs(b))
+
+
 def fit_steps(length, h):
     """The one step-fit rule: ceil(length / h) equal steps cover a segment,
     at least 1, where a ratio a relative 1e-12 above an integer is that
@@ -227,16 +234,13 @@ class SegmentSolution:
     def eval(self, t, order=0):
         """Dense output: state (order 0) or right derivative (order 1) at a
         float t, (n,), or at an array of times in the segment, (n, m), one
-        column per time, as ``SymbolicSignal.eval`` returns them.  A float
-        is read by ``bisect`` and ``np.dot``, an array by ``searchsorted``
-        and a batched ``matmul`` with the same step clamp and basis, which
-        reproduces ``np.dot`` bit for bit (an elementwise sum would not).
-        A time outside the segment by more than rounding raises ValueError.
-        """
+        column per time, as ``SymbolicSignal.eval`` returns them: by
+        ``bisect`` and ``np.dot``, or by ``_mesh_read``.  A time outside the
+        segment by more than ``_read_slack`` raises ValueError."""
         if order not in (0, 1):
             raise ValueError("dense output supports orders 0 and 1 only")
         ts = self.ts
-        slack = 1e-9 * max(1.0, abs(ts[-1]))
+        slack = _read_slack(ts[-1])    # at the segment's largest bound
         lo, hi = ts[0] - slack, ts[-1] + slack
         if isinstance(t, float):
             if t < lo or t > hi:
@@ -253,16 +257,22 @@ class SegmentSolution:
             raise ValueError(f"t={t[(t < lo) | (t > hi)][0]} outside "
                              f"segment [{ts[0]}, {ts[-1]}]")
         ts = np.asarray(ts)
-        k = np.searchsorted(ts, t, side="right") - 1
-        k = np.minimum(np.maximum(k, 0), len(ts) - 2)
-        h = ts[k + 1] - ts[k]
-        s = (t - ts[k]) / h
-        if order == 0:
-            P = np.stack([np.ones_like(s), s, s * s, s * s * s], axis=-1)
-        else:
-            P = np.stack([np.zeros_like(s), 1.0 / h, 2.0 * s / h,
-                          3.0 * s * s / h], axis=-1)
-        return (P[:, None, :] @ self.coeffs[k])[:, 0].T
+        return _mesh_read(ts, ts, self.coeffs, t, order).T
+
+
+def _mesh_read(keys, nodes, coeffs, t, order):
+    """The one array read of the dense output: rows of order 0 or 1 at the
+    times t, each from the last step whose key is at or before it, clamped
+    to the mesh ``nodes`` (step starts plus its end; step k's cubic is
+    ``coeffs[k]``), in the float read's basis and ``np.dot`` bit for bit."""
+    k = np.searchsorted(keys, t, side="right") - 1
+    k = np.minimum(np.maximum(k, 0), len(nodes) - 2)
+    h = nodes[k + 1] - nodes[k]
+    s = (t - nodes[k]) / h
+    P = np.stack([np.ones_like(s), s, s * s, s * s * s] if order == 0 else
+                 [np.zeros_like(s), 1.0 / h, 2.0 * s / h, 3.0 * s * s / h],
+                 axis=-1)
+    return (P[:, None, :] @ coeffs[k])[:, 0]
 
 
 def _newton_factors(Fz, Fdot, h, stats):

@@ -20,7 +20,7 @@ from .errors import (DataError, DdaeError, InadmissibleHistory,
                      InconsistentInitialState, ShapeError)
 from .forcing import SymbolicSignal
 from .radau import (IntegrationOptions, SegmentProblem, _end_slack,
-                    fit_steps, integrate_segment)
+                    _mesh_read, _read_slack, fit_steps, integrate_segment)
 from .sfdae import SfDdaeModel
 
 COMPLETE = "Complete"
@@ -94,12 +94,23 @@ class Trajectory:
 
     def segment_indices(self, ts):
         """1-based index of the segment covering each time of the array
-        ``ts``, each in [0, t_end]: the last segment that starts at or
-        before the time up to the breakpoint slack ``radau._end_slack``, so
-        that t - tau at a segment start reads that start; 0 while no
-        segment is solved."""
-        starts = np.array([seg.ts[0] for seg in self.segments])
-        return np.searchsorted(starts - _end_slack(starts), ts, side="right")
+        ``ts``, each in [0, t_end]: the last whose start key in ``_mesh`` is
+        at or before the time; 0 while no segment is solved."""
+        keys, _, firsts = _mesh(self)
+        return np.searchsorted(keys[firsts], ts, side="right")
+
+
+def _mesh(tr):
+    """The trajectory's one mesh (keys, nodes, firsts): every segment's step
+    starts plus t_end, a breakpoint being one node, and as keys the nodes
+    with each segment's first node (indices ``firsts``) lowered by
+    ``radau._end_slack``, so that t - tau at a start reads that segment."""
+    nodes = np.array([t for seg in tr.segments for t in seg.ts[:-1]]
+                     + [tr.t_end])
+    firsts = np.cumsum([0] + [len(seg.ts) - 1 for seg in tr.segments])[:-1]
+    keys = nodes.copy()
+    keys[firsts] -= _end_slack(nodes[firsts])
+    return keys, nodes, firsts
 
 
 def evaluate(tr, t, order=0):
@@ -113,34 +124,33 @@ def evaluate_grid(tr, ts, order=0):
     ``ts``, one row per time.
 
     Trajectory reads have one domain rule: a time must lie in [-tau, t_end]
-    up to a rounding slack (t_end is 0 while no segment is solved), and a
-    time past t_end reads t_end; a time outside raises ValueError, for the
-    first such time.  Each time is read from one piece of the trajectory:
-    the history (piece 0) for t < 0, else the covering segment
-    (``Trajectory.segment_indices``, which reads 0 while no segment is
-    solved), with one array ``eval`` call per piece.  At interior
-    breakpoints the value is continuous by construction and derivatives are
-    taken from the right segment (smooth transitions across breakpoints
-    cannot be expected for delay systems).
+    up to ``radau._read_slack`` (t_end is 0 while no segment is solved),
+    and a time past t_end reads t_end; a time outside raises ValueError, for
+    the first such time.  One history ``eval`` serves t < 0 (every time
+    while no segment is solved), one ``radau._mesh_read`` of ``_mesh`` the
+    rest.  At interior breakpoints the value is continuous by construction
+    and derivatives are taken from the right segment (smooth transitions
+    across breakpoints cannot be expected for delay systems).
     """
     if order not in (0, 1):
         raise ValueError("trajectory evaluation supports orders 0 and 1")
     ts = np.asarray(ts, dtype=float)
     tau, t_end = tr.model.tau, tr.t_end
-    lo = -tau - 1e-9 * max(tau, 1.0)
-    outside = np.flatnonzero(
-        ~((ts >= lo) & (ts <= t_end + 1e-9 * max(1.0, t_end))))
+    lo, hi = -tau - _read_slack(tau), t_end + _read_slack(t_end)
+    outside = np.flatnonzero(~((ts >= lo) & (ts <= hi)))
     if outside.size:
         t = ts[outside[0]]
         raise ValueError(f"t={t} precedes the history interval" if t < lo
                          else f"t={t} beyond covered time {t_end}")
     ts = np.minimum(ts, t_end)
     out = np.empty((ts.size, tr.model.n))
-    piece = np.where(ts < 0.0, 0, tr.segment_indices(ts))
-    for i, src in enumerate([tr.history, *tr.segments]):
-        sel = np.flatnonzero(piece == i)
-        if sel.size:
-            out[sel] = src.eval(ts[sel], order).T
+    past = (ts >= 0.0) & bool(tr.segments)
+    if not past.all():
+        out[~past] = tr.history.eval(ts[~past], order).T
+    if past.any():
+        keys, nodes, _ = _mesh(tr)
+        coeffs = np.concatenate([seg.coeffs for seg in tr.segments])
+        out[past] = _mesh_read(keys, nodes, coeffs, ts[past], order)
     return out
 
 

@@ -488,7 +488,8 @@ def test_lag_reads_are_continuous_across_breakpoints(d, tau, amp, omega,
 
 @functools.lru_cache(maxsize=None)
 def _grid_case(name):
-    """Trajectories of n = 1, 2 and 7, two of them broken down."""
+    """Trajectories of n = 1, 2 and 7, two of them broken down and one of
+    100 segments."""
     if name == "delayed-ode":
         return solve_itp(delayed_ode(1.0), SymbolicSignal.constant([1.0]), 2.3)
     if name == "forced-shift":
@@ -497,6 +498,9 @@ def _grid_case(name):
     if name == "pmsd-hybrid":
         m = models.pmsd_hybrid_shifted()
         return solve_itp(m, m.default_history(), 3.2 * m.tau)
+    if name == "pmsd-hybrid-short-delay":
+        m = models.REGISTRY["pmsd-hybrid"].make({"tau": 0.005})
+        return solve_itp(m, m.default_history(), 0.5)
     if name == "broke-down-first":
         m = models.ex_advanced_model(1.0)
         return solve_itp(m, m.default_history(), 3.0)
@@ -504,7 +508,8 @@ def _grid_case(name):
 
 
 GRID_CASES = ["delayed-ode", "forced-shift", "pmsd-hybrid",
-              "broke-down-first", "broke-down-later"]
+              "pmsd-hybrid-short-delay", "broke-down-first",
+              "broke-down-later"]
 
 
 def _segment_oracle(tr, t):
@@ -586,21 +591,36 @@ def _scalar_audit(tr, n_points):
 def test_audit_equals_scalar_reads_and_makes_none(case, monkeypatch):
     tr = _grid_case(case)
     expected = _scalar_audit(tr, 777)
-    reads, grid_reads = [], []
+    reads = []
     scalar_evaluate, dense_eval = steps.evaluate, SegmentSolution.eval
-
-    def counted_eval(seg, t, order=0):
-        (reads if isinstance(t, float) else grid_reads).append(t)
-        return dense_eval(seg, t, order)
-
     monkeypatch.setattr(steps, "evaluate", lambda *a: reads.append(a)
                         or scalar_evaluate(*a))
-    monkeypatch.setattr(SegmentSolution, "eval", counted_eval)
+    monkeypatch.setattr(SegmentSolution, "eval", lambda seg, *a:
+                        reads.append(a) or dense_eval(seg, *a))
     got = audit(tr, 777)
-    # the dense output is read by array only, never at one float time
-    assert reads == [] and grid_reads
+    # the trajectory is read through its one mesh, never point by point
+    # nor one segment at a time
+    assert reads == []
     for a, b in zip(got, expected):
         assert a.tobytes() == b.tobytes()
+
+
+def test_a_grid_read_makes_one_history_read_and_no_segment_read(
+        monkeypatch):
+    tr = _grid_case("pmsd-hybrid-short-delay")
+    assert len(tr.segments) == 100 and tr.stats["steps"] == 303
+    calls = []
+    signal_eval, dense_eval = SymbolicSignal.eval, SegmentSolution.eval
+    monkeypatch.setattr(SymbolicSignal, "eval", lambda sig, *a:
+                        calls.append("history") or signal_eval(sig, *a))
+    monkeypatch.setattr(SegmentSolution, "eval", lambda seg, *a:
+                        calls.append("segment") or dense_eval(seg, *a))
+    ts = np.linspace(-tr.model.tau, tr.t_end, 1000)
+    for order in (0, 1):
+        for times, expected in ((ts, ["history"]), (ts[ts >= 0.0], [])):
+            calls.clear()
+            evaluate_grid(tr, times, order)
+            assert calls == expected
 
 
 SIMULATABLE = sorted(name for name, entry in models.REGISTRY.items()
