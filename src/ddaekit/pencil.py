@@ -6,12 +6,10 @@ with N nilpotent; the nilpotency index nu is the differentiation index of
 the DAE E z' = A z + f.  The decomposition is computed by Wong-sequence
 deflation with SVD rank decisions rather than by a Jordan-form algorithm:
 only (d, a, nu) and the block split are consumed downstream, and Jordan
-structure is numerically unstable.  J and N are reduced to real Schur
-(quasi-triangular) form.
+structure is numerically unstable.  The module needs numpy alone.
 """
 
 import cmath
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -32,8 +30,12 @@ _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def as_matrix(M, name):
-    """M as a 2-D float array; ShapeError or DataError (non-finite entries)."""
-    M = np.asarray(M, dtype=float)
+    """M as a 2-D float array; ShapeError, or DataError for entries that
+    are not finite numbers."""
+    try:
+        M = np.asarray(M, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{name} is not a matrix of numbers: {exc}") from exc
     if M.ndim != 2:
         raise ShapeError(f"{name} must be a matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
@@ -59,8 +61,7 @@ class MatrixPencil:
 
     @classmethod
     def from_json(cls, data):
-        return cls(np.asarray(data["E"], dtype=float),
-                   np.asarray(data["A"], dtype=float))
+        return cls(data["E"], data["A"])
 
     def __repr__(self):
         return f"MatrixPencil(n={self.n})"
@@ -71,7 +72,8 @@ class WeierstrassForm:
     """Result of the Weierstrass-style decomposition.
 
     S E T = diag(I_d, N) and S A T = diag(J, I_a) up to the stored
-    residuals; N is nilpotent with index nu; J, N are quasi-triangular.
+    residuals; N is nilpotent with index nu.  T = [V, W] holds the bases
+    of the two deflating subspaces as the Wong sequences left them.
     ``cond_P`` is the condition number of the transformation matrix
     P = S^-1.
     """
@@ -210,43 +212,15 @@ def _rank_split(sigma, tol, floor, context):
     return r
 
 
-@functools.cache
-def _scipy_linalg():
-    """scipy.linalg, imported by the first decomposition rather than with
-    this module: simulating a registry model decomposes no pencil, and the
-    import would be most of its start-up time."""
-    import scipy.linalg
-    return scipy.linalg
-
-
-def _svd(M, compute_uv=1, full_matrices=1):
-    """(U, sigma, Vh) from LAPACK dgesdd; on a pencil's small matrices
-    numpy's SVD wrapper costs more than the factorisation."""
-    U, sigma, Vh, info = _scipy_linalg().lapack.dgesdd(
-        M, compute_uv=compute_uv, full_matrices=full_matrices)
-    if info:
-        raise np.linalg.LinAlgError(f"SVD did not converge (info {info})")
-    return U, sigma, Vh
-
-
-def _orth(M, tol, floor, context):
-    """Orthonormal basis of the column space of M."""
-    if M.shape[1] == 0:
-        return np.zeros((M.shape[0], 0))
-    U, sigma, _ = _svd(M, full_matrices=0)
+def _split(M, tol, floor, context):
+    """(image, kernel): orthonormal bases of the column space and of the
+    null space of M, both from one SVD and one rank decision."""
+    m, n = M.shape
+    if m == 0 or n == 0:
+        return np.zeros((m, 0)), np.eye(n)
+    U, sigma, Vh = np.linalg.svd(M)
     r = _rank_split(sigma, tol, floor, context)
-    return U[:, :r]
-
-
-def _kernel(M, tol, floor, context):
-    """Orthonormal basis of the null space of M (columns)."""
-    n = M.shape[1]
-    if M.shape[0] == 0 or n == 0:
-        return np.eye(n)
-    _, sigma, Vh = _svd(M)
-    sigma = np.concatenate([sigma, np.zeros(n - sigma.size)])
-    r = _rank_split(sigma, tol, floor, context)
-    return Vh[r:].T
+    return U[:, :r], Vh[r:].T
 
 
 def _wong(X, Y, start, tol, label, scale_X, scale_Y):
@@ -266,9 +240,9 @@ def _wong(X, Y, start, tol, label, scale_X, scale_Y):
     B = start
     steps = 0
     for _ in range(X.shape[0] + 1):
-        image = _orth(X @ B, tol, scale_X, image_ctx)
+        image = _split(X @ B, tol, scale_X, image_ctx)[0]
         proj = Y - image @ (image.T @ Y)
-        B_next = _kernel(proj, tol, scale_Y, kernel_ctx)
+        B_next = _split(proj, tol, scale_Y, kernel_ctx)[1]
         # the sequence moves monotonically away from its start (growing
         # from 0, shrinking from R^n); it has stabilised once a step does
         # not move it further
@@ -298,7 +272,7 @@ def _decompose(p, tol):
         empty = np.zeros((0, 0))
         return WeierstrassForm(empty, empty, empty, empty, 0, 0, 0,
                                0.0, 0.0, 1.0)
-    norm_E, norm_A = (_svd(M, compute_uv=0)[1][0] for M in (E, A))
+    norm_E, norm_A = (np.linalg.svd(M, compute_uv=False)[0] for M in (E, A))
     W, nu = _wong(A, E, np.zeros((n, 0)), tol, "wong-W", norm_A, norm_E)
     V, _ = _wong(E, A, np.eye(n), tol, "wong-V", norm_E, norm_A)
     d, a = V.shape[1], W.shape[1]
@@ -308,25 +282,14 @@ def _decompose(p, tol):
             f"to singular for tol={tol:g}")
 
     P = np.hstack([E @ V, A @ W])
-    sigma = _svd(P, compute_uv=0)[1]
+    sigma = np.linalg.svd(P, compute_uv=False)
     cond_P = float(sigma[0]) / float(sigma[-1]) if sigma[-1] > 0.0 else np.inf
     if not np.isfinite(cond_P) or cond_P > 1e14:
         raise IllConditioned(
             f"transformation matrix condition {cond_P:.2e}; deflating "
             f"subspaces are nearly degenerate")
     S = np.linalg.inv(P)
-    # Quasi-triangularize the diagonal blocks without disturbing the split.
-    # The Schur factors are orthogonal, so rotating the bases leaves cond(P)
-    # unchanged and rotates S = P^-1 the same way.  A block of size <= 1 is
-    # already triangular and its Schur factor is the identity; rotating by
-    # that identity still turns each -0.0 into +0.0, as Schur's factor did.
-    schur = _scipy_linalg().schur
-    QJ = schur(S[:d] @ A @ V, output="real")[1] if d > 1 else np.eye(d)
-    QN = schur(S[d:] @ E @ W, output="real")[1] if a > 1 else np.eye(a)
-    V = V @ QJ
-    W = W @ QN
     T = np.hstack([V, W])
-    S = np.vstack([QJ.T @ S[:d], QN.T @ S[d:]])
     J = S[:d] @ A @ V
     N = S[d:] @ E @ W
 

@@ -1,10 +1,14 @@
-"""One SHA-256 per named simulation run, to show that a change leaves every
-output bit for bit as it was.
+"""One SHA-256 per named run, to show that a change leaves every output bit
+for bit as it was.
 
-Each digest covers the run's segment meshes (``ts``) and dense-output
-coefficients, its status and breakdown data, the integrator stats, the
-audit arrays, the bytes of the CSV export and ``evaluate`` reads on a grid
-of times.  Run it on two checkouts and compare the output::
+Each simulation run's digest covers its segment meshes (``ts``) and
+dense-output coefficients, its status and breakdown data, the integrator
+stats, the audit arrays, the bytes of the CSV export and ``evaluate`` reads
+on a grid of times.  The one pencil run, ``pencils``, covers the
+``analyze`` report and the delay order of the registry's pencils and
+linear systems, of seeded criterion-9 integer pencils and of seeded
+criterion-4 coupled pairs.  Run it on two checkouts and compare the
+output::
 
     PYTHONPATH=src python tests/output_digest.py > new.txt
     PYTHONPATH=<other checkout>/src python tests/output_digest.py > old.txt
@@ -24,6 +28,7 @@ pytest does not collect this file.
 
 import argparse
 import hashlib
+import json
 import os
 import pickle
 import subprocess
@@ -33,8 +38,11 @@ import tempfile
 import numpy as np
 
 from ddaekit import models
+from ddaekit.errors import DdaeError
 from ddaekit.forcing import SymbolicSignal
-from ddaekit.lti import sf_model_from_linear
+from ddaekit.lti import (LinearDdae, LtiDescriptor, classify_linear,
+                         hybrid_shifted, sf_model_from_linear)
+from ddaekit.pencil import MatrixPencil, analyze
 from ddaekit.radau import IntegrationOptions
 from ddaekit.steps import audit, evaluate, solve_itp, write_trajectory_csv
 
@@ -124,6 +132,75 @@ def outputs(build, T, h, points, workdir):
                    evaluate(tr, float(t), order))
 
 
+def criterion_9_pencils(count, seed=20240817):
+    """The first ``count`` pencils of the criterion-9 oracle sweep: entries
+    in {-1, 0, 1}, n in 1..4."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 5))
+        yield MatrixPencil(rng.integers(-1, 2, size=(n, n)),
+                           rng.integers(-1, 2, size=(n, n)))
+
+
+def criterion_4_pairs(count, seed=9):
+    """``count`` shifted couplings (tau = 1) of two random subsystems of
+    sizes 1..6, drawn as criterion 4 draws them: Gaussian entries, a row of
+    E zeroed (algebraic equations) and a row of E and A zeroed together (a
+    singular pencil), each now and then."""
+    rng = np.random.default_rng(seed)
+
+    def subsystem(n, n_in, n_out):
+        E = rng.standard_normal((n, n))
+        A = rng.standard_normal((n, n))
+        if rng.random() < 0.4:
+            E[rng.integers(n)] = 0.0
+        if rng.random() < 0.3:
+            row = rng.integers(n)
+            E[row] = 0.0
+            A[row] = 0.0
+        return LtiDescriptor(E, A, rng.standard_normal((n, n_in)),
+                             rng.standard_normal((n_out, n)))
+
+    for _ in range(count):
+        n1, n2 = (int(k) for k in rng.integers(1, 7, size=2))
+        m, p = (int(k) for k in rng.integers(1, 3, size=2))
+        yield hybrid_shifted(subsystem(n1, m, p), subsystem(n2, p, m), 1.0)
+
+
+def pencil_outputs():
+    """The pencil run's outputs: per group, one line per pencil with its
+    indices and delay order (``structure``) and one with its full
+    ``analyze`` report (``reports``), so that a compare tells a changed
+    index from changed rounding."""
+    registry = [entry.make({}) for entry in models.REGISTRY.values()]
+    groups = {
+        "registry": [m for m in registry
+                     if isinstance(m, (MatrixPencil, LtiDescriptor))]
+        + [models.ex_shift_linear(0.5), models.ex_advanced_linear(1.0)],
+        "criterion-9": criterion_9_pencils(2000),
+        "criterion-4": criterion_4_pairs(500),
+    }
+    for group, systems in groups.items():
+        structure, reports = [], []
+        for system in systems:
+            pencil = (system if isinstance(system, MatrixPencil)
+                      else system.pencil)
+            try:
+                report = analyze(pencil)
+            except DdaeError as exc:
+                structure.append(type(exc).__name__)
+                reports.append(f"{type(exc).__name__}: {exc}")
+                continue
+            indices = [report.regular, report.d, report.a, report.nu,
+                       report.mu]
+            if isinstance(system, LinearDdae) and report.regular:
+                indices.append(classify_linear(system).s)
+            structure.append(json.dumps(indices))
+            reports.append(json.dumps(report.to_json(), sort_keys=True))
+        yield f"{group} structure", "\n".join(structure).encode()
+        yield f"{group} reports", "\n".join(reports).encode()
+
+
 def digest(items):
     sha = hashlib.sha256()
     for _, value in items:
@@ -157,6 +234,7 @@ def differences(old, new):
 def all_outputs(workdir):
     for name, build, T, h, points in runs():
         yield name, list(outputs(build, T, h, points, workdir))
+    yield "pencils", list(pencil_outputs())
 
 
 def main(argv=None):

@@ -275,9 +275,11 @@ _LTI = models.msd_subsystem().to_json()
     _with_forcing(_SCALAR_LINEAR, {"poly": [[1, None]]}),
     _with_forcing(_SHIFT_LINEAR, {"dim": 2.7}),
     _with_forcing(_SCALAR_LINEAR, {"dim": True}),
+    {"E": {"x": 1}, "A": [[1]]}, {**_SCALAR_LINEAR, "A1": {"k": 0}},
+    {**_LTI, "B": [[1], {"k": 0}]},
 ], ids=["not-an-object", "tau-string", "tau-nan", "tau-bool", "f-poly-int",
         "f-list", "f-null", "f-sin-int", "f-poly-null", "f-dim-float",
-        "f-dim-bool"])
+        "f-dim-bool", "E-object", "A1-object", "B-row-object"])
 @pytest.mark.parametrize("command", [
     ("analyze",), ("classify",),
     ("simulate", "--T", "0.1", "--history", "poly:0;1"),
@@ -829,33 +831,51 @@ def test_out_into_a_missing_directory_is_refused_before_solving(
 
 _FRESH_RUN = """\
 import contextlib, io, json, sys
+sys.modules["scipy"] = None  # every scipy import now fails
 from ddaekit import cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     rc = cli.main(sys.argv[1:])
-print(json.dumps({"rc": rc, "out": out.getvalue(),
-                  "scipy": sorted(m for m in sys.modules
-                                  if m.partition(".")[0] == "scipy")}))
+print(json.dumps({"rc": rc, "out": out.getvalue()}))
 """
 
 
 def fresh_run(*argv):
+    """``ddae *argv`` in a new interpreter in which scipy cannot be
+    imported: (exit code, stdout)."""
     proc = subprocess.run([sys.executable, "-c", _FRESH_RUN, *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    run = json.loads(proc.stdout)
+    return run["rc"], run["out"]
 
 
-def test_simulate_starts_without_scipy():
-    # a registry sf-model decomposes no pencil, so nothing imports scipy
-    run = fresh_run("simulate", "--model", "pmsd-hybrid", "--T", "0.1")
-    assert run["rc"] == 0
-    assert run["scipy"] == []
-    # a decomposition imports it when it first needs it
-    run = fresh_run("analyze", "--model", "ex-split-index")
-    assert run["rc"] == 0
-    assert json.loads(run["out"])["nu"] == 1
-    assert "scipy.linalg" in run["scipy"]
+def test_simulate_starts_without_scipy(tmp_path):
+    # the package needs numpy alone: every command, with and without a
+    # pencil decomposition, exits as it does with scipy installed
+    shift, advanced = tmp_path / "shift.json", tmp_path / "advanced.json"
+    shift.write_text(json.dumps(_SHIFT_LINEAR))
+    advanced.write_text(json.dumps(models.ex_advanced_linear(1.0).to_json()))
+    rc, out = fresh_run("simulate", "--model", "pmsd-hybrid", "--T", "0.1")
+    assert rc == 0 and json.loads(out)["status"] == "Complete"
+    rc, out = fresh_run("analyze", "--model", "ex-split-index")
+    assert rc == 0 and json.loads(out)["nu"] == 1
+    rc, out = fresh_run("analyze", "--model", str(advanced))
+    assert rc == 0
+    assert json.loads(out)["classification"] == {"type": "advanced", "s": 2}
+    rc, out = fresh_run("classify", "--model", str(shift))
+    assert rc == 0
+    assert json.loads(out)["classification"] == {"type": "retarded", "s": 0}
+    # x2 = g(t), the history consistent with the algebraic equation
+    rc, out = fresh_run("simulate", "--model", str(shift), "--T", "1",
+                        "--history", "poly:0;0.78125,-0.375,0.125")
+    assert rc == 0 and json.loads(out)["status"] == "Complete"
+    rc, out = fresh_run("simulate", "--model", str(advanced), "--T", "2",
+                        "--history", "poly:0;1,1")
+    assert rc == 4 and json.loads(out)["status"] == "BrokeDown"
+    rc, out = fresh_run("sweep", "--model", "pmsd-hybrid", "--tau",
+                        "0.1,0.05", "--T", "0.2")
+    assert rc == 0 and out.startswith("tau,deviation,status\n")
 
 
 @pytest.mark.parametrize("tau", ["0.5", "0.01"])

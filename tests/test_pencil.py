@@ -293,31 +293,44 @@ def test_tolerance_must_be_finite_and_positive(tol):
         analyze(MatrixPencil(np.eye(2), np.zeros((2, 2))), tol)
 
 
-def test_analyze_takes_no_2_norm_and_no_trivial_schur(monkeypatch):
-    # d = a = 1: both diagonal blocks are 1x1, whose Schur factor is the
-    # identity, and the 2-norms of E and A come from singular values taken
-    # once per decomposition
-    norms, schurs = [], []
-    norm, schur = np.linalg.norm, scipy.linalg.schur
+def _split_index_pencil():
+    """d = 2, a = 3, nu = 3: both blocks larger than 1 and several rank
+    decisions in each Wong sequence."""
+    E = scipy.linalg.block_diag(np.eye(2), nilpotent_block(3))
+    A = scipy.linalg.block_diag([[0.0, 1.0], [-2.0, -0.5]], np.eye(3))
+    return MatrixPencil(E, A)
+
+
+def test_analyze_takes_no_2_norm_and_one_svd_per_rank_decision(monkeypatch):
+    # the 2-norms of E and A and cond(P) come from three singular-value
+    # calls, and each rank decision from one SVD of its own
+    norms, svds, decisions = [], [], []
+    norm, svd, rank_split = np.linalg.norm, np.linalg.svd, pencil._rank_split
 
     def counting_norm(x, ord=None, *args, **kwargs):
         if ord == 2:
             norms.append(x)
         return norm(x, ord, *args, **kwargs)
 
-    def counting_schur(*args, **kwargs):
-        schurs.append(args)
-        return schur(*args, **kwargs)
+    def counting_svd(M, *args, **kwargs):
+        svds.append(kwargs.get("compute_uv", True))
+        return svd(M, *args, **kwargs)
+
+    def counting_rank_split(*args):
+        decisions.append(args[-1])
+        return rank_split(*args)
 
     monkeypatch.setattr(np.linalg, "norm", counting_norm)
-    monkeypatch.setattr(scipy.linalg, "schur", counting_schur)
-    report = analyze(MatrixPencil(np.diag([1.0, 0.0]), np.diag([-1.0, 1.0])))
-    assert (report.d, report.a, report.nu) == (1, 1, 1)
-    assert norms == [] and schurs == []
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(pencil, "_rank_split", counting_rank_split)
+    report = analyze(_split_index_pencil())
+    assert (report.d, report.a, report.nu) == (2, 3, 3)
+    assert norms == []
+    assert svds.count(False) == 3
+    assert svds.count(True) == len(decisions) > 0
 
 
-def test_analyze_imports_scipy_at_most_once(monkeypatch):
-    # d = 2, a = 3, nu = 3: several rank decisions and both Schur forms
+def test_analyze_imports_no_scipy(monkeypatch):
     imports = []
     real_import = builtins.__import__
 
@@ -326,12 +339,11 @@ def test_analyze_imports_scipy_at_most_once(monkeypatch):
             imports.append(name)
         return real_import(name, *args, **kwargs)
 
+    p = _split_index_pencil()
     monkeypatch.setattr(builtins, "__import__", counting_import)
-    E = scipy.linalg.block_diag(np.eye(2), nilpotent_block(3))
-    A = scipy.linalg.block_diag([[0.0, 1.0], [-2.0, -0.5]], np.eye(3))
-    report = analyze(MatrixPencil(E, A))
+    report = analyze(p)
     assert (report.d, report.a, report.nu) == (2, 3, 3)
-    assert len(imports) <= 1, imports
+    assert imports == []
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200, 1e300, 1e-300])
