@@ -20,7 +20,7 @@ from .errors import (DataError, DdaeError, IllConditioned,
 from .forcing import SymbolicSignal
 from .lti import (LinearDdae, LtiDescriptor, classify_linear, delay_terms,
                   sf_model_from_linear)
-from .pencil import DEFAULT_TOL, MatrixPencil, analyze
+from .pencil import DEFAULT_TOL, MatrixPencil, analyze, check_tol
 from .radau import STEPS_PER_SEGMENT, IntegrationOptions
 from .sfdae import Classification, SfDdaeModel, classify
 from .steps import (BROKE_DOWN, audit, check_horizon, plan_run, solve_itp,
@@ -81,12 +81,17 @@ def _load_json_model(path):
 
 
 def _resolve(args):
-    params = _parse_params(args.param)
-    if getattr(args, "tau", None) is not None:
-        params["tau"] = args.tau
     name = args.model
+    tau = getattr(args, "tau", None)
     if os.path.exists(name) or name.endswith(".json"):
+        if args.param or tau is not None:
+            flag = "--param" if args.param else "--tau"
+            raise DataError(f"{flag} does not apply to a model file: "
+                            f"{name} holds all of its values")
         return _load_json_model(name), os.path.basename(name)
+    params = _parse_params(args.param)
+    if tau is not None:
+        params["tau"] = tau
     entry = model_zoo.REGISTRY.get(name)
     if entry is None:
         known = ", ".join(sorted(model_zoo.REGISTRY))
@@ -331,6 +336,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
+        check_tol(args.tol)
         return args.func(args)
     except IllConditioned as exc:
         sys.stderr.write(f"ill-conditioned analysis: {exc}\n")

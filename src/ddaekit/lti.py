@@ -20,18 +20,16 @@ class LtiDescriptor:
     """Control DAE  E z' = A z + B u + f,  y = C z.
 
     Regularity of (E, A) is not required at construction; singular
-    subsystems are legal inputs to the analysis routines.
+    subsystems are legal inputs to the analysis routines.  ``pencil`` is
+    the pencil (E, A), built and checked once.
     """
 
     _FORCING_MISMATCH = "forcing dimension {} != state dim {}"
 
     def __init__(self, E, A, B=None, C=None, f=None):
-        self.E = as_matrix(E, "E")
-        self.A = as_matrix(A, "A")
-        n = self.E.shape[0]
-        if self.E.shape != (n, n) or self.A.shape != (n, n):
-            raise ShapeError("E and A must be square of equal size")
-        self.n = n
+        self.pencil = MatrixPencil(E, A)
+        self.E, self.A = self.pencil.E, self.pencil.A
+        n = self.n = self.pencil.n
         self.B = as_matrix(B if B is not None else np.zeros((n, 0)), "B")
         self.C = as_matrix(C if C is not None else np.zeros((0, n)), "C")
         if self.B.shape[0] != n:
@@ -40,13 +38,7 @@ class LtiDescriptor:
             raise ShapeError(f"C must have {n} columns")
         self.m = self.B.shape[1]
         self.p = self.C.shape[0]
-        self.f = f if f is not None else SymbolicSignal.zero(n)
-        if self.f.dim != n:
-            raise ShapeError(self._FORCING_MISMATCH.format(self.f.dim, n))
-
-    @property
-    def pencil(self):
-        return MatrixPencil(self.E, self.A)
+        self.f = _forcing(self, f)
 
     def to_json(self):
         return {"E": self.E.tolist(), "A": self.A.tolist(),
@@ -63,27 +55,20 @@ class LtiDescriptor:
 
 
 class LinearDdae:
-    """Linear delay system  E z'(t) = A0 z(t) + A1 z(t - tau) + f(t)."""
+    """Linear delay system  E z'(t) = A0 z(t) + A1 z(t - tau) + f(t);
+    ``pencil`` is its current-time pencil (E, A0), built and checked once."""
 
     _FORCING_MISMATCH = "forcing dimension mismatch"
 
     def __init__(self, E, A0, A1, tau, f=None):
-        self.E = as_matrix(E, "E")
-        n = self.E.shape[0]
-        self.A0 = as_matrix(A0, "A0")
+        self.pencil = MatrixPencil(E, A0)
+        self.E, self.A0 = self.pencil.E, self.pencil.A
+        n = self.n = self.pencil.n
         self.A1 = as_matrix(A1, "A1")
-        for name, M in (("E", self.E), ("A0", self.A0), ("A1", self.A1)):
-            if M.shape != (n, n):
-                raise ShapeError(f"{name} must be {n}x{n}")
-        self.n = n
+        if self.A1.shape != (n, n):
+            raise ShapeError(f"A1 must be {n}x{n}")
         self.tau = check_delay(tau)
-        self.f = f if f is not None else SymbolicSignal.zero(n)
-        if self.f.dim != n:
-            raise ShapeError(self._FORCING_MISMATCH)
-
-    @property
-    def pencil(self):
-        return MatrixPencil(self.E, self.A0)
+        self.f = _forcing(self, f)
 
     def to_json(self):
         return {"E": self.E.tolist(), "A0": self.A0.tolist(),
@@ -97,6 +82,15 @@ class LinearDdae:
 
     def __repr__(self):
         return f"LinearDdae(n={self.n}, tau={self.tau})"
+
+
+def _forcing(system, f):
+    """``f``, or the zero signal of the system's size when None; ShapeError
+    with the system's mismatch message for another dimension."""
+    f = f if f is not None else SymbolicSignal.zero(system.n)
+    if f.dim != system.n:
+        raise ShapeError(system._FORCING_MISMATCH.format(f.dim, system.n))
+    return f
 
 
 def _with_json_forcing(system, data):

@@ -150,8 +150,9 @@ def rest_history(params=None, y1=0.0, theta=0.0):
     return SymbolicSignal.constant(rest_state(p, y1, theta))
 
 
-def _pmsd_model(p, delayed_force, force_jac_z, s_decl, name):
-    """Shared assembly of the 7-state pendulum-oscillator model.
+def _pmsd_model(p, theta0, y10, delayed_force, force_jac_z, s_decl, name):
+    """Shared assembly of the 7-state pendulum-oscillator model, whose
+    default history rests at rod angle theta0 and oscillator position y10.
 
     ``delayed_force(t, z, ztau)`` supplies the oscillator forcing;
     ``force_jac_z`` its Jacobian w.r.t. the current state (zero for the
@@ -224,8 +225,8 @@ def _pmsd_model(p, delayed_force, force_jac_z, s_decl, name):
 
     return SfDdaeModel(
         n=7, d=4, a=3, tau=p.tau, s_decl=s_decl,
-        D=D, A=A, JD_z=JD_z, JD_zdot=JD_zdot, JA_z=JA_z,
-        name=name)
+        D=D, A=A, JD_z=JD_z, JD_zdot=JD_zdot, JA_z=JA_z, name=name,
+        default_history=lambda: rest_history(p, y1=y10, theta=theta0))
 
 
 def pmsd_hybrid_shifted(params=None, theta0=0.1, y10=0.0,
@@ -252,10 +253,8 @@ def pmsd_hybrid_shifted(params=None, theta0=0.1, y10=0.0,
     def force_jac_z(t, z):
         return np.zeros(7)
 
-    model = _pmsd_model(p, delayed_force, force_jac_z, s_decl,
-                        "pmsd-hybrid")
-    model.default_history = lambda: rest_history(p, y1=y10, theta=theta0)
-    return model
+    return _pmsd_model(p, theta0, y10, delayed_force, force_jac_z, s_decl,
+                       "pmsd-hybrid")
 
 
 def pmsd_coupled(params=None, theta0=0.1, y10=0.0):
@@ -275,9 +274,8 @@ def pmsd_coupled(params=None, theta0=0.1, y10=0.0):
         fj[6] = -2.0 * (z[2] - z[0])
         return fj
 
-    model = _pmsd_model(p, current_force, force_jac_z, 0, "pmsd-coupled")
-    model.default_history = lambda: rest_history(p, y1=y10, theta=theta0)
-    return model
+    return _pmsd_model(p, theta0, y10, current_force, force_jac_z, 0,
+                       "pmsd-coupled")
 
 
 # -- small worked pencil examples -------------------------------------------
@@ -356,6 +354,8 @@ def ex_shift_model(tau=0.5, f=None, g=None, phi1=None):
     g = g if g is not None else gdef
     gshift = g.shift(tau)
 
+    phi1 = phi1 if phi1 is not None else SymbolicSignal(poly=[[0.3, 0.2]])
+    history = phi1.stack(gshift)
     model = SfDdaeModel(
         n=2, d=1, a=1, tau=tau, s_decl=0,
         D=lambda t, z, zdot, ztau: np.array(
@@ -364,10 +364,7 @@ def ex_shift_model(tau=0.5, f=None, g=None, phi1=None):
         JD_z=lambda t, z, zdot, ztau: np.zeros((1, 2)),
         JD_zdot=lambda t, z, zdot, ztau: np.array([[1.0, 0.0]]),
         JA_z=lambda t, z, zlags: np.array([[0.0, 1.0]]),
-        name="ex-shift")
-    phi1 = phi1 if phi1 is not None else SymbolicSignal(poly=[[0.3, 0.2]])
-    history = phi1.stack(gshift)
-    model.default_history = lambda: history
+        name="ex-shift", default_history=lambda: history)
     model.f_signal = f
     model.g_signal = g
     return model
@@ -401,9 +398,8 @@ def ex_advanced_model(tau=1.0):
         JD_z=lambda t, z, zdot, ztau: np.zeros((0, 2)),
         JD_zdot=lambda t, z, zdot, ztau: np.zeros((0, 2)),
         JA_z=lambda t, z, zlags: np.eye(2),
-        name="ex-advanced")
-    model.default_history = lambda: SymbolicSignal(
-        poly=[[1.0 - model.tau], [1.0, 1.0]])
+        name="ex-advanced", default_history=lambda: SymbolicSignal(
+            poly=[[1.0 - model.tau], [1.0, 1.0]]))
     return model
 
 

@@ -158,6 +158,12 @@ def _det_samples(p):
             for sk, det, scale in zip(s, dets, scales)]
 
 
+def check_tol(tol):
+    """ValueError unless tol is finite and positive: the one tol rule."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def _regularity(p, tol):
     """(regular, determinant samples) of the pencil.
 
@@ -166,8 +172,7 @@ def _regularity(p, tol):
     is compared against tol times its Hadamard row bound.  The empty pencil
     is regular by convention.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    check_tol(tol)
     if p.n == 0:
         return True, []
     with np.errstate(over="ignore", invalid="ignore"):

@@ -235,8 +235,9 @@ class SegmentSolution:
         """Dense output: state (order 0) or right derivative (order 1) at a
         float t, (n,), or at an array of times in the segment, (n, m), one
         column per time, as ``SymbolicSignal.eval`` returns them: by
-        ``bisect`` and ``np.dot``, or by ``_mesh_read``.  A time outside the
-        segment by more than ``_read_slack`` raises ValueError."""
+        ``bisect`` and ``np.dot``, or by ``_mesh_read``.  Any other real
+        scalar reads as ``float(t)``.  A time outside the segment by more
+        than ``_read_slack`` raises ValueError."""
         if order not in (0, 1):
             raise ValueError("dense output supports orders 0 and 1 only")
         ts = self.ts
@@ -253,6 +254,8 @@ class SegmentSolution:
                 return np.dot([1.0, s, s * s, s * s * s], self.coeffs[k])
             return np.dot([0.0, 1.0 / h, 2.0 * s / h, 3.0 * s * s / h],
                           self.coeffs[k])
+        if np.ndim(t) == 0:
+            return self.eval(float(t), order)
         if t.min() < lo or t.max() > hi:
             raise ValueError(f"t={t[(t < lo) | (t > hi)][0]} outside "
                              f"segment [{ts[0]}, {ts[-1]}]")
@@ -516,19 +519,17 @@ def integrate_segment(problem, opts=None, h_start=None):
              "newton_iterations": 0, "halvings": 0, "rejected": 0,
              "n_steps": 0, "start_residual": norm_r0}
     k_guess = np.zeros(model.n)
+    jacobians = _jacobians(model, problem.t_start, problem.z0, k_guess, lags0)
     # the one step rule of the segment
     if model.affine:
-        step = _AffineSteps(problem, _jacobians(
-            model, problem.t_start, problem.z0, k_guess, lags0), opts, stats)
+        step = _AffineSteps(problem, jacobians, opts, stats)
     else:
         def step(t, h, z, k_guess):
             return _solve_step(model, t, h, z, k_guess, problem, opts, stats)
     if model.a:
         # spot-check: the algebraic rows must have full row rank here,
         # thresholded like the pencil rank decisions
-        JA = step.Fz[model.d:] if model.affine else np.atleast_2d(
-            model.JA_z(problem.t_start, problem.z0, lags0[:model.s_decl]))
-        sigma = np.linalg.svd(JA, compute_uv=False)
+        sigma = np.linalg.svd(jacobians[0][model.d:], compute_uv=False)
         if sigma[0] == 0.0 or sigma[-1] <= 1e-10 * sigma[0]:
             logger.warning(
                 "algebraic Jacobian row rank deficient at t = %.6g "

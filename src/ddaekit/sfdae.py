@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .radau import start_consistency
+from .radau import SegmentProblem, start_consistency
 
 logger = logging.getLogger(__name__)
 
@@ -139,13 +139,13 @@ def admissible(m, phi):
 
     ``phi`` is the history, a ``SymbolicSignal`` read on [-tau, 0].
     Applies ``radau.start_consistency`` to phi(0) with the lag rows
-    phi(-tau), phi'(-tau), ..., phi^(s_decl-1)(-tau) and returns
-    (consistent, r).  These are the values the first method-of-steps
-    segment reads, so this is exactly its start check, and an admissible
-    history guarantees solvability on [0, tau).
+    phi(-tau), phi'(-tau), ..., phi^(s_decl-1)(-tau), read by the first
+    method-of-steps segment's own ``SegmentProblem.lags``, and returns
+    (consistent, r).  This is exactly that segment's start check, and an
+    admissible history guarantees solvability on [0, tau).
     """
-    zlags = np.stack([phi.eval(-m.tau, order=j) for j in range(m.n_lags)])
-    ok, r, _ = start_consistency(m, 0.0, phi.eval(0.0), zlags)
+    first = SegmentProblem(m, 0.0, m.tau, phi.eval(0.0), phi)
+    ok, r, _ = start_consistency(m, 0.0, first.z0, first.lags(0.0))
     return ok, r
 
 

@@ -228,6 +228,28 @@ def test_an_oversized_audit_is_refused_before_solving(monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--model", "ex-split-index"],
+    ["classify", "--model", "pmsd-hybrid"],
+    ["simulate", "--model", "ex-shift", "--T", "0.5"],
+    ["sweep", "--model", "pmsd-hybrid", "--tau", "0.05", "--T", "0.1"],
+], ids=["analyze", "classify", "simulate", "sweep"])
+def test_every_command_refuses_a_bad_tol_before_it_runs(argv, tol,
+                                                        monkeypatch, capsys):
+    ran = []
+    for command in ("analyze", "classify", "simulate", "sweep"):
+        monkeypatch.setattr(cli, f"cmd_{command}", ran.append)
+    rc = cli.main([*argv, f"--tol={tol}"])
+    assert rc == 2
+    assert ran == []
+    captured = capsys.readouterr()
+    assert "model error: tol must be finite and positive" in captured.err
+    assert captured.out == ""
+    # the same command with a good tol runs
+    assert cli.main([*argv, "--tol=1e-9"]) is None and len(ran) == 1
+
+
 @pytest.mark.parametrize("args", [
     ("--model", "pmsd-hybrid", "--T", "1e-13"),
     # the last segment, 5e-13 long, is shorter than the step loop's slack
@@ -292,6 +314,30 @@ def test_malformed_json_model_is_a_model_error(tmp_path, payload, command):
     assert "Traceback" not in err
     assert "model error" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("flags", [
+    ("--param", "bogus=1"), ("--param", "tau=0.5"), ("--tau", "nan"),
+    ("--tau", "0.5")], ids=["param-bogus", "param-tau", "tau-nan", "tau"])
+@pytest.mark.parametrize("command", [
+    ("analyze",), ("classify",),
+    ("simulate", "--T", "0.1", "--history", "poly:0;1"),
+], ids=["analyze", "classify", "simulate"])
+def test_a_model_file_refuses_param_and_tau(tmp_path, monkeypatch, capsys,
+                                            flags, command):
+    # a file holds every value of its model; a flag meant to change one
+    # would otherwise be dropped without a word
+    path = tmp_path / "linear.json"
+    path.write_text(json.dumps(_SCALAR_LINEAR))
+    loaded = []
+    monkeypatch.setattr(cli, "_load_json_model", loaded.append)
+    rc = cli.main([command[0], "--model", str(path), *command[1:], *flags])
+    assert rc == 2
+    assert loaded == []
+    captured = capsys.readouterr()
+    assert (f"model error: {flags[0]} does not apply to a model file"
+            in captured.err)
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("payload, message", [

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ddaekit import pencil
 from ddaekit.errors import DataError, ShapeError, SingularPencil
-from ddaekit.lti import LtiDescriptor
+from ddaekit.lti import LinearDdae, LtiDescriptor
 from ddaekit.pencil import (MatrixPencil, analyze, equivalence_residual,
                             is_regular, weierstrass)
 
@@ -68,14 +68,27 @@ def test_empty_pencil_regular_by_convention():
 
 
 def test_shape_and_data_errors():
-    with pytest.raises(ShapeError):
-        MatrixPencil(np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(ShapeError):
-        MatrixPencil(np.zeros((2, 2)), np.zeros((3, 3)))
-    with pytest.raises(DataError):
-        MatrixPencil(np.array([[np.nan, 0], [0, 1]]), np.eye(2))
+    # a linear system's E and A are checked by its pencil, one rule for all
+    # three constructors
+    builders = [MatrixPencil, LtiDescriptor,
+                lambda E, A: LinearDdae(E, A, np.zeros((2, 2)), 1.0)]
+    bad = [(ShapeError, np.zeros((2, 3)), np.zeros((2, 3))),
+           (ShapeError, np.zeros((2, 2)), np.zeros((3, 3))),
+           (ShapeError, np.zeros(2), np.zeros((2, 2))),
+           (DataError, np.array([[np.nan, 0], [0, 1]]), np.eye(2)),
+           (DataError, np.eye(2), np.array([[1.0, np.inf], [0, 1]])),
+           (DataError, [["x", 0], [0, 1]], np.eye(2))]
+    for build in builders:
+        for error, E, A in bad:
+            with pytest.raises(error):
+                build(E, A)
     with pytest.raises(DataError):
         LtiDescriptor(np.eye(2), np.eye(2), B=np.array([[np.inf], [0.0]]))
+    # each keeps the one pencil it checked
+    for system in (LtiDescriptor(np.eye(2), np.ones((2, 2))),
+                   LinearDdae(np.eye(2), np.ones((2, 2)), np.eye(2), 1.0)):
+        assert system.pencil is system.pencil
+        assert system.pencil.E is system.E
 
 
 # -- decomposition ----------------------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import logging
 import math
 import re
 
@@ -168,6 +169,40 @@ def test_singular_stage_matrix_halves_then_diverges():
     assert err.value.t == 0.0
 
 
+RANK_WARNING = "algebraic Jacobian row rank deficient at t = 0 "
+
+
+def test_rank_deficient_algebraic_rows_at_the_start_are_warned(caplog):
+    # two algebraic rows parallel up to 1e-12: both step rules read the
+    # start's Jacobian for the rank check, and the run still completes
+    JA = np.array([[0.0, 1.0, 1.0], [0.0, 1.0, 1.0 + 1e-12]])
+
+    def parallel_rows(affine):
+        return SfDdaeModel(
+            n=3, d=1, a=2, tau=1.0, s_decl=0,
+            D=lambda t, z, zdot, ztau: np.array([zdot[0] + z[0]]),
+            A=lambda t, z, zlags: JA @ z,
+            JD_z=lambda t, z, zdot, ztau: np.array([[1.0, 0.0, 0.0]]),
+            JD_zdot=lambda t, z, zdot, ztau: np.array([[1.0, 0.0, 0.0]]),
+            JA_z=lambda t, z, zlags: JA, name="parallel-rows", affine=affine)
+
+    pmsd = models.REGISTRY["pmsd-hybrid"].make()
+    phi = pmsd.default_history()
+    cases = [(parallel_rows(affine), np.array([1.0, 0.0, 0.0]),
+              SymbolicSignal.zero(3), 1) for affine in (False, True)]
+    cases.append((pmsd, phi.eval(0.0), phi, 0))
+    for m, z0, source, warned in cases:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="ddaekit.radau"):
+            sol = integrate_segment(SegmentProblem(m, 0.0, m.tau, z0, source))
+        assert sol.t_end == m.tau
+        messages = [r.getMessage() for r in caplog.records
+                    if r.levelno == logging.WARNING]
+        assert sum(msg.startswith(RANK_WARNING) for msg in messages) == warned
+        if not warned:
+            assert messages == []
+
+
 def hermite_reference(ts, zs, d_start, d_end, t, order):
     """Cubic Hermite in its basis form, on the step whose start is the last
     node <= t (the final step also covers its right end)."""
@@ -247,6 +282,14 @@ def test_an_array_read_is_the_float_reads_bit_for_bit(data):
         assert grid.shape == (sol.endpoint.size, len(ts))
         for j, t in enumerate(ts):
             assert grid[:, j].tobytes() == sol.eval(t, order).tobytes()
+            # any other real scalar reads as its float
+            assert (sol.eval(np.array(t), order).tobytes()
+                    == grid[:, j].tobytes())
+        t32 = np.float32(data.draw(st.floats(lo, hi)))
+        for t in (0, np.int64(0), t32, np.float16(0.0)):
+            if lo <= float(t) <= hi:
+                assert (sol.eval(t, order).tobytes()
+                        == sol.eval(float(t), order).tobytes())
 
 
 def test_an_array_read_outside_the_segment_raises_the_float_error():
