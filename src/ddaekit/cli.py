@@ -16,15 +16,15 @@ import time
 
 from . import models as model_zoo
 from .errors import (DataError, DdaeError, IllConditioned,
-                     InadmissibleHistory, SingularPencil)
+                     InadmissibleHistory, SingularPencil, check_positive)
 from .forcing import SymbolicSignal
 from .lti import (LinearDdae, LtiDescriptor, classify_linear, delay_terms,
                   sf_model_from_linear)
-from .pencil import DEFAULT_TOL, MatrixPencil, analyze, check_tol
+from .pencil import DEFAULT_TOL, MatrixPencil, analyze
 from .radau import STEPS_PER_SEGMENT, IntegrationOptions
 from .sfdae import Classification, SfDdaeModel, classify
-from .steps import (BROKE_DOWN, audit, check_horizon, plan_run, solve_itp,
-                    sweep_deviation, sweep_reference, write_trajectory_csv)
+from .steps import (BROKE_DOWN, audit, plan_run, solve_itp, sweep_deviation,
+                    sweep_reference, write_trajectory_csv)
 
 EXIT_OK = 0
 EXIT_MODEL = 2
@@ -231,7 +231,7 @@ def cmd_sweep(args):
     if args.T is None:
         sys.stderr.write("error: sweep needs --T\n")
         return EXIT_USAGE
-    check_horizon(args.T)
+    check_positive("horizon T", args.T)
     entry = model_zoo.REGISTRY.get(args.model)
     if entry is None or entry.reference is None:
         sweepable = sorted(name for name, e in model_zoo.REGISTRY.items()
@@ -336,7 +336,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        check_tol(args.tol)
+        check_positive("tol", args.tol)
         return args.func(args)
     except IllConditioned as exc:
         sys.stderr.write(f"ill-conditioned analysis: {exc}\n")

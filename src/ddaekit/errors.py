@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its two number rules."""
+
+import math
+import numbers
+import sys
 
 
 class DdaeError(Exception):
@@ -60,3 +64,30 @@ class InconsistentInitialState(DdaeError):
 
 class InadmissibleHistory(InconsistentInitialState):
     """History function endpoint is not consistent for the first segment."""
+
+
+def _as_float(value):
+    """value as a float; inf unless it is a real, not a bool, that is
+    finite as a float."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    return math.inf
+
+
+def check_positive(name, value):
+    """value as a float; DataError naming it unless a finite positive real."""
+    number = _as_float(value)
+    if not 0 < number < math.inf:
+        raise DataError(f"{name} must be finite and positive, got {value!r}")
+    return number
+
+
+def check_count(name, value, low, high=None):
+    """value as an int; DataError naming it unless an integral real from low
+    to high (unbounded when None), tested finite before ``int()``."""
+    if not (_as_float(value) < math.inf and value == int(value)
+            and low <= value <= (math.inf if high is None else high)):
+        bound = f">= {low}" if high is None else f"from {low} to {high}"
+        raise DataError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError, ShapeError, check_count
 
 _HALF_PI = math.pi / 2.0
 
@@ -36,10 +36,9 @@ class SymbolicSignal:
     def __init__(self, poly=None, sin=None, dim=None):
         if poly is None and sin is None and dim is None:
             raise ShapeError("signal needs poly, sin or an explicit dimension")
-        n = dim
-        if n is None:
-            n = len(poly) if poly is not None else len(sin)
-        self.dim = int(n)
+        if dim is None:
+            dim = len(poly) if poly is not None else len(sin)
+        self.dim = check_count("signal dim", dim, 0)
         poly = [[]] * self.dim if poly is None else poly
         sin = [[]] * self.dim if sin is None else sin
         if len(poly) != self.dim or len(sin) != self.dim:
@@ -168,22 +167,27 @@ class SymbolicSignal:
                 "sin": [[list(tr) for tr in row] for row in self.sin]}
 
     @classmethod
-    def from_json(cls, data, dim=None, mismatch="signal dimension {} != {}"):
+    def from_json(cls, data, dim=None):
         """The signal of ``to_json`` output or the zero one of ``{"dim":
-        n}`` with n integral and no bool, else DataError.  With ``dim``, one
-        of another dimension k is ShapeError(mismatch.format(k, dim)),
-        raised before it is built."""
+        n}`` with n a count, else DataError.  With ``dim``, the forcing of
+        a state of that dimension: one of another dimension is refused by
+        ``_check_forcing_dim`` before it is built."""
         try:
             poly, sin = data.get("poly"), data.get("sin")
-            count = (len(poly) if poly is not None else
-                     len(sin) if sin is not None else data["dim"])
-            if isinstance(count, bool) or count != int(count):
-                raise DataError(f"signal dim {count!r} is not an integer")
-            if dim is not None and count != dim:
-                raise ShapeError(mismatch.format(count, dim))
+            count = check_count("signal dim", len(poly) if poly is not None
+                                else len(sin) if sin is not None
+                                else data["dim"], 0)
+            if dim is not None:
+                _check_forcing_dim(count, dim)
             return cls(poly=poly, sin=sin, dim=count)
         except (AttributeError, TypeError, OverflowError) as exc:
             raise DataError(f"malformed signal: {exc}") from exc
 
     def __repr__(self):
         return f"SymbolicSignal(dim={self.dim})"
+
+
+def _check_forcing_dim(k, n):
+    """ShapeError unless a forcing of dimension k fits a state of dim n."""
+    if k != n:
+        raise ShapeError(f"forcing dimension {k} != state dim {n}")

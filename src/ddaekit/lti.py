@@ -10,10 +10,10 @@ subsystem pencils.
 
 import numpy as np
 
-from .errors import ShapeError
-from .forcing import SymbolicSignal
+from .errors import ShapeError, check_positive
+from .forcing import SymbolicSignal, _check_forcing_dim
 from .pencil import DEFAULT_TOL, MatrixPencil, as_matrix, is_regular, weierstrass
-from .sfdae import Classification, SfDdaeModel, check_delay
+from .sfdae import Classification, SfDdaeModel
 
 
 class LtiDescriptor:
@@ -23,8 +23,6 @@ class LtiDescriptor:
     subsystems are legal inputs to the analysis routines.  ``pencil`` is
     the pencil (E, A), built and checked once.
     """
-
-    _FORCING_MISMATCH = "forcing dimension {} != state dim {}"
 
     def __init__(self, E, A, B=None, C=None, f=None):
         self.pencil = MatrixPencil(E, A)
@@ -58,16 +56,14 @@ class LinearDdae:
     """Linear delay system  E z'(t) = A0 z(t) + A1 z(t - tau) + f(t);
     ``pencil`` is its current-time pencil (E, A0), built and checked once."""
 
-    _FORCING_MISMATCH = "forcing dimension mismatch"
-
     def __init__(self, E, A0, A1, tau, f=None):
-        self.pencil = MatrixPencil(E, A0)
+        self.pencil = MatrixPencil(E, A0, ("E", "A0"))
         self.E, self.A0 = self.pencil.E, self.pencil.A
         n = self.n = self.pencil.n
         self.A1 = as_matrix(A1, "A1")
         if self.A1.shape != (n, n):
             raise ShapeError(f"A1 must be {n}x{n}")
-        self.tau = check_delay(tau)
+        self.tau = check_positive("tau", tau)
         self.f = _forcing(self, f)
 
     def to_json(self):
@@ -86,19 +82,17 @@ class LinearDdae:
 
 def _forcing(system, f):
     """``f``, or the zero signal of the system's size when None; ShapeError
-    with the system's mismatch message for another dimension."""
+    for another dimension."""
     f = f if f is not None else SymbolicSignal.zero(system.n)
-    if f.dim != system.n:
-        raise ShapeError(system._FORCING_MISMATCH.format(f.dim, system.n))
+    _check_forcing_dim(f.dim, system.n)
     return f
 
 
 def _with_json_forcing(system, data):
-    """``system`` with the forcing of its JSON ``data``, if any, refused
-    with the system's mismatch message before a wrong one is built."""
+    """``system`` with the forcing of its JSON ``data``, if any, one of
+    another dimension refused before it is built."""
     if "f" in data:
-        system.f = SymbolicSignal.from_json(data["f"], system.n,
-                                            system._FORCING_MISMATCH)
+        system.f = SymbolicSignal.from_json(data["f"], system.n)
     return system
 
 

@@ -16,11 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError, ShapeError, check_positive
 from .forcing import SymbolicSignal
 from .lti import LinearDdae, LtiDescriptor, couple, hybrid_shifted
 from .pencil import MatrixPencil
-from .sfdae import SfDdaeModel, check_delay
+from .sfdae import SfDdaeModel
 
 
 @dataclass
@@ -29,7 +29,8 @@ class PmsdParams:
 
     M, C, K: numerical-substructure mass, damping, stiffness; m, L:
     pendulum mass and rod length; g: gravity; tau: actuator delay.  The
-    defaults are desk-scale choices, overridable from the CLI.
+    defaults are desk-scale choices, overridable from the CLI.  M, m, L
+    and tau are positive reals, kept as floats; C, K and g finite, >= 0.
     """
 
     M: float = 1.0
@@ -41,11 +42,12 @@ class PmsdParams:
     tau: float = 0.05
 
     def __post_init__(self):
-        if min(self.M, self.m, self.L) <= 0:
-            raise ValueError("masses and rod length must be positive")
-        if min(self.C, self.K, self.g) < 0:
-            raise ValueError("damping, stiffness and gravity must be >= 0")
-        self.tau = check_delay(self.tau)
+        for name in ("M", "m", "L", "tau"):
+            setattr(self, name, check_positive(name, getattr(self, name)))
+        for name in ("C", "K", "g"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise DataError(f"{name} must be finite and >= 0, got "
+                                f"{getattr(self, name)!r}")
 
 
 def msd_subsystem(params=None, forcing=None):

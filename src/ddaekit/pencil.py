@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, IllConditioned, ShapeError, SingularPencil
+from .errors import (DataError, IllConditioned, ShapeError, SingularPencil,
+                     check_positive)
 
 logger = logging.getLogger(__name__)
 
@@ -44,16 +45,17 @@ def as_matrix(M, name):
 
 
 class MatrixPencil:
-    """Square real pencil (E, A)."""
+    """Square real pencil (E, A); its errors name the matrices by
+    ``names``, such as the ``A0`` of a linear DDAE."""
 
-    def __init__(self, E, A):
-        self.E = as_matrix(E, "E")
-        self.A = as_matrix(A, "A")
+    def __init__(self, E, A, names=("E", "A")):
+        self.E = as_matrix(E, names[0])
+        self.A = as_matrix(A, names[1])
         n = self.E.shape[0]
         if self.E.shape != (n, n) or self.A.shape != (n, n):
             raise ShapeError(
-                f"E and A must be square of equal size, got {self.E.shape} "
-                f"vs {self.A.shape}")
+                f"{names[0]} and {names[1]} must be square of equal size, "
+                f"got {self.E.shape} vs {self.A.shape}")
         self.n = n
 
     def to_json(self):
@@ -158,12 +160,6 @@ def _det_samples(p):
             for sk, det, scale in zip(s, dets, scales)]
 
 
-def check_tol(tol):
-    """ValueError unless tol is finite and positive: the one tol rule."""
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-
-
 def _regularity(p, tol):
     """(regular, determinant samples) of the pencil.
 
@@ -172,7 +168,7 @@ def _regularity(p, tol):
     is compared against tol times its Hadamard row bound.  The empty pencil
     is regular by convention.
     """
-    check_tol(tol)
+    check_positive("tol", tol)
     if p.n == 0:
         return True, []
     with np.errstate(over="ignore", invalid="ignore"):

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentInitialState, NewtonDivergence
+from .errors import (InconsistentInitialState, NewtonDivergence,
+                     check_count, check_positive)
 
 logger = logging.getLogger(__name__)
 
@@ -113,9 +114,9 @@ class IntegrationOptions:
     ``h`` is a fixed step size.  Without it, each step is sized so that
     the residual of its continuous extension stays within ``res_tol``,
     never finer than tau / STEPS_PER_SEGMENT.  ``h`` (when given),
-    ``newton_tol`` and ``res_tol`` must be finite and positive, Newton
-    needs at least one iteration and the residual audit between two and
-    MAX_AUDIT_POINTS points.
+    ``newton_tol`` and ``res_tol`` are positive reals, kept as floats, and
+    ``max_newton`` (at least 1) and ``audit_points`` (2 to
+    MAX_AUDIT_POINTS) counts, kept as ints.
     """
 
     h: float | None = None
@@ -125,20 +126,13 @@ class IntegrationOptions:
     audit_points: int = 1000
 
     def __post_init__(self):
-        for name in ("h", "newton_tol", "res_tol"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"{name} must be finite and positive, got {value}")
-        if self.max_newton < 1:
-            raise ValueError(
-                f"Newton needs at least 1 iteration, got {self.max_newton}")
-        if self.audit_points < 2:
-            raise ValueError(
-                f"audit needs at least 2 points, got {self.audit_points}")
-        if self.audit_points > MAX_AUDIT_POINTS:
-            raise ValueError(f"audit takes at most {MAX_AUDIT_POINTS} "
-                             f"points, got {self.audit_points}")
+        if self.h is not None:
+            self.h = check_positive("h", self.h)
+        self.newton_tol = check_positive("newton_tol", self.newton_tol)
+        self.res_tol = check_positive("res_tol", self.res_tol)
+        self.max_newton = check_count("max_newton", self.max_newton, 1)
+        self.audit_points = check_count("audit_points", self.audit_points, 2,
+                                        MAX_AUDIT_POINTS)
 
 
 def _end_slack(t):

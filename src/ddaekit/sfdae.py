@@ -14,13 +14,11 @@ under the method of steps.
 """
 
 import logging
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import check_count, check_positive
 from .radau import SegmentProblem, start_consistency
 
 logger = logging.getLogger(__name__)
@@ -38,9 +36,7 @@ class Classification:
     s: int
 
     def __post_init__(self):
-        if self.s < 0:
-            raise ValueError(f"delay-derivative order must be >= 0, got "
-                             f"{self.s}")
+        check_count("delay-derivative order", self.s, 0)
 
     @property
     def tag(self):
@@ -52,16 +48,6 @@ class Classification:
 
     def to_json(self):
         return {"type": self.tag, "s": self.s}
-
-
-def check_delay(tau):
-    """tau as a float; DataError unless it is a finite positive number (a
-    zero delay makes the shifted coupling collapse); a bool is no number
-    here."""
-    if not (isinstance(tau, numbers.Real) and not isinstance(tau, bool)
-            and math.isfinite(tau) and tau > 0):
-        raise DataError(f"tau must be a finite positive number, got {tau!r}")
-    return float(tau)
 
 
 class SfDdaeModel:
@@ -92,13 +78,11 @@ class SfDdaeModel:
                  name="model", default_history=None, affine=False):
         if d + a != n:
             raise ValueError(f"d + a must equal n, got {d} + {a} != {n}")
-        if s_decl < 0:
-            raise ValueError("s_decl must be non-negative")
         self.n = n
         self.d = d
         self.a = a
-        self.tau = check_delay(tau)
-        self.s_decl = int(s_decl)
+        self.tau = check_positive("tau", tau)
+        self.s_decl = check_count("s_decl", s_decl, 0)
         self.D = D
         self.A = A
         self.JD_z = JD_z

@@ -11,13 +11,12 @@ integration drift) and the solution ceases to exist there.
 """
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DataError, DdaeError, InadmissibleHistory,
-                     InconsistentInitialState, ShapeError)
+                     InconsistentInitialState, ShapeError, check_positive)
 from .forcing import SymbolicSignal
 from .radau import (IntegrationOptions, SegmentProblem, _end_slack,
                     _mesh_read, _read_slack, fit_steps, integrate_segment)
@@ -154,20 +153,14 @@ def evaluate_grid(tr, ts, order=0):
     return out
 
 
-def check_horizon(T):
-    """ValueError unless the horizon T is finite and positive."""
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"horizon T must be finite and positive, got {T!r}")
-
-
 def plan_run(T, tau, h=None):
     """(segments, steps) of a run on [0, T]: ``fit_steps(T, tau)`` segments,
     fitted as steps are to a segment, and at the fixed step h the sum of
-    their ``fit_steps`` (None without h).  ValueError for a bad horizon,
-    DataError past MAX_SEGMENTS or MAX_STEPS: a run keeps every segment and
-    step, and a step below the resolution of t never advances it, so a
-    mistyped tiny delay or h would otherwise run without bound."""
-    check_horizon(T)
+    their ``fit_steps`` (None without h).  DataError for a bad horizon, or
+    past MAX_SEGMENTS or MAX_STEPS: a run keeps every segment and step,
+    and a step below the resolution of t never advances it, so a mistyped
+    tiny delay or h would otherwise run without bound."""
+    check_positive("horizon T", T)
     n = fit_steps(T, tau)
     if n > MAX_SEGMENTS:
         raise DataError(f"T = {T:g} with tau = {tau:g} needs {n} segments, "

@@ -224,7 +224,8 @@ def test_an_oversized_audit_is_refused_before_solving(monkeypatch, capsys):
     assert rc == 2
     assert solved == []
     captured = capsys.readouterr()
-    assert f"at most {radau.MAX_AUDIT_POINTS} points" in captured.err
+    assert (f"audit_points must be an integer from 2 to "
+            f"{radau.MAX_AUDIT_POINTS}, got {10 ** 20}" in captured.err)
     assert captured.out == ""
 
 
@@ -340,19 +341,18 @@ def test_a_model_file_refuses_param_and_tau(tmp_path, monkeypatch, capsys,
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("payload, message", [
-    (_SHIFT_LINEAR, "forcing dimension mismatch"),
-    (_LTI, "forcing dimension 10000000000000000000 != state dim 2")],
-    ids=["linear-ddae", "lti"])
+@pytest.mark.parametrize("payload", [_SHIFT_LINEAR, _LTI],
+                         ids=["linear-ddae", "lti"])
 def test_a_forcing_of_another_dimension_is_refused_before_it_is_built(
-        tmp_path, payload, message):
+        tmp_path, payload):
     # 10**19 components could not even be counted by a list; the check
-    # must come before any is built
+    # must come before any is built, and both systems say the same
     path = tmp_path / "model.json"
     path.write_text(json.dumps(_with_forcing(payload, {"dim": 10 ** 19})))
     rc, out, err = run_cli("analyze", "--model", str(path))
     assert rc == 2, err
-    assert f"model error: {message}" in err
+    assert ("model error: forcing dimension 10000000000000000000 != state "
+            "dim 2" in err)
     assert out == ""
 
 
@@ -366,7 +366,7 @@ def test_registry_delay_must_be_finite_and_positive(args):
     rc, out, err = run_cli(*args)
     assert rc == 2, err
     assert "Traceback" not in err
-    assert "tau must be a finite positive number" in err
+    assert "tau must be finite and positive" in err
     assert out == ""
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from ddaekit import models
-from ddaekit.errors import SingularPencil
+from ddaekit.errors import DataError, SingularPencil
 from ddaekit.forcing import SymbolicSignal
 from ddaekit.lti import couple, sf_model_from_linear, LinearDdae
 from ddaekit.pencil import analyze, is_regular, weierstrass
@@ -29,6 +29,15 @@ def test_registry_names_and_kinds():
         entry.make()            # all defaults construct
     with pytest.raises(Exception):
         reg["ex-split-index"].make({"bogus": 1.0})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("field", ["C", "K", "g"])
+def test_damping_stiffness_and_gravity_must_be_finite_and_not_negative(
+        field, value):
+    with pytest.raises(DataError, match=f"^{field} must be finite and >= 0"):
+        models.PmsdParams(**{field: value})
+    assert getattr(models.PmsdParams(**{field: 0.0}), field) == 0.0
 
 
 def test_readme_model_table_matches_the_registry():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ddaekit import pencil
 from ddaekit.errors import DataError, ShapeError, SingularPencil
+from ddaekit.forcing import SymbolicSignal
 from ddaekit.lti import LinearDdae, LtiDescriptor
 from ddaekit.pencil import (MatrixPencil, analyze, equivalence_residual,
                             is_regular, weierstrass)
@@ -84,6 +85,19 @@ def test_shape_and_data_errors():
                 build(E, A)
     with pytest.raises(DataError):
         LtiDescriptor(np.eye(2), np.eye(2), B=np.array([[np.inf], [0.0]]))
+    # a linear DDAE's pencil names its matrices E and A0, as its file does
+    for error, A0, message in [
+            (DataError, [[np.nan]], "A0 contains non-finite entries"),
+            (ShapeError, [[1.0, 0.0]], "E and A0 must be square of equal "
+                                       "size")]:
+        with pytest.raises(error, match=f"^{message}"):
+            LinearDdae.from_json({"E": [[1.0]], "A0": A0, "A1": [[0.0]],
+                                  "tau": 1.0})
+    # both linear systems refuse a forcing of another size with one message
+    for build in (LtiDescriptor, lambda E, A, f: LinearDdae(E, A, A, 1.0, f)):
+        with pytest.raises(ShapeError,
+                           match="^forcing dimension 1 != state dim 2$"):
+            build(np.eye(2), np.eye(2), f=SymbolicSignal.zero(1))
     # each keeps the one pencil it checked
     for system in (LtiDescriptor(np.eye(2), np.ones((2, 2))),
                    LinearDdae(np.eye(2), np.ones((2, 2)), np.eye(2), 1.0)):

@@ -75,7 +75,7 @@ def test_delay_must_be_finite_and_positive(tau):
         lambda: models.PmsdParams(tau=tau),
     ]
     for build in builders:
-        with pytest.raises(DataError, match="finite positive"):
+        with pytest.raises(DataError, match="tau must be finite and positive"):
             build()
 
 
