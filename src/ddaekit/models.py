@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DataError, ShapeError, check_positive
+from .errors import DataError, ShapeError, _as_float, check_positive
 from .forcing import SymbolicSignal
 from .lti import LinearDdae, LtiDescriptor, couple, hybrid_shifted
 from .pencil import MatrixPencil
@@ -30,7 +30,8 @@ class PmsdParams:
     M, C, K: numerical-substructure mass, damping, stiffness; m, L:
     pendulum mass and rod length; g: gravity; tau: actuator delay.  The
     defaults are desk-scale choices, overridable from the CLI.  M, m, L
-    and tau are positive reals, kept as floats; C, K and g finite, >= 0.
+    and tau are positive reals, kept as floats; C, K and g finite reals,
+    >= 0, kept as floats too.
     """
 
     M: float = 1.0
@@ -45,9 +46,11 @@ class PmsdParams:
         for name in ("M", "m", "L", "tau"):
             setattr(self, name, check_positive(name, getattr(self, name)))
         for name in ("C", "K", "g"):
-            if not 0 <= getattr(self, name) < math.inf:
+            value = _as_float(getattr(self, name))
+            if not 0 <= value < math.inf:
                 raise DataError(f"{name} must be finite and >= 0, got "
                                 f"{getattr(self, name)!r}")
+            setattr(self, name, value)
 
 
 def msd_subsystem(params=None, forcing=None):

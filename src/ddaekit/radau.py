@@ -23,11 +23,14 @@ IV.8) splits the 3n x 3n stage matrix into one real and one complex n x n
 matrix, each inverted once per step.  An affine model
 (``SfDdaeModel.affine``) has one step rule of its own (``_AffineSteps``):
 its stage equations are linear with constant Jacobians, read once per
-segment, so every step solves them directly, with the two inverses taken
-once per distinct h and the stage data read for several steps at once
-(``_stage_block``).  The continuous extension is the cubic Hermite of each
-step, the collocation polynomial, stored as monomial coefficients when the
-segment is complete.
+segment, so it solves them directly, a block of steps at once
+(``_stage_block``), with the two inverses taken once per distinct h.  A
+block takes one batched solve of its stage equations, an n x n recurrence
+z_{k+1} = Phi z_k + psi_k that chains its steps, and one residual call
+over its step ends; a step whose start state is not the one the chain
+reached gets a block solved from its own.  The continuous extension is
+the cubic Hermite of each step, the collocation polynomial, stored as
+monomial coefficients when the segment is complete.
 """
 
 import logging
@@ -358,33 +361,45 @@ def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats):
             return None
         err_prev = err
         if err <= opts.newton_tol:
-            return _step_end(model, stage_ts[2], h, z_prev, K, stage_lags[2],
-                             Fdot, opts, stats)
+            # the endpoint residual, at the last stage
+            z1 = z_prev + h * (RADAU_A[2] @ K)
+            res = float(np.abs(model.residual(stage_ts[2], z1, K[2],
+                                              stage_lags[2])).max())
+            if res > opts.res_tol:
+                return None
+            stats["max_endpoint_residual"] = max(
+                stats["max_endpoint_residual"], res)
+            return z1, _L_AT_0 @ K, K[2].copy(), Fdot
     return None
 
 
-def _step_end(model, t1, h, z_prev, K, lags, Fdot, opts, stats):
-    """``_solve_step``'s result for the solved stage derivatives K, or None
-    when the endpoint residual, with the lag rows ``lags`` of t1, exceeds
-    ``res_tol``."""
-    z1 = z_prev + h * (RADAU_A[2] @ K)
-    res = float(np.abs(model.residual(t1, z1, K[2], lags)).max())
-    if res > opts.res_tol:
-        return None
-    stats["max_endpoint_residual"] = max(stats["max_endpoint_residual"], res)
-    return z1, _L_AT_0 @ K, K[2].copy(), Fdot
+def _block_update(factors, R):
+    """``_newton_update`` of a block: R and the result are (3, n, m), one
+    row of stages per column of m, a step or a state entry.  Column by
+    column it is ``_newton_update`` up to rounding; at m = 1, where the
+    unbatched form is the cheaper, it is ``_newton_update`` itself."""
+    if R.shape[2] == 1:
+        return _newton_update(factors, R[:, :, 0])[:, :, None]
+    real, cplx = factors
+    W = (_TI_AINV @ R.reshape(3, -1)).reshape(R.shape)
+    w = cplx @ (W[1] + 1j * W[2])
+    W[0] = real @ W[0]
+    W[1] = w.real
+    W[2] = w.imag
+    return (_T @ W.reshape(3, -1)).reshape(R.shape)
 
 
 def _stage_block(problem, t, h, size):
     """The stage data of an affine model's next ``size`` steps at h from t
-    that the loop takes whole, as {(start, h): (g, lags)}.
+    that the loop takes whole, as (index, ends, g, lags): index maps each
+    step's (start, h) to its column k, ends are the step end times.
 
     The starts are the loop's own sums t + h + h + ..., which ``np.cumsum``
     adds in the same order, and the stage times its t + c_i h, so that a
-    step finds its entry exactly.  g holds the model's residual at zero
-    state and rate at each stage, one row per stage, from one read of the
-    lags and one residual call over all the block's stage times; lags are
-    the lag rows at the step's end.
+    step finds its entry exactly.  g, (3, n, m), holds the model's residual
+    at zero state and rate at each stage of each step, from one read of the
+    lags and one residual call over all the block's stage times; lags,
+    (n_lags, n, m), are the lag rows at the step ends.
     """
     starts = np.cumsum([t] + [h] * (size - 1))
     starts = starts[starts + h <= problem.t_end + _end_slack(problem.t_end)]
@@ -392,28 +407,40 @@ def _stage_block(problem, t, h, size):
     lags = problem.lags(stage_ts)
     zero = np.zeros((problem.model.n, stage_ts.size))
     g = problem.model.residual(stage_ts, zero, zero, lags)
-    g = g.T.reshape(starts.size, 3, -1)
-    ends = lags[:, :, 2::3].transpose(2, 0, 1)
-    return dict(zip([(s, h) for s in starts.tolist()], zip(g, ends)))
+    index = {(s, h): k for k, s in enumerate(starts.tolist())}
+    g = g.reshape(-1, starts.size, 3).transpose(2, 0, 1).copy()
+    return index, stage_ts[2::3], g, lags[:, :, 2::3]
 
 
 class _AffineSteps:
     """The step rule of an affine model in one segment.
 
     The stage equations F_z Z_i + F_zdot K_i + g_i = 0, with Z_i = z_prev +
-    h sum_j a_ij K_j, are linear, so a step solves them directly: K = -M^-1
-    (F_z z_prev (x) 1 + g), with the stage matrix M of ``_newton_update``.
-    The model declares F_z and F_zdot constant; ``jacobians`` holds them,
-    read once at the segment start, and M's two blocks are inverted once
-    per distinct h.  g and the end lags come from a ``_stage_block`` entry.
-    The first block at an h covers one step, and each next one at that h
-    twice as many, up to MAX_BLOCK.
+    h sum_j a_ij K_j, are linear: K = -M^-1 (F_z z_prev (x) 1 + g), with
+    the stage matrix M of ``_newton_update``, that is K = a - Kz z_prev
+    with a = -M^-1 g and Kz = M^-1 (F_z (x) 1).  So the step end z_prev +
+    h sum_j a_3j K_j is Phi z_prev + psi, with Phi = I - h sum_j a_3j Kz_j
+    and psi = h sum_j a_3j a_j.  The model declares F_z and F_zdot
+    constant; ``jacobians`` holds them, read once at the segment start.
+    M's two blocks are inverted once per distinct h, and Kz and Phi taken
+    once per distinct h that has a block of more than one step.
+
+    A ``_stage_block`` is solved whole: one batched solve gives the first
+    step's K, whose right side holds z_prev, and every later step's a; the
+    n x n recurrence z_{k+1} = Phi z_k + psi_k chains the later steps, and
+    their K_k = a_k - Kz z_k is one product.  One residual call over the
+    block's end times gives every endpoint residual.  A step takes its
+    entry by its (start, h) when its z_prev is the very state the chain
+    reached there; otherwise a block is solved from its t0 and z_prev.  The
+    first block at an h covers one step, and each next one at that h twice
+    as many, up to MAX_BLOCK.
     """
 
     def __init__(self, problem, jacobians, opts, stats):
         self.problem, self.opts, self.stats = problem, opts, stats
         self.Fz, self.Fdot = jacobians
-        self.factors, self.block, self.h, self.size = {}, {}, None, 1
+        self.factors, self.chains = {}, {}
+        self.index, self.h, self.size = {}, None, 1
 
     def __call__(self, t0, h, z_prev, k_guess):
         """One step; returns what ``_solve_step`` returns.  ``k_guess``,
@@ -425,19 +452,59 @@ class _AffineSteps:
                     self.Fz, self.Fdot, h, self.stats)
             except np.linalg.LinAlgError:
                 return None
-        stage = self.block.pop((t0, h), None)
-        if stage is None:
+        k = self.index.pop((t0, h), None)
+        if k is None or z_prev is not self.z[k]:
             self.size = min(2 * self.size, MAX_BLOCK) if h == self.h else 1
             self.h = h
-            self.block = _stage_block(self.problem, t0, h, self.size)
-            stage = self.block.pop((t0, h))
-        g, lags = stage
-        K = -_newton_update(factors, g + self.Fz @ z_prev)
-        if not np.isfinite(K).all():
+            self._solve_block(t0, h, z_prev, factors)
+            k = self.index.pop((t0, h))
+        if not self.finite[k]:
             return None
-        self.stats["newton_iterations"] += 1
-        return _step_end(self.problem.model, t0 + h, h, z_prev, K, lags,
-                         self.Fdot, self.opts, self.stats)
+        stats = self.stats
+        stats["newton_iterations"] += 1
+        res = self.res[k]
+        if res > self.opts.res_tol:
+            return None
+        stats["max_endpoint_residual"] = max(stats["max_endpoint_residual"],
+                                             res)
+        return self.z[k + 1], self.d0[k], self.K[2, :, k], self.Fdot
+
+    def _solve_block(self, t0, h, z_prev, factors):
+        """Solve the block of the next ``size`` steps at h from t0 and
+        z_prev: the chain states ``z``, the stages ``K``, (3, n, m), and
+        per step whether K is finite, the endpoint residual's max norm and
+        the start derivative of the collocation cubic.  A block of one step
+        is the direct solve of that step bit for bit."""
+        model = self.problem.model
+        self.index, ends, g, lags = _stage_block(self.problem, t0, h,
+                                                 self.size)
+        g[:, :, 0] += self.Fz @ z_prev
+        K = self.K = -_block_update(factors, g)
+        # K.T @ weights sums over stages, one row per step; at one step it
+        # is weights @ K bit for bit
+        psi = h * (K.T @ RADAU_A[2])
+        z = self.z = [z_prev, z_prev + psi[0]]
+        if len(psi) == 1:
+            # at one time the float form of the callback is the cheaper
+            r = model.residual(float(ends[0]), z[1], K[2, :, 0],
+                               lags[:, :, 0])[:, None]
+        else:
+            chain = self.chains.get(h)
+            if chain is None:
+                n = len(self.Fz)
+                Kz = _block_update(factors,
+                                   np.broadcast_to(self.Fz, (3, n, n)))
+                chain = self.chains[h] = (
+                    Kz, np.eye(n) - h * (Kz.T @ RADAU_A[2]).T)
+            Kz, Phi = chain
+            for p in psi[1:]:
+                z.append(Phi @ z[-1] + p)
+            Z = np.array(z[1:]).T
+            K[:, :, 1:] -= Kz @ Z[:, :-1]
+            r = model.residual(ends, Z, K[2], lags)
+        self.finite = np.isfinite(K).all(axis=(0, 1)).tolist()
+        self.res = np.abs(r).max(axis=0).tolist()
+        self.d0 = K.T @ _L_AT_0
 
 
 def _start_defect(model, t0, z0, step, d_prev, lags0):

@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DataError, DdaeError, InadmissibleHistory,
-                     InconsistentInitialState, ShapeError, check_positive)
+                     InconsistentInitialState, ShapeError, check_count,
+                     check_positive)
 from .forcing import SymbolicSignal
-from .radau import (IntegrationOptions, SegmentProblem, _end_slack,
-                    _mesh_read, _read_slack, fit_steps, integrate_segment)
+from .radau import (MAX_AUDIT_POINTS, IntegrationOptions, SegmentProblem,
+                    _end_slack, _mesh_read, _read_slack, fit_steps,
+                    integrate_segment)
 from .sfdae import SfDdaeModel
 
 COMPLETE = "Complete"
@@ -251,7 +253,10 @@ def audit(tr, n_points=IntegrationOptions.audit_points):
     one ``SfDdaeModel.residual`` call over the grid, with every delayed
     argument read from the trajectory's own dense output.  Returns (grid,
     stacked residual inf-norms, algebraic residual norms, states read).
+    n_points is a count from 2 to MAX_AUDIT_POINTS, as ``audit_points``;
+    any other value is a DataError.
     """
+    n_points = check_count("audit_points", n_points, 2, MAX_AUDIT_POINTS)
     m = tr.model
     # A broken-down trajectory solves the equations only on [0, t_end); the
     # right endpoint is exactly the inconsistent state.

@@ -18,7 +18,7 @@ from ddaekit.models import PmsdParams
 from ddaekit.pencil import MatrixPencil, analyze
 from ddaekit.radau import MAX_AUDIT_POINTS, IntegrationOptions
 from ddaekit.sfdae import SfDdaeModel
-from ddaekit.steps import plan_run
+from ddaekit.steps import audit, plan_run, solve_itp
 
 
 def _model(tau=1.0, s_decl=0):
@@ -141,3 +141,47 @@ def test_a_number_input_keeps_a_valid_value_and_names_a_bad_one(key, data):
     assert kept == value
     if entry.stores:
         assert type(kept) is kind
+
+
+_NOT_NON_NEGATIVE = [math.nan, math.inf, -math.inf, np.float64(math.nan), True,
+                     False, "1", 1j, 10 ** 400, -1, -1.0, -1e-300]
+
+
+@pytest.mark.parametrize("field", ["C", "K", "g"])
+@pytest.mark.parametrize("value", _NOT_NON_NEGATIVE, ids=repr)
+def test_damping_stiffness_and_gravity_refuse_all_but_a_finite_real_at_least_0(
+        field, value):
+    # the pendulum's C, K and g may be 0, so they take neither rule; they
+    # still refuse what both refuse, never with a TypeError
+    with pytest.raises(DataError, match=f"^{field} must be finite and >= 0"):
+        PmsdParams(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["C", "K", "g"])
+@pytest.mark.parametrize("value", [0, 0.0, 3, 2.5, np.float64(0.5),
+                                   np.int64(7)], ids=repr)
+def test_damping_stiffness_and_gravity_keep_a_valid_value_as_a_float(
+        field, value):
+    kept = getattr(PmsdParams(**{field: value}), field)
+    assert kept == value and type(kept) is float
+
+
+@pytest.fixture(scope="module")
+def solved():
+    """A short solved trajectory of ``_model``."""
+    return solve_itp(_model(), SymbolicSignal.constant([1.0]), 2.0)
+
+
+@pytest.mark.parametrize("value", [2.5, True, 1, 10 ** 20, math.nan, "2"],
+                         ids=repr)
+def test_audit_takes_its_point_count_by_the_count_rule(solved, value):
+    with pytest.raises(DataError, match=(
+            f"^audit_points must be an integer from 2 to {MAX_AUDIT_POINTS}, "
+            f"got {re.escape(repr(value))}$")):
+        audit(solved, value)
+
+
+@pytest.mark.parametrize("value", [2, 7.0, np.int64(5)], ids=repr)
+def test_audit_reads_a_valid_point_count(solved, value):
+    grid, full, alg, states = audit(solved, value)
+    assert len(grid) == len(full) == len(states) == value

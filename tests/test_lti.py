@@ -444,40 +444,35 @@ def test_one_newton_iteration_solves_each_step(monkeypatch):
     # The wrap is affine and its Jacobians exact, so an affine step's
     # direct solve solves the stage equations; a second update, computed
     # here from per-stage callback residuals at the solved stages of every
-    # successful attempt, must not exceed newton_tol.
+    # successful attempt, must not exceed newton_tol.  An attempt's stages
+    # are its column of the block it is served from: its entry in the
+    # block at hand, or the first column of a block solved for it.
     model, history = linear_export_model()
     newton_tol = IntegrationOptions().newton_tol
-    newton_update = radau._newton_update
     affine_step = radau._AffineSteps.__call__
     integrate = steps.integrate_segment
-    problems, updates, second, newton = [], [], [], []
-
-    def recording_update(factors, R):
-        delta = newton_update(factors, R)
-        updates.append((factors, delta))
-        return delta
+    problems, second, newton = [], [], []
 
     def recording_integrate(problem, *args):
         problems.append(problem)
         return integrate(problem, *args)
 
     def checked_step(self, t0, h, z_prev, k_guess):
-        updates.clear()
+        index = self.index
+        k = index.get((t0, h))
         result = affine_step(self, t0, h, z_prev, k_guess)
         if result is not None:
-            assert len(updates) == 1
-            factors, delta = updates[0]
-            K = -delta
+            K = self.K[:, :, 0 if self.index is not index else k]
+            assert np.array_equal(K[2], result[2])
             Z = z_prev + h * (radau.RADAU_A @ K)
             R = np.array([model.residual(t0 + c * h, Z[i], K[i],
                                          problems[-1].lags(t0 + c * h))
                           for i, c in enumerate(radau.RADAU_C.tolist())])
-            step = newton_update(factors, R)
+            step = radau._newton_update(self.factors[h], R)
             second.append(h * float(np.abs(step).max())
                           / (1.0 + float(np.abs(z_prev).max())))
         return result
 
-    monkeypatch.setattr(radau, "_newton_update", recording_update)
     monkeypatch.setattr(radau._AffineSteps, "__call__", checked_step)
     monkeypatch.setattr(radau, "_solve_step",
                         lambda *args: newton.append(args))
@@ -500,12 +495,14 @@ def test_one_newton_iteration_solves_each_step(monkeypatch):
 @given(**_PENCILS)
 def test_block_steps_equal_newton_steps_on_random_regular_pencils(
         d, a, chain, seed):
-    # the same inputs through both rules: the affine step's direct solve
-    # and _solve_step's full Newton from the loop's predictor agree to
-    # 1e-12 of the step's scale (its largest state, rate or result entry);
-    # the result alone can be far smaller, after cancellation.  The affine
-    # step's endpoint residual, read with the block's lags, stays at
-    # rounding, and both rules report the same stage condition.
+    # the same inputs through both rules, along the affine rule's own
+    # chain: each affine step, served from the block solved for the steps
+    # before it, and _solve_step's full Newton from the same state and
+    # predictor agree to 1e-12 of the step's scale (its largest state, rate
+    # or result entry); the result alone can be far smaller, after
+    # cancellation.  The affine step's endpoint residual, read with the
+    # block's lags, stays at rounding, and both rules report the same
+    # stage condition.
     ld, rng = _random_regular_ddae(d, a, chain, seed)
     m = sf_model_from_linear(ld)
     history = _random_forcing(rng, ld.n)
@@ -527,11 +524,11 @@ def test_block_steps_equal_newton_steps_on_random_regular_pencils(
         for x, y in zip(got, want):
             assert np.abs(x - y).max() <= 1e-12 * scale
         assert affine_stats["max_endpoint_residual"] <= 1e-11 * scale
-        t, z, k = t + h, want[0], want[2]
+        t, z, k = t + h, got[0], got[2]
     assert affine_stats["newton_iterations"] == 8
     assert affine_stats["max_stage_cond"] == stats["max_stage_cond"]
     # at one h the blocks cover 1, 2, 4 and 8 steps: 7 entries are left
-    assert len(step.block) == 7
+    assert len(step.index) == 7
 
 
 def test_linear_smooth_takes_every_step_from_a_stage_block(monkeypatch):
@@ -544,7 +541,7 @@ def test_linear_smooth_takes_every_step_from_a_stage_block(monkeypatch):
 
     def recording_block(problem, t, h, size):
         block = stage_block(problem, t, h, size)
-        entries.update(block)
+        entries.update(block[0])
         return block
 
     def recording_step(self, t0, h, *rest):
@@ -562,3 +559,30 @@ def test_linear_smooth_takes_every_step_from_a_stage_block(monkeypatch):
                              + stats["halvings"])
     assert set(attempts) <= entries
     assert newton == []
+
+
+def test_endpoint_residuals_take_one_residual_call_per_block(monkeypatch):
+    # on linear-export, a block's steps take their g and their endpoint
+    # residuals from two residual calls, whatever the number of its steps
+    model, history = linear_export_model()
+    solve_block, residual = (radau._AffineSteps._solve_block,
+                             SfDdaeModel.residual)
+    blocks, calls, inside = [0], [0], [False]
+
+    def counted_block(*args):
+        blocks[0] += 1
+        inside[0] = True
+        try:
+            return solve_block(*args)
+        finally:
+            inside[0] = False
+
+    def counted_residual(*args):
+        calls[0] += inside[0]
+        return residual(*args)
+
+    monkeypatch.setattr(radau._AffineSteps, "_solve_block", counted_block)
+    monkeypatch.setattr(SfDdaeModel, "residual", counted_residual)
+    tr = solve_itp(model, history, 2.0)
+    assert calls[0] == 2 * blocks[0]
+    assert tr.stats["steps"] >= 10 * blocks[0]
