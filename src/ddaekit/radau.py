@@ -28,9 +28,10 @@ segment, so it solves them directly, a block of steps at once
 block takes one batched solve of its stage equations, an n x n recurrence
 z_{k+1} = Phi z_k + psi_k that chains its steps, and one residual call
 over its step ends; a step whose start state is not the one the chain
-reached gets a block solved from its own.  The continuous extension is
-the cubic Hermite of each step, the collocation polynomial, stored as
-monomial coefficients when the segment is complete.
+reached gets a block solved from its own.  Both rules share one split
+solve, one failed-factorization rule and one endpoint rule.  The
+continuous extension is the cubic Hermite of each step, the collocation
+polynomial, stored as monomial coefficients when the segment is complete.
 """
 
 import logging
@@ -280,10 +281,16 @@ def _newton_factors(Fz, Fdot, h, stats):
     the larger of the two blocks' 1-norm condition numbers enters
     ``stats["max_stage_cond"]``, with a warning the first time past COND_WARN.
 
-    Raises LinAlgError when either block is singular.
+    None, the one failed-factorization rule, when the stage matrix is not
+    finite or either block is singular.
     """
     real, cplx = _GAMMA * Fdot + h * Fz, _ALPHA_BETA * Fdot + h * Fz
-    factors = np.linalg.inv(real), np.linalg.inv(cplx)
+    if not (np.isfinite(real).all() and np.isfinite(cplx).all()):
+        return None
+    try:
+        factors = np.linalg.inv(real), np.linalg.inv(cplx)
+    except np.linalg.LinAlgError:
+        return None
     norm_real, norm_real_inv, norm_cplx, norm_cplx_inv = _one_norms(
         real, factors[0], cplx, factors[1])
     cond = max(norm_real * norm_real_inv, norm_cplx * norm_cplx_inv)
@@ -304,14 +311,26 @@ def _one_norms(*matrices):
 
 def _newton_update(factors, R):
     """Solve (I (x) Fdot + h A (x) Fz) dK = R, with one row of R and dK per
-    stage, through the real and complex blocks of ``_newton_factors``."""
+    stage, through the real and complex blocks of ``_newton_factors``.  R
+    is (3, n), a step, or (3, n, m), one step or state entry per column of
+    m; each column is the (3, n) solve up to rounding."""
     real, cplx = factors
-    W = _TI_AINV @ R
+    W = (_TI_AINV @ R.reshape(3, -1)).reshape(R.shape)
     w = cplx @ (W[1] + 1j * W[2])
     W[0] = real @ W[0]
     W[1] = w.real
     W[2] = w.imag
-    return _T @ W
+    return (_T @ W.reshape(3, -1)).reshape(R.shape)
+
+
+def _endpoint_passes(res, opts, stats):
+    """The one endpoint rule: a step passes when ``res``, the max norm of its
+    endpoint residual, is at most ``opts.res_tol`` (so NaN fails); a
+    passing res enters ``stats["max_endpoint_residual"]``."""
+    if not res <= opts.res_tol:
+        return False
+    stats["max_endpoint_residual"] = max(stats["max_endpoint_residual"], res)
+    return True
 
 
 def _jacobians(model, t, z, zdot, lags):
@@ -337,11 +356,8 @@ def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats):
     # the Jacobians at the predictor of the last stage
     Fz, Fdot = _jacobians(model, stage_ts[2], z_prev + h * k_guess, k_guess,
                           stage_lags[2])
-    if not (np.isfinite(Fz).all() and np.isfinite(Fdot).all()):
-        return None
-    try:
-        factors = _newton_factors(Fz, Fdot, h, stats)
-    except np.linalg.LinAlgError:
+    factors = _newton_factors(Fz, Fdot, h, stats)
+    if factors is None:
         return None
     R = np.empty((3, model.n))
     err_prev = math.inf
@@ -365,28 +381,9 @@ def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats):
             z1 = z_prev + h * (RADAU_A[2] @ K)
             res = float(np.abs(model.residual(stage_ts[2], z1, K[2],
                                               stage_lags[2])).max())
-            if res > opts.res_tol:
-                return None
-            stats["max_endpoint_residual"] = max(
-                stats["max_endpoint_residual"], res)
-            return z1, _L_AT_0 @ K, K[2].copy(), Fdot
+            ok = _endpoint_passes(res, opts, stats)
+            return (z1, _L_AT_0 @ K, K[2].copy(), Fdot) if ok else None
     return None
-
-
-def _block_update(factors, R):
-    """``_newton_update`` of a block: R and the result are (3, n, m), one
-    row of stages per column of m, a step or a state entry.  Column by
-    column it is ``_newton_update`` up to rounding; at m = 1, where the
-    unbatched form is the cheaper, it is ``_newton_update`` itself."""
-    if R.shape[2] == 1:
-        return _newton_update(factors, R[:, :, 0])[:, :, None]
-    real, cplx = factors
-    W = (_TI_AINV @ R.reshape(3, -1)).reshape(R.shape)
-    w = cplx @ (W[1] + 1j * W[2])
-    W[0] = real @ W[0]
-    W[1] = w.real
-    W[2] = w.imag
-    return (_T @ W.reshape(3, -1)).reshape(R.shape)
 
 
 def _stage_block(problem, t, h, size):
@@ -422,8 +419,8 @@ class _AffineSteps:
     h sum_j a_3j K_j is Phi z_prev + psi, with Phi = I - h sum_j a_3j Kz_j
     and psi = h sum_j a_3j a_j.  The model declares F_z and F_zdot
     constant; ``jacobians`` holds them, read once at the segment start.
-    M's two blocks are inverted once per distinct h, and Kz and Phi taken
-    once per distinct h that has a block of more than one step.
+    ``per_h`` holds one record per distinct h, [factors, (Kz, Phi)]: M's two
+    inverses or None, and (Kz, Phi) once a block at h has two steps or more.
 
     A ``_stage_block`` is solved whole: one batched solve gives the first
     step's K, whose right side holds z_prev, and every later step's a; the
@@ -439,47 +436,41 @@ class _AffineSteps:
     def __init__(self, problem, jacobians, opts, stats):
         self.problem, self.opts, self.stats = problem, opts, stats
         self.Fz, self.Fdot = jacobians
-        self.factors, self.chains = {}, {}
-        self.index, self.h, self.size = {}, None, 1
+        self.per_h, self.index, self.h, self.size = {}, {}, None, 1
 
     def __call__(self, t0, h, z_prev, k_guess):
         """One step; returns what ``_solve_step`` returns.  ``k_guess``,
         the Newton start of ``_solve_step``, is not needed."""
-        factors = self.factors.get(h)
-        if factors is None:
-            try:
-                factors = self.factors[h] = _newton_factors(
-                    self.Fz, self.Fdot, h, self.stats)
-            except np.linalg.LinAlgError:
-                return None
+        record = self.per_h.get(h)
+        if record is None:
+            record = self.per_h[h] = [
+                _newton_factors(self.Fz, self.Fdot, h, self.stats), None]
+        if record[0] is None:
+            return None
         k = self.index.pop((t0, h), None)
         if k is None or z_prev is not self.z[k]:
             self.size = min(2 * self.size, MAX_BLOCK) if h == self.h else 1
             self.h = h
-            self._solve_block(t0, h, z_prev, factors)
+            self._solve_block(t0, h, z_prev, record)
             k = self.index.pop((t0, h))
         if not self.finite[k]:
             return None
-        stats = self.stats
-        stats["newton_iterations"] += 1
-        res = self.res[k]
-        if res > self.opts.res_tol:
+        self.stats["newton_iterations"] += 1
+        if not _endpoint_passes(self.res[k], self.opts, self.stats):
             return None
-        stats["max_endpoint_residual"] = max(stats["max_endpoint_residual"],
-                                             res)
         return self.z[k + 1], self.d0[k], self.K[2, :, k], self.Fdot
 
-    def _solve_block(self, t0, h, z_prev, factors):
+    def _solve_block(self, t0, h, z_prev, record):
         """Solve the block of the next ``size`` steps at h from t0 and
         z_prev: the chain states ``z``, the stages ``K``, (3, n, m), and
         per step whether K is finite, the endpoint residual's max norm and
-        the start derivative of the collocation cubic.  A block of one step
-        is the direct solve of that step bit for bit."""
+        the start derivative of the collocation cubic, from h's ``record``.
+        A block of one step is the direct solve of that step bit for bit."""
         model = self.problem.model
         self.index, ends, g, lags = _stage_block(self.problem, t0, h,
                                                  self.size)
         g[:, :, 0] += self.Fz @ z_prev
-        K = self.K = -_block_update(factors, g)
+        K = self.K = -_newton_update(record[0], g)
         # K.T @ weights sums over stages, one row per step; at one step it
         # is weights @ K bit for bit
         psi = h * (K.T @ RADAU_A[2])
@@ -489,14 +480,12 @@ class _AffineSteps:
             r = model.residual(float(ends[0]), z[1], K[2, :, 0],
                                lags[:, :, 0])[:, None]
         else:
-            chain = self.chains.get(h)
-            if chain is None:
+            if record[1] is None:
                 n = len(self.Fz)
-                Kz = _block_update(factors,
-                                   np.broadcast_to(self.Fz, (3, n, n)))
-                chain = self.chains[h] = (
-                    Kz, np.eye(n) - h * (Kz.T @ RADAU_A[2]).T)
-            Kz, Phi = chain
+                Kz = _newton_update(record[0],
+                                    np.broadcast_to(self.Fz, (3, n, n)))
+                record[1] = Kz, np.eye(n) - h * (Kz.T @ RADAU_A[2]).T
+            Kz, Phi = record[1]
             for p in psi[1:]:
                 z.append(Phi @ z[-1] + p)
             Z = np.array(z[1:]).T
@@ -587,9 +576,10 @@ def integrate_segment(problem, opts=None, h_start=None):
     else:
         def step(t, h, z, k_guess):
             return _solve_step(model, t, h, z, k_guess, problem, opts, stats)
-    if model.a:
+    if model.a and np.isfinite(jacobians[0][model.d:]).all():
         # spot-check: the algebraic rows must have full row rank here,
-        # thresholded like the pencil rank decisions
+        # thresholded like the pencil rank decisions; non-finite rows are
+        # left to the failed-factorization rule of ``_newton_factors``
         sigma = np.linalg.svd(jacobians[0][model.d:], compute_uv=False)
         if sigma[0] == 0.0 or sigma[-1] <= 1e-10 * sigma[0]:
             logger.warning(

@@ -468,7 +468,7 @@ def test_one_newton_iteration_solves_each_step(monkeypatch):
             R = np.array([model.residual(t0 + c * h, Z[i], K[i],
                                          problems[-1].lags(t0 + c * h))
                           for i, c in enumerate(radau.RADAU_C.tolist())])
-            step = radau._newton_update(self.factors[h], R)
+            step = radau._newton_update(self.per_h[h][0], R)
             second.append(h * float(np.abs(step).max())
                           / (1.0 + float(np.abs(z_prev).max())))
         return result

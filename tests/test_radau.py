@@ -17,6 +17,7 @@ from ddaekit.radau import (_ALPHA_BETA, _GAMMA, RADAU_A, RADAU_C,
                            SegmentSolution, _newton_factors, _newton_update,
                            _one_norms, integrate_segment)
 from ddaekit.sfdae import SfDdaeModel
+from ddaekit.steps import solve_itp
 from output_digest import linear_export_model
 
 
@@ -153,20 +154,33 @@ def test_newton_divergence_when_constraint_loses_solutions():
     assert err.value.t is not None and 0.4 < err.value.t < 0.6
 
 
-def test_singular_stage_matrix_halves_then_diverges():
-    # 0 = t: the algebraic Jacobian vanishes, so every stage block is singular
+@pytest.mark.parametrize("affine", [False, True], ids=["callback", "affine"])
+@pytest.mark.parametrize("cause", ["singular", "nan-JD_z", "nan-JA_z"])
+def test_a_failed_factorization_halves_then_diverges(cause, affine):
+    # z0' = -z0 and one algebraic row whose stage blocks never factor: 0 = t
+    # has a zero Jacobian, so every block is singular, or a Jacobian holds
+    # a NaN.  Both step rules halve to the floor and diverge at the start,
+    # and no numpy error escapes the rank spot-check of a NaN row.
+    nan = float("nan")
+    JD_z = [[nan if cause == "nan-JD_z" else 1.0, 0.0]]
+    JA_z = {"singular": [[0.0, 0.0]], "nan-JD_z": [[0.0, 1.0]],
+            "nan-JA_z": [[0.0, nan]]}[cause]
+    singular = cause == "singular"
     m = SfDdaeModel(
-        n=1, d=0, a=1, tau=1.0, s_decl=0,
-        D=lambda t, z, zdot, ztau: np.zeros(0),
-        A=lambda t, z, zlags: np.array([t]),
-        JD_z=lambda t, z, zdot, ztau: np.zeros((0, 1)),
-        JD_zdot=lambda t, z, zdot, ztau: np.zeros((0, 1)),
-        JA_z=lambda t, z, zlags: np.zeros((1, 1)),
-        name="singular-constraint")
-    prob = SegmentProblem(m, 0.0, 1.0, np.zeros(1), ZERO)
+        n=2, d=1, a=1, tau=1.0, s_decl=0,
+        D=lambda t, z, zdot, ztau: np.array([zdot[0] + z[0]]),
+        A=lambda t, z, zlags: np.array([t if singular else z[1]]),
+        JD_z=lambda t, z, zdot, ztau: np.array(JD_z),
+        JD_zdot=lambda t, z, zdot, ztau: np.array([[1.0, 0.0]]),
+        JA_z=lambda t, z, zlags: np.array(JA_z),
+        name="failed-factorization", affine=affine)
+    zero = SymbolicSignal.zero(2)
     with pytest.raises(NewtonDivergence) as err:
-        integrate_segment(prob)
+        integrate_segment(SegmentProblem(m, 0.0, 1.0, np.zeros(2), zero))
     assert err.value.t == 0.0
+    with pytest.raises(NewtonDivergence,
+                       match="^segment 1: Newton failed at t = 0 "):
+        solve_itp(m, zero, 1.0)
 
 
 RANK_WARNING = "algebraic Jacobian row rank deficient at t = 0 "
@@ -328,6 +342,15 @@ def test_split_newton_update_matches_assembled_solve(rng, n, d):
     got = _newton_update(factors, R)
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e-12 * np.abs(want).max())
+    # a block, (3, n, m): each column is the (3, n) solve up to rounding
+    for m in (1, 4):
+        B = rng.standard_normal((3, n, m))
+        block = _newton_update(factors, B)
+        assert block.shape == B.shape
+        for j in range(m):
+            col = _newton_update(factors, B[:, :, j])
+            np.testing.assert_allclose(block[:, :, j], col, rtol=0,
+                                       atol=1e-12 * np.abs(col).max())
     # the reported condition is the worse of the two blocks' in the 1-norm
     real, cplx = _GAMMA * Fdot + h * Fz, _ALPHA_BETA * Fdot + h * Fz
     assert cond == pytest.approx(max(np.linalg.cond(real, 1),
