@@ -92,7 +92,7 @@ class PendulumRecord:
             z[5] - u,
             p.m * zdot[3] + 2.0 * z[2] * z[0],
             p.m * zdot[4] + 2.0 * z[2] * (z[1] - u) + p.m * p.g,
-            z[0] ** 2 + (z[1] - u) ** 2 - p.L ** 2,
+            z[0] * z[0] + (z[1] - u) * (z[1] - u) - p.L ** 2,
         ])
 
     def output(self, t, z):
@@ -174,13 +174,17 @@ def _pmsd_model(p, theta0, y10, delayed_force, force_jac_z, s_decl, name):
 
     def A(t, z, zlags):
         delta = z[2] - z[0]
+        dv = z[5] - z[3]
         f = delayed_force(t, z, zlags[0] if len(zlags) else z)
         G = g + f / M - (C / M) * z[3] - (K / M) * z[0]
+        # squares as products: a numpy scalar's ** 2 rounds through pow,
+        # an array's through x * x, and the two differ in the last place
+        r2 = z[1] * z[1] + delta * delta
         return np.array([
-            z[1] ** 2 + delta ** 2 - L ** 2,
-            2.0 * z[1] * z[4] + 2.0 * delta * (z[5] - z[3]),
-            2.0 * z[4] ** 2 + 2.0 * (z[5] - z[3]) ** 2
-            - (4.0 / m) * z[6] * (z[1] ** 2 + delta ** 2) - 2.0 * delta * G,
+            r2 - L ** 2,
+            2.0 * z[1] * z[4] + 2.0 * delta * dv,
+            2.0 * z[4] * z[4] + 2.0 * dv * dv
+            - (4.0 / m) * z[6] * r2 - 2.0 * delta * G,
         ])
 
     def JD_z(t, z, zdot, ztau):
@@ -223,7 +227,7 @@ def _pmsd_model(p, theta0, y10, delayed_force, force_jac_z, s_decl, name):
         J[2, 3] = -4.0 * (z[5] - z[3]) + 2.0 * C * delta / M
         J[2, 4] = 4.0 * z[4]
         J[2, 5] = 4.0 * (z[5] - z[3])
-        J[2, 6] = -(4.0 / m) * (z[1] ** 2 + delta ** 2)
+        J[2, 6] = -(4.0 / m) * (z[1] * z[1] + delta * delta)
         # G depends on the current state only through the force term.
         J[2] -= (2.0 * delta / M) * fj
         return J

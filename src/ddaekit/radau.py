@@ -13,14 +13,19 @@ with residual control", Appl. Numer. Math. 52, 2005; Enright's defect
 control, Appl. Math. Comput. 31, 1989).  A step is accepted when that
 residual is at most ``res_tol``, or when the step is already at the floor
 tau / STEPS_PER_SEGMENT, so the default never takes more steps than the
-fixed step at the floor.  An explicit ``h`` turns the controller off:
-fixed steps, halved only on Newton failure.
+fixed step at the floor.  Above the floor, the controller's proposal is
+rounded down to the ladder h_floor * 2^(k/8) (``_ladder``), so a step
+size repeats exactly.  An explicit ``h`` turns the controller off: fixed
+steps, halved only on Newton failure.
 
-The stage equations are solved by simplified Newton: the model Jacobians
-are evaluated at the predictor of the last stage, and Hairer's
-transformation of the Radau IIA matrix (Hairer & Wanner, Solving ODEs II,
-IV.8) splits the 3n x 3n stage matrix into one real and one complex n x n
-matrix, each inverted once per step.  An affine model
+The stage equations are solved by simplified Newton (``_NewtonSteps``),
+with RADAU5's reuse from step to step (Hairer & Wanner, Solving ODEs II,
+IV.8): a step starts from the derivative of the last accepted step's
+collocation cubic at its stage times, takes the model Jacobians at that
+start's last stage, and keeps them and their factors for the next steps
+while h repeats exactly and Newton converges in at most two iterations.
+Hairer's transformation of the Radau IIA matrix splits the 3n x 3n stage
+matrix into one real and one complex n x n matrix.  An affine model
 (``SfDdaeModel.affine``) has one step rule of its own (``_AffineSteps``):
 its stage equations are linear with constant Jacobians, read once per
 segment, so it solves them directly, a block of steps at once
@@ -34,6 +39,7 @@ continuous extension is the cubic Hermite of each step, the collocation
 polynomial, stored as monomial coefficients when the segment is complete.
 """
 
+import functools
 import logging
 import math
 from bisect import bisect_right
@@ -71,6 +77,18 @@ _L_AT_0 = np.array([
     RADAU_C[0] * RADAU_C[2] / ((RADAU_C[1] - RADAU_C[0]) * (RADAU_C[1] - RADAU_C[2])),
     RADAU_C[0] * RADAU_C[1] / ((RADAU_C[2] - RADAU_C[0]) * (RADAU_C[2] - RADAU_C[1])),
 ])
+
+
+@functools.lru_cache(maxsize=64)
+def _start_weights(r):
+    """W, (3, 3): W @ K reads the quadratic through a step's stages K, the
+    derivative of its collocation cubic, at s = 1 + c_j r, the stage times
+    of a next step r times as long.  A controlled h repeats exactly, so
+    few ratios recur."""
+    powers = np.arange(3.0)
+    vander = RADAU_C[:, None] ** powers
+    return ((1.0 + RADAU_C * r)[:, None] ** powers) @ np.linalg.inv(vander)
+
 
 # Hairer's transformation (Solving ODEs II, IV.8): inv(RADAU_A) = T L inv(T)
 # with L = [[gamma, 0, 0], [0, alpha, -beta], [0, beta, alpha]], so the
@@ -117,14 +135,16 @@ class IntegrationOptions:
 
     ``h`` is a fixed step size.  Without it, each step is sized so that
     the residual of its continuous extension stays within ``res_tol``,
-    never finer than tau / STEPS_PER_SEGMENT.  ``h`` (when given),
+    never finer than tau / STEPS_PER_SEGMENT.  A callback step's Newton
+    stops once its scaled update is at most ``newton_tol``, far below the
+    order-5 discretisation error at the default.  ``h`` (when given),
     ``newton_tol`` and ``res_tol`` are positive reals, kept as floats, and
     ``max_newton`` (at least 1) and ``audit_points`` (2 to
     MAX_AUDIT_POINTS) counts, kept as ints.
     """
 
     h: float | None = None
-    newton_tol: float = 1e-10
+    newton_tol: float = 1e-12
     res_tol: float = 1e-8
     max_newton: int = 10
     audit_points: int = 1000
@@ -151,6 +171,19 @@ def _read_slack(b):
     there (t - tau, a ``linspace`` end); the finer ``_end_slack`` decides
     which side of a breakpoint a time reads and where a step ends."""
     return 1e-9 * max(1.0, abs(b))
+
+
+def _ladder(h, h_floor):
+    """The one step-size ladder of the controller: the largest rung h_floor
+    * 2^(k/8), k = 0, 1, ..., at or below h, and the floor below it.  A
+    rung is built from its k alone, so equal k give the identical float
+    and a step size repeats exactly; halving a rung k >= 8 gives rung k - 8.
+    """
+    if not h > h_floor:
+        return h_floor
+    k = math.floor(8.0 * math.log2(h / h_floor) + 1e-9)
+    rung = h_floor * 2.0 ** (k / 8)
+    return rung if rung <= h else h_floor * 2.0 ** ((k - 1) / 8)
 
 
 def fit_steps(length, h):
@@ -345,23 +378,34 @@ def _jacobians(model, t, z, zdot, lags):
     return Fz, Fdot
 
 
-def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats):
-    """One simplified-Newton step of a callback model; returns (z1, d0, d1,
-    Fdot), with d0 and d1 the end derivatives of the collocation cubic and
-    Fdot the step's Jacobian with respect to z', or None on failure."""
-    K = np.array([k_guess] * 3)
+def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats,
+                record=None):
+    """One simplified-Newton step of a callback model from the Newton start
+    ``k_guess``: one rate for all three stages, (n,), or one per stage, (3,
+    n).  ``record``, (h, Fdot, factors), holds the Jacobian with respect to
+    z' and the stage factors to iterate with; without one, the Jacobians
+    are taken at the start's last stage and factored into a fresh record.
+
+    Returns (z1, d0, d1, Fdot, K, iterations, record), with d0 and d1 the
+    end derivatives of the collocation cubic, K its stages and Fdot the
+    step's Jacobian with respect to z', or None on failure."""
+    K = np.empty((3, model.n))
+    K[:] = k_guess
     scale = 1.0 + float(np.abs(z_prev).max())
     stage_ts = [t0 + c * h for c in _C]
     stage_lags = [problem.lags(ti) for ti in stage_ts]
-    # the Jacobians at the predictor of the last stage
-    Fz, Fdot = _jacobians(model, stage_ts[2], z_prev + h * k_guess, k_guess,
-                          stage_lags[2])
-    factors = _newton_factors(Fz, Fdot, h, stats)
+    if record is None:
+        # the Jacobians at the start's last stage
+        Fz, Fdot = _jacobians(model, stage_ts[2],
+                              z_prev + h * (RADAU_A[2] @ K), K[2],
+                              stage_lags[2])
+        record = h, Fdot, _newton_factors(Fz, Fdot, h, stats)
+    factors = record[2]
     if factors is None:
         return None
     R = np.empty((3, model.n))
     err_prev = math.inf
-    for _ in range(opts.max_newton):
+    for iterations in range(1, opts.max_newton + 1):
         Z = z_prev + h * (RADAU_A @ K)
         for i in range(3):
             R[i] = model.residual(stage_ts[i], Z[i], K[i], stage_lags[i])
@@ -381,9 +425,53 @@ def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats):
             z1 = z_prev + h * (RADAU_A[2] @ K)
             res = float(np.abs(model.residual(stage_ts[2], z1, K[2],
                                               stage_lags[2])).max())
-            ok = _endpoint_passes(res, opts, stats)
-            return (z1, _L_AT_0 @ K, K[2].copy(), Fdot) if ok else None
+            if not _endpoint_passes(res, opts, stats):
+                return None
+            return (z1, _L_AT_0 @ K, K[2].copy(), record[1], K, iterations,
+                    record)
     return None
+
+
+class _NewtonSteps:
+    """The step rule of a callback model in one segment: one
+    ``_solve_step`` per attempt, reusing the last accepted step's work
+    (Hairer & Wanner, Solving ODEs II, IV.8; Guglielmi & Hairer, RADAR5).
+
+    A step starts Newton from the derivative of the last accepted step's
+    collocation cubic at its own stage times, s = 1 + c_j h / h_prev in
+    that step's variable: the quadratic through that step's stages,
+    extrapolated.  The first step of the segment starts from ``k_guess``.
+    ``record`` is the last fresh (h, Fdot, factors); a step at exactly its
+    h reuses it while the last accepted step took at most two iterations,
+    and a step that fails on it is retried once at that h with a fresh
+    record, before the loop halves it.  A solved step was accepted when
+    the loop starts the next step from its very end state.
+    """
+
+    def __init__(self, problem, opts, stats):
+        self.problem, self.opts, self.stats = problem, opts, stats
+        self.record = self.solved = self.accepted = None
+
+    def __call__(self, t0, h, z_prev, k_guess):
+        """One step; returns (z1, d0, d1, Fdot) or None."""
+        if self.solved is not None and z_prev is self.solved[0]:
+            self.accepted = self.solved
+        last = self.accepted
+        if last is not None:
+            k_guess = _start_weights(h / last[1]) @ last[2]
+        record = self.record
+        reuse = (record is not None and record[0] == h and last is not None
+                 and last[3] <= 2)
+        args = (self.problem.model, t0, h, z_prev, k_guess, self.problem,
+                self.opts, self.stats)
+        result = _solve_step(*args, record if reuse else None)
+        if result is None and reuse:
+            result = _solve_step(*args)
+        if result is None:
+            return None
+        # (z1, h, K, iterations) of the step, and its record
+        self.solved, self.record = (result[0], h, *result[4:6]), result[6]
+        return result[:4]
 
 
 def _stage_block(problem, t, h, size):
@@ -547,10 +635,11 @@ def integrate_segment(problem, opts=None, h_start=None):
     estimate (``_start_defect``, ``_sampled_residual``) exceeds
     ``opts.res_tol`` is retried shorter, unless it is at the floor tau /
     STEPS_PER_SEGMENT, and every step sizes the next by the h^3 law of
-    that residual.  ``h_start`` is the first step to try (default: the
-    floor); ``stats["h_next"]`` is the step the segment would have taken
-    next, and ``stats["start_residual"]`` the norm of the start's
-    algebraic residual.
+    that residual, rounded down to a rung of ``_ladder``.  ``h_start`` is
+    the first step to try, on the ladder too (default: the floor);
+    ``stats["h_next"]`` is the step the segment would have taken next, and
+    ``stats["start_residual"]`` the norm of the start's algebraic
+    residual.
 
     Raises InconsistentInitialState when the start fails
     ``start_consistency``, and NewtonDivergence when a step fails after all
@@ -571,11 +660,8 @@ def integrate_segment(problem, opts=None, h_start=None):
     k_guess = np.zeros(model.n)
     jacobians = _jacobians(model, problem.t_start, problem.z0, k_guess, lags0)
     # the one step rule of the segment
-    if model.affine:
-        step = _AffineSteps(problem, jacobians, opts, stats)
-    else:
-        def step(t, h, z, k_guess):
-            return _solve_step(model, t, h, z, k_guess, problem, opts, stats)
+    step = (_AffineSteps(problem, jacobians, opts, stats) if model.affine
+            else _NewtonSteps(problem, opts, stats))
     if model.a and np.isfinite(jacobians[0][model.d:]).all():
         # spot-check: the algebraic rows must have full row rank here,
         # thresholded like the pencil rank decisions; non-finite rows are
@@ -595,7 +681,7 @@ def integrate_segment(problem, opts=None, h_start=None):
     h_floor = length / int(fit_steps(length, h_floor))  # int(inf) raises
     h_next = h_floor
     if controlled and h_start is not None:
-        h_next = min(max(h_start, h_floor), length)
+        h_next = min(_ladder(h_start, h_floor), length)
     h_min = tau / 2 ** 15
 
     ts = [problem.t_start]
@@ -633,7 +719,7 @@ def integrate_segment(problem, opts=None, h_start=None):
             grow = (4.0 if err == 0.0 else
                     min(4.0, max(0.2, 0.9 * (SAFETY * opts.res_tol / err)
                                  ** (1.0 / 3.0))))
-            h_next = min(max(h * grow, h_floor), length)
+            h_next = min(_ladder(h * grow, h_floor), length)
             if err <= opts.res_tol or h <= h_floor:
                 break
             stats["rejected"] += 1

@@ -176,6 +176,24 @@ def test_pmsd_counts_and_classification():
     assert classify(models.pmsd_coupled()) == Classification(0)
 
 
+@pytest.mark.parametrize("make", [models.pmsd_hybrid_shifted,
+                                  models.pmsd_coupled])
+def test_pmsd_residual_at_a_float_equals_one_column_of_an_array(make):
+    # a numpy scalar's ** 2 rounds through pow and an array's through
+    # x * x; at this state the two differ in the last row, so a square
+    # written as a power made the audit's array read and the solver's
+    # float read disagree by 8.9e-16
+    m = make()
+    z = np.array([0.0, 0.0, 0.343805606955381, 0.0, 0.0, 0.0, 1.0])
+    zero = np.zeros(7)
+    lags = np.zeros((m.n_lags, 7))
+    at_float = m.residual(0.0, z, zero, lags)
+    at_array = m.residual(np.array([0.0]), z[:, None], zero[:, None],
+                          lags[:, :, None])
+    assert at_array.shape == (7, 1)
+    assert np.array_equal(at_float, at_array[:, 0])
+
+
 def test_coupled_model_matches_reduced_ode_oracle():
     """Independent check: the 7-state constrained solve agrees with an
     unconstrained angle-coordinate integration of the same dynamics."""

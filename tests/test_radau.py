@@ -64,6 +64,20 @@ def test_convergence_order_at_least_four():
     assert slope >= 3.7
 
 
+def test_newton_error_sits_below_the_discretisation_error():
+    # z' = -z^2 at h 0.1: the endpoint error at the default newton_tol is
+    # the scheme's own, within 2e-15 of the error of a Newton converged to
+    # 1e-14 (a default of 1e-10 left 4.7e-14 between them)
+    m = scalar_ode(lambda t, z: -z * z, lambda t, z: -2.0 * z)
+    errs = []
+    for tol in (IntegrationOptions().newton_tol, 1e-14):
+        prob = SegmentProblem(m, 0.0, 1.0, np.array([1.0]), ZERO)
+        sol = integrate_segment(prob, IntegrationOptions(h=0.1,
+                                                         newton_tol=tol))
+        errs.append(abs(sol.endpoint[0] - 0.5))
+    assert abs(errs[0] - errs[1]) <= 2e-15
+
+
 def test_dense_output_reproduces_nodes_and_is_continuous():
     m = scalar_ode(lambda t, z: math.cos(t) * z, lambda t, z: math.cos(t))
     prob = SegmentProblem(m, 0.0, 1.0, np.array([1.0]), ZERO)

@@ -608,7 +608,7 @@ def test_audit_equals_scalar_reads_and_makes_none(case, monkeypatch):
 def test_a_grid_read_makes_one_history_read_and_no_segment_read(
         monkeypatch):
     tr = _grid_case("pmsd-hybrid-short-delay")
-    assert len(tr.segments) == 100 and tr.stats["steps"] == 303
+    assert len(tr.segments) == 100 and tr.stats["steps"] == 337
     calls = []
     signal_eval, dense_eval = SymbolicSignal.eval, SegmentSolution.eval
     monkeypatch.setattr(SymbolicSignal, "eval", lambda sig, *a:
@@ -849,9 +849,96 @@ def test_linear_wrap_factors_once_per_segment_and_changed_step(
     assert set(reads.values()) == {len(tr.segments)}
 
 
-def test_nonlinear_model_factors_once_per_step(monkeypatch):
+def test_nonlinear_model_factors_once_per_refreshed_record(monkeypatch):
+    # a callback step keeps the last Jacobians and factors while h repeats
+    # and Newton converges fast; each refresh of that record is one
+    # Jacobian read and one factorization, besides the one Jacobian read
+    # of each segment start's rank spot-check
     factors, _ = _count_factorizations(monkeypatch)
+    jacobians = []
+    read = radau._jacobians
+    monkeypatch.setattr(radau, "_jacobians",
+                        lambda *args: jacobians.append(args) or read(*args))
     m = models.pmsd_hybrid_shifted()
     tr = solve_itp(m, m.default_history(), 0.5)
     assert tr.stats["rejected"] == tr.stats["halvings"] == 0
-    assert len(factors) == tr.stats["steps"]
+    assert len(factors) == len(jacobians) - len(tr.segments)
+    assert len(factors) < 0.2 * tr.stats["steps"]
+
+
+def test_nonlinear_model_takes_few_newton_iterations_per_step():
+    # each step starts Newton from the last accepted step's cubic, so the
+    # paper's hybrid case converges in about two iterations (2.98 with
+    # every stage started at the last end derivative)
+    m = models.pmsd_hybrid_shifted()
+    tr = solve_itp(m, m.default_history(), 2.0)
+    assert tr.complete
+    assert tr.stats["newton_iterations"] <= 2.3 * tr.stats["steps"]
+
+
+def test_a_step_failing_on_a_kept_record_is_retried_fresh_before_halving(
+        monkeypatch):
+    # the first solve on a kept record is made to fail; the same step is
+    # then solved at the same h with fresh Jacobians, and nothing is halved
+    calls = []
+    solve_step = radau._solve_step
+
+    def failing_once(model, t0, h, *rest):
+        kept = len(rest) == 6 and rest[5] is not None
+        calls.append((t0, h, kept))
+        if kept and sum(c[2] for c in calls) == 1:
+            return None
+        return solve_step(model, t0, h, *rest)
+
+    monkeypatch.setattr(radau, "_solve_step", failing_once)
+    m = models.pmsd_hybrid_shifted()
+    phi = m.default_history()
+    seg = radau.integrate_segment(
+        radau.SegmentProblem(m, 0.0, m.tau, phi.eval(0.0), phi))
+    first = next(i for i, c in enumerate(calls) if c[2])
+    assert calls[first + 1] == (calls[first][0], calls[first][1], False)
+    assert seg.stats["halvings"] == 0
+
+
+def test_every_controlled_step_is_a_ladder_rung_or_a_segment_end_clip(
+        monkeypatch):
+    # the controller rounds its proposal down to h_floor 2^(k/8), each rung
+    # built from k alone, so a step size repeats exactly; only a step cut
+    # at its segment's end is off the ladder
+    problems, attempts = [], []
+    integrate, solve_step = steps.integrate_segment, radau._solve_step
+    affine_step = radau._AffineSteps.__call__
+
+    def recording_integrate(problem, *args):
+        problems.append(problem)
+        return integrate(problem, *args)
+
+    def recorded(step):
+        def call(first, t0, h, *rest):
+            attempts.append((problems[-1], t0, h))
+            return step(first, t0, h, *rest)
+        return call
+
+    monkeypatch.setattr(steps, "integrate_segment", recording_integrate)
+    monkeypatch.setattr(radau, "_solve_step", recorded(solve_step))
+    monkeypatch.setattr(radau._AffineSteps, "__call__",
+                        recorded(affine_step))
+    m = models.pmsd_hybrid_shifted()
+    runs = [(m, m.default_history(), 1.0),
+            (*output_digest.linear_smooth_model(), 2.0)]
+    rungs = clips = 0
+    for model, phi, T in runs:
+        attempts.clear()
+        tr = solve_itp(model, phi, T)
+        assert tr.complete and tr.stats["halvings"] == 0
+        for problem, t0, h in attempts:
+            length = problem.t_end - problem.t_start
+            floor = length / radau.fit_steps(
+                length, model.tau / STEPS_PER_SEGMENT)
+            k = round(8.0 * np.log2(h / floor))
+            if k >= 0 and h == floor * 2.0 ** (k / 8):
+                rungs += 1
+            else:
+                assert h == problem.t_end - t0
+                clips += 1
+    assert rungs > 10 * clips > 0
