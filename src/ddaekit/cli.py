@@ -108,13 +108,22 @@ def _overflow_message(args):
             f"{' '.join(flags) or 'its own values'}")
 
 
-def _check_out_directory(out):
-    """DataError when --out names a directory that does not exist, so that
-    a run fails before it solves rather than when it writes."""
-    directory = os.path.dirname(out or "")
+def _check_out(args, suffixes=("",)):
+    """The one --out rule, given the suffixes a command writes --out with:
+    exit 64 when a path it writes is the model file, and DataError when
+    --out names a missing directory, before anything is analysed or solved.
+    """
+    if not args.out:
+        return
+    if os.path.exists(args.model) and os.path.realpath(args.model) in {
+            os.path.realpath(args.out + suffix) for suffix in suffixes}:
+        sys.stderr.write(f"error: --out {args.out} would overwrite the model "
+                         f"file {args.model}\n")
+        raise SystemExit(EXIT_USAGE)
+    directory = os.path.dirname(args.out)
     if directory and not os.path.isdir(directory):
-        raise DataError(f"--out {out}: no directory {directory!r} to write "
-                        f"into")
+        raise DataError(f"--out {args.out}: no directory {directory!r} to "
+                        f"write into")
 
 
 def _emit(data, out_path):
@@ -129,6 +138,7 @@ def _emit(data, out_path):
 
 def cmd_analyze(args):
     obj, name = _resolve(args)
+    _check_out(args)
     if isinstance(obj, MatrixPencil):
         pencil_obj = obj
     elif isinstance(obj, (LtiDescriptor, LinearDdae)):
@@ -146,6 +156,7 @@ def cmd_analyze(args):
 
 def cmd_classify(args):
     obj, name = _resolve(args)
+    _check_out(args)
     if isinstance(obj, SfDdaeModel):
         cls = classify(obj)
     elif isinstance(obj, LinearDdae):
@@ -173,12 +184,7 @@ def cmd_simulate(args):
     if args.T is None:
         sys.stderr.write("error: simulate needs --T\n")
         return EXIT_USAGE
-    if args.out and os.path.realpath(args.model) in {
-            os.path.realpath(f"{args.out}{ext}") for ext in (".json", ".csv")}:
-        sys.stderr.write(f"error: --out {args.out} would overwrite the model "
-                         f"file {args.model}\n")
-        return EXIT_USAGE
-    _check_out_directory(args.out)
+    _check_out(args, (".json", ".csv"))
     if args.history:
         phi = _parse_history(args.history)
     elif model.default_history is not None:
@@ -244,7 +250,7 @@ def cmd_sweep(args):
         sys.stderr.write("error: sweep takes its delays from --tau, not "
                          "from --param tau=...\n")
         return EXIT_USAGE
-    _check_out_directory(args.out)
+    _check_out(args)
     reference = model_zoo.REGISTRY[entry.reference].make(params)
     opts = _options_from(args)
     # a run too long to solve fails the sweep, not just its row
@@ -330,14 +336,13 @@ def main(argv=None):
         level = logging.getLevelName(level.upper())
         logging.basicConfig(
             level=level if isinstance(level, int) else logging.INFO)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
-    try:
+        # a usage error, in parsing or in a command's --out, exits 64
+        args = build_parser().parse_args(argv)
         check_positive("tol", args.tol)
         return args.func(args)
+    except SystemExit as exc:
+        return exc.code if exc.code is not None else EXIT_USAGE
     except IllConditioned as exc:
         sys.stderr.write(f"ill-conditioned analysis: {exc}\n")
         return EXIT_CONDITIONING

@@ -29,9 +29,10 @@ matrix into one real and one complex n x n matrix.  An affine model
 (``SfDdaeModel.affine``) has one step rule of its own (``_AffineSteps``):
 its stage equations are linear with constant Jacobians, read once per
 segment, so it solves them directly, a block of steps at once
-(``_stage_block``), with the two inverses taken once per distinct h.  A
-block takes one batched solve of its stage equations, an n x n recurrence
-z_{k+1} = Phi z_k + psi_k that chains its steps, and one residual call
+(``_stage_block``), with the two inverses and the recurrence taken once
+per distinct h.  A block of any length takes one batched solve of its
+stage equations, an n x n recurrence z_{k+1} = Phi z_k + psi_k that
+chains every step from the block's start state, and one residual call
 over its step ends; a step whose start state is not the one the chain
 reached gets a block solved from its own.  Both rules share one split
 solve, one failed-factorization rule and one endpoint rule.  The
@@ -440,7 +441,8 @@ class _NewtonSteps:
     A step starts Newton from the derivative of the last accepted step's
     collocation cubic at its own stage times, s = 1 + c_j h / h_prev in
     that step's variable: the quadratic through that step's stages,
-    extrapolated.  The first step of the segment starts from ``k_guess``.
+    extrapolated.  The first step of the segment starts every stage at
+    zero.
     ``record`` is the last fresh (h, Fdot, factors); a step at exactly its
     h reuses it while the last accepted step took at most two iterations,
     and a step that fails on it is retried once at that h with a fresh
@@ -452,13 +454,13 @@ class _NewtonSteps:
         self.problem, self.opts, self.stats = problem, opts, stats
         self.record = self.solved = self.accepted = None
 
-    def __call__(self, t0, h, z_prev, k_guess):
+    def __call__(self, t0, h, z_prev):
         """One step; returns (z1, d0, d1, Fdot) or None."""
         if self.solved is not None and z_prev is self.solved[0]:
             self.accepted = self.solved
         last = self.accepted
-        if last is not None:
-            k_guess = _start_weights(h / last[1]) @ last[2]
+        k_guess = (np.zeros(len(z_prev)) if last is None else
+                   _start_weights(h / last[1]) @ last[2])
         record = self.record
         reuse = (record is not None and record[0] == h and last is not None
                  and last[3] <= 2)
@@ -507,18 +509,18 @@ class _AffineSteps:
     h sum_j a_3j K_j is Phi z_prev + psi, with Phi = I - h sum_j a_3j Kz_j
     and psi = h sum_j a_3j a_j.  The model declares F_z and F_zdot
     constant; ``jacobians`` holds them, read once at the segment start.
-    ``per_h`` holds one record per distinct h, [factors, (Kz, Phi)]: M's two
-    inverses or None, and (Kz, Phi) once a block at h has two steps or more.
+    ``per_h`` holds one record per distinct h, built when h is first met:
+    (factors, Kz, Phi), with factors M's two inverses, or None when they
+    failed, so a retry at that h fails at once.
 
-    A ``_stage_block`` is solved whole: one batched solve gives the first
-    step's K, whose right side holds z_prev, and every later step's a; the
-    n x n recurrence z_{k+1} = Phi z_k + psi_k chains the later steps, and
-    their K_k = a_k - Kz z_k is one product.  One residual call over the
-    block's end times gives every endpoint residual.  A step takes its
-    entry by its (start, h) when its z_prev is the very state the chain
-    reached there; otherwise a block is solved from its t0 and z_prev.  The
-    first block at an h covers one step, and each next one at that h twice
-    as many, up to MAX_BLOCK.
+    A ``_stage_block`` is solved whole: one batched solve gives every
+    step's a, the n x n recurrence z_{k+1} = Phi z_k + psi_k from z_0 =
+    z_prev chains the steps, and their K_k = a_k - Kz z_k is one product.
+    One residual call over the block's end times gives every endpoint
+    residual.  A step takes its entry by its (start, h) when its z_prev is
+    the very state the chain reached there; otherwise a block is solved
+    from its t0 and z_prev.  The first block at an h covers one step, and
+    each next one at that h twice as many, up to MAX_BLOCK.
     """
 
     def __init__(self, problem, jacobians, opts, stats):
@@ -526,14 +528,18 @@ class _AffineSteps:
         self.Fz, self.Fdot = jacobians
         self.per_h, self.index, self.h, self.size = {}, {}, None, 1
 
-    def __call__(self, t0, h, z_prev, k_guess):
-        """One step; returns what ``_solve_step`` returns.  ``k_guess``,
-        the Newton start of ``_solve_step``, is not needed."""
-        record = self.per_h.get(h)
+    def __call__(self, t0, h, z_prev):
+        """One step; returns (z1, d0, d1, Fdot) or None."""
+        if h not in self.per_h:
+            factors = _newton_factors(self.Fz, self.Fdot, h, self.stats)
+            if factors is not None:
+                n = len(self.Fz)
+                Kz = _newton_update(factors,
+                                    np.broadcast_to(self.Fz, (3, n, n)))
+                factors = factors, Kz, np.eye(n) - h * (Kz.T @ RADAU_A[2]).T
+            self.per_h[h] = factors
+        record = self.per_h[h]
         if record is None:
-            record = self.per_h[h] = [
-                _newton_factors(self.Fz, self.Fdot, h, self.stats), None]
-        if record[0] is None:
             return None
         k = self.index.pop((t0, h), None)
         if k is None or z_prev is not self.z[k]:
@@ -553,32 +559,18 @@ class _AffineSteps:
         z_prev: the chain states ``z``, the stages ``K``, (3, n, m), and
         per step whether K is finite, the endpoint residual's max norm and
         the start derivative of the collocation cubic, from h's ``record``.
-        A block of one step is the direct solve of that step bit for bit."""
-        model = self.problem.model
+        """
+        factors, Kz, Phi = record
         self.index, ends, g, lags = _stage_block(self.problem, t0, h,
                                                  self.size)
-        g[:, :, 0] += self.Fz @ z_prev
-        K = self.K = -_newton_update(record[0], g)
-        # K.T @ weights sums over stages, one row per step; at one step it
-        # is weights @ K bit for bit
-        psi = h * (K.T @ RADAU_A[2])
-        z = self.z = [z_prev, z_prev + psi[0]]
-        if len(psi) == 1:
-            # at one time the float form of the callback is the cheaper
-            r = model.residual(float(ends[0]), z[1], K[2, :, 0],
-                               lags[:, :, 0])[:, None]
-        else:
-            if record[1] is None:
-                n = len(self.Fz)
-                Kz = _newton_update(record[0],
-                                    np.broadcast_to(self.Fz, (3, n, n)))
-                record[1] = Kz, np.eye(n) - h * (Kz.T @ RADAU_A[2]).T
-            Kz, Phi = record[1]
-            for p in psi[1:]:
-                z.append(Phi @ z[-1] + p)
-            Z = np.array(z[1:]).T
-            K[:, :, 1:] -= Kz @ Z[:, :-1]
-            r = model.residual(ends, Z, K[2], lags)
+        K = self.K = -_newton_update(factors, g)
+        z = self.z = [z_prev]
+        # K.T @ weights sums over stages, one row per step
+        for psi in h * (K.T @ RADAU_A[2]):
+            z.append(Phi @ z[-1] + psi)
+        Z = np.array(z).T
+        K -= Kz @ Z[:, :-1]
+        r = self.problem.model.residual(ends, Z[:, 1:], K[2], lags)
         self.finite = np.isfinite(K).all(axis=(0, 1)).tolist()
         self.res = np.abs(r).max(axis=0).tolist()
         self.d0 = K.T @ _L_AT_0
@@ -657,8 +649,8 @@ def integrate_segment(problem, opts=None, h_start=None):
     stats = {"max_endpoint_residual": 0.0, "max_stage_cond": 0.0,
              "newton_iterations": 0, "halvings": 0, "rejected": 0,
              "n_steps": 0, "start_residual": norm_r0}
-    k_guess = np.zeros(model.n)
-    jacobians = _jacobians(model, problem.t_start, problem.z0, k_guess, lags0)
+    jacobians = _jacobians(model, problem.t_start, problem.z0,
+                           np.zeros(model.n), lags0)
     # the one step rule of the segment
     step = (_AffineSteps(problem, jacobians, opts, stats) if model.affine
             else _NewtonSteps(problem, opts, stats))
@@ -697,13 +689,15 @@ def integrate_segment(problem, opts=None, h_start=None):
         h = h_next if t + h_next <= t_end + slack else t_end - t
         halvings = 0
         while True:
-            result = step(t, h, z, k_guess)
+            result = step(t, h, z)
             if result is None:
                 halvings += 1
                 stats["halvings"] += 1
                 h *= 0.5
                 if halvings > MAX_HALVINGS or h < h_min:
-                    r = model.residual(t, z, k_guess, problem.lags(t))
+                    r = model.residual(
+                        t, z, np.zeros(model.n) if d_prev is None else d_prev,
+                        problem.lags(t))
                     raise NewtonDivergence(
                         f"Newton failed at t = {t:.6g} after {halvings - 1} "
                         f"halvings", t=t, iterate=z,
@@ -731,7 +725,7 @@ def integrate_segment(problem, opts=None, h_start=None):
         d_start.append(d0)
         d_end.append(d1)
         z = z1
-        k_guess = d_prev = d1
+        d_prev = d1
         stats["n_steps"] += 1
     stats["h_next"] = h_next
     return SegmentSolution(ts, zs, d_start, d_end, stats)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import check_count, check_positive
+from .errors import DataError, check_count, check_positive
 from .radau import SegmentProblem, start_consistency
 
 logger = logging.getLogger(__name__)
@@ -56,7 +56,7 @@ class SfDdaeModel:
     Parameters
     ----------
     n, d, a : state dimension and differential/algebraic equation counts,
-        with d + a = n
+        integers >= 0 kept as ints, with d + a = n
     tau : delay, strictly positive
     s_decl : highest delayed-derivative order + 1 appearing in A; 0 means A
         is independent of all delayed quantities
@@ -76,11 +76,11 @@ class SfDdaeModel:
 
     def __init__(self, n, d, a, tau, s_decl, D, A, JD_z, JD_zdot, JA_z,
                  name="model", default_history=None, affine=False):
-        if d + a != n:
-            raise ValueError(f"d + a must equal n, got {d} + {a} != {n}")
-        self.n = n
-        self.d = d
-        self.a = a
+        self.n = check_count("n", n, 0)
+        self.d = check_count("d", d, 0)
+        self.a = check_count("a", a, 0)
+        if self.d + self.a != self.n:
+            raise DataError(f"d + a must equal n, got {d} + {a} != {n}")
         self.tau = check_positive("tau", tau)
         self.s_decl = check_count("s_decl", s_decl, 0)
         self.D = D

@@ -68,8 +68,8 @@ def linear_export_sin_history():
 
 def linear_smooth_model():
     """``linear_export_model`` with one slow sinusoid, f = 0.31 - 0.07 t +
-    0.02 sin(1.1 t + 0.9): the controller changes h on nearly every step,
-    so its run pins the affine path at a varying h."""
+    0.02 sin(1.1 t + 0.9): the controller changes h on about a fifth of
+    its steps, so its run pins the affine path at a varying h."""
     return linear_export_model(sin=[(0.02, 1.1, 0.9)])
 
 

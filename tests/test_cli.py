@@ -589,16 +589,26 @@ def test_simulate_reports_are_deterministic(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("out", ["run", "./sub/../run"])
+_SIMULATE = ["simulate", "--T", "1", "--history", "poly:0;1,1"]
+
+
+@pytest.mark.parametrize("command, out", [
+    pytest.param(_SIMULATE, "run", id="run"),
+    pytest.param(_SIMULATE, "./sub/../run", id="./sub/../run"),
+    *(pytest.param([command], out, id=f"{command}-{out}")
+      for command in ("analyze", "classify")
+      for out in ("run.json", "./sub/../run.json"))])
 def test_simulate_out_never_overwrites_the_model_file(tmp_path, monkeypatch,
-                                                      capsys, out):
+                                                      capsys, command, out):
+    # simulate writes --out plus .json and .csv, analyze and classify --out
+    # itself; none may write over the model file it reads
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
     model = tmp_path / "run.json"
     text = json.dumps(models.ex_advanced_linear(1.0).to_json())
     model.write_text(text)
-    rc = cli.main(["simulate", "--model", "run.json", "--T", "1",
-                   "--history", "poly:0;1,1", "--out", out])
+    rc = cli.main([command[0], "--model", "run.json", *command[1:],
+                   "--out", out])
     assert rc == 64
     assert "overwrite" in capsys.readouterr().err
     assert model.read_text() == text
@@ -861,15 +871,18 @@ def test_the_step_fit_absorbs_relative_rounding(h, count):
 
 
 @pytest.mark.parametrize("command, solver", [
-    (["simulate", "--T", "2"], "solve_itp"),
-    (["sweep", "--tau", "0.05", "--T", "0.2"], "sweep_reference")])
+    (["simulate", "--model", "pmsd-hybrid", "--T", "2"], "solve_itp"),
+    (["sweep", "--model", "pmsd-hybrid", "--tau", "0.05", "--T", "0.2"],
+     "sweep_reference"),
+    (["analyze", "--model", "msd"], "analyze"),
+    (["classify", "--model", "pmsd-hybrid"], "classify")])
 def test_out_into_a_missing_directory_is_refused_before_solving(
         command, solver, tmp_path, monkeypatch, capsys):
+    # the solve, or the analysis, is never reached
     solved = []
     monkeypatch.setattr(cli, solver, lambda *a: solved.append(a))
     out = tmp_path / "missing" / "run"
-    rc = cli.main([command[0], "--model", "pmsd-hybrid", *command[1:],
-                   "--out", str(out)])
+    rc = cli.main([*command, "--out", str(out)])
     assert rc == 2
     assert solved == []
     assert "no directory" in capsys.readouterr().err

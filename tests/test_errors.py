@@ -32,6 +32,19 @@ def _model(tau=1.0, s_decl=0):
         JA_z=lambda t, z, zlags: np.zeros((0, 1)))
 
 
+def _sized(n, d, a):
+    """A model of n states split into d differential and a algebraic rows;
+    nothing here calls its callbacks."""
+    return SfDdaeModel(n=n, d=d, a=a, tau=1.0, s_decl=0, D=None, A=None,
+                       JD_z=None, JD_zdot=None, JA_z=None)
+
+
+def _rest(v):
+    """20 - v where v is one of 0, 1, ..., 20, and 0 otherwise: a count
+    whatever v is, so that d + a = 20 wherever v is a valid count."""
+    return 20 - v if v in range(21) else 0
+
+
 class Entry(NamedTuple):
     """One number input: the name its errors give it, a call that passes it
     a value and returns what was kept (the value itself where nothing is),
@@ -70,6 +83,10 @@ _ENTRIES = {
         low=2, high=MAX_AUDIT_POINTS),
     "sfdae-s_decl": Entry("s_decl", lambda v: _model(s_decl=v).s_decl,
                           low=0),
+    # n, d and a are checked in that order, each before their sum
+    "sfdae-n": Entry("n", lambda v: _sized(v, v, 0).n, low=0),
+    "sfdae-d": Entry("d", lambda v: _sized(20, v, _rest(v)).d, low=0),
+    "sfdae-a": Entry("a", lambda v: _sized(20, _rest(v), v).a, low=0),
     "signal-dim": Entry("signal dim", lambda v: SymbolicSignal(dim=v).dim,
                         low=0),
     "signal-json-dim": Entry(
@@ -141,6 +158,13 @@ def test_a_number_input_keeps_a_valid_value_and_names_a_bad_one(key, data):
     assert kept == value
     if entry.stores:
         assert type(kept) is kind
+
+
+@pytest.mark.parametrize("n, d, a", [(2, 1, 0), (0, 1, 0), (1.0, 1.0, 1.0)],
+                         ids=repr)
+def test_a_model_whose_split_does_not_add_up_to_n_is_refused(n, d, a):
+    with pytest.raises(DataError, match=r"^d \+ a must equal n, got "):
+        _sized(n, d, a)
 
 
 _NOT_NON_NEGATIVE = [math.nan, math.inf, -math.inf, np.float64(math.nan), True,

@@ -457,10 +457,10 @@ def test_one_newton_iteration_solves_each_step(monkeypatch):
         problems.append(problem)
         return integrate(problem, *args)
 
-    def checked_step(self, t0, h, z_prev, k_guess):
+    def checked_step(self, t0, h, z_prev):
         index = self.index
         k = index.get((t0, h))
-        result = affine_step(self, t0, h, z_prev, k_guess)
+        result = affine_step(self, t0, h, z_prev)
         if result is not None:
             K = self.K[:, :, 0 if self.index is not index else k]
             assert np.array_equal(K[2], result[2])
@@ -519,7 +519,7 @@ def test_block_steps_equal_newton_steps_on_random_regular_pencils(
     for _ in range(8):
         want = radau._solve_step(m, t, h, z, k, problem, opts, stats)
         assume(want is not None)
-        got = step(t, h, z, k)
+        got = step(t, h, z)
         scale = max(float(np.abs(v).max()) for v in (z, k, *want[:3]))
         for x, y in zip(got, want):
             assert np.abs(x - y).max() <= 1e-12 * scale
@@ -532,9 +532,9 @@ def test_block_steps_equal_newton_steps_on_random_regular_pencils(
 
 
 def test_linear_smooth_takes_every_step_from_a_stage_block(monkeypatch):
-    # linear-smooth changes h on almost every step, yet every attempted
-    # step finds its stage data in the block built for it, and none takes
-    # the Newton of a callback model
+    # linear-smooth changes h on about a fifth of its steps, yet every
+    # attempted step finds its stage data in the block built for it, and
+    # none takes the Newton of a callback model
     model, history = linear_smooth_model()
     stage_block, affine_step = radau._stage_block, radau._AffineSteps.__call__
     entries, attempts, newton = set(), [], []

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dlange, zlange
 
-from ddaekit import models
+from ddaekit import models, radau
 from ddaekit.errors import InconsistentInitialState, NewtonDivergence
 from ddaekit.forcing import SymbolicSignal
 from ddaekit.radau import (_ALPHA_BETA, _GAMMA, RADAU_A, RADAU_C,
@@ -168,19 +168,16 @@ def test_newton_divergence_when_constraint_loses_solutions():
     assert err.value.t is not None and 0.4 < err.value.t < 0.6
 
 
-@pytest.mark.parametrize("affine", [False, True], ids=["callback", "affine"])
-@pytest.mark.parametrize("cause", ["singular", "nan-JD_z", "nan-JA_z"])
-def test_a_failed_factorization_halves_then_diverges(cause, affine):
-    # z0' = -z0 and one algebraic row whose stage blocks never factor: 0 = t
-    # has a zero Jacobian, so every block is singular, or a Jacobian holds
-    # a NaN.  Both step rules halve to the floor and diverge at the start,
-    # and no numpy error escapes the rank spot-check of a NaN row.
+def _unfactorable(cause, affine):
+    """z0' = -z0 and one algebraic row whose stage blocks never factor: 0 = t
+    has a zero Jacobian, so every block is singular, or a Jacobian holds a
+    NaN."""
     nan = float("nan")
     JD_z = [[nan if cause == "nan-JD_z" else 1.0, 0.0]]
     JA_z = {"singular": [[0.0, 0.0]], "nan-JD_z": [[0.0, 1.0]],
             "nan-JA_z": [[0.0, nan]]}[cause]
     singular = cause == "singular"
-    m = SfDdaeModel(
+    return SfDdaeModel(
         n=2, d=1, a=1, tau=1.0, s_decl=0,
         D=lambda t, z, zdot, ztau: np.array([zdot[0] + z[0]]),
         A=lambda t, z, zlags: np.array([t if singular else z[1]]),
@@ -188,6 +185,14 @@ def test_a_failed_factorization_halves_then_diverges(cause, affine):
         JD_zdot=lambda t, z, zdot, ztau: np.array([[1.0, 0.0]]),
         JA_z=lambda t, z, zlags: np.array(JA_z),
         name="failed-factorization", affine=affine)
+
+
+@pytest.mark.parametrize("affine", [False, True], ids=["callback", "affine"])
+@pytest.mark.parametrize("cause", ["singular", "nan-JD_z", "nan-JA_z"])
+def test_a_failed_factorization_halves_then_diverges(cause, affine):
+    # Both step rules halve to the floor and diverge at the start, and no
+    # numpy error escapes the rank spot-check of a NaN row.
+    m = _unfactorable(cause, affine)
     zero = SymbolicSignal.zero(2)
     with pytest.raises(NewtonDivergence) as err:
         integrate_segment(SegmentProblem(m, 0.0, 1.0, np.zeros(2), zero))
@@ -195,6 +200,27 @@ def test_a_failed_factorization_halves_then_diverges(cause, affine):
     with pytest.raises(NewtonDivergence,
                        match="^segment 1: Newton failed at t = 0 "):
         solve_itp(m, zero, 1.0)
+
+
+def test_a_failed_factorization_stays_in_the_affine_record(monkeypatch):
+    # the affine rule records a failed factorization at its h, so a retry
+    # at that h fails at once instead of factoring the same matrix again
+    m = _unfactorable("singular", affine=True)
+    problem = SegmentProblem(m, 0.0, 1.0, np.zeros(2), SymbolicSignal.zero(2))
+    factored = []
+
+    def counted_factors(*args):
+        factored.append(args[2])
+        return _newton_factors(*args)
+
+    monkeypatch.setattr(radau, "_newton_factors", counted_factors)
+    jacobians = radau._jacobians(m, 0.0, problem.z0, np.zeros(2),
+                                 problem.lags(0.0))
+    step = radau._AffineSteps(problem, jacobians, IntegrationOptions(),
+                              {"max_stage_cond": 0.0})
+    assert step(0.0, 0.01, problem.z0) is None
+    assert step(0.0, 0.01, problem.z0) is None
+    assert factored == [0.01]
 
 
 RANK_WARNING = "algebraic Jacobian row rank deficient at t = 0 "
