@@ -80,10 +80,17 @@ def _load_json_model(path):
             f"{path}: {kind.__name__} model lacks key {exc}") from exc
 
 
+def _model_file(name):
+    """Whether --model names a file: a registry name always means the
+    registry model, so a file of that name is read as ./name."""
+    return name not in model_zoo.REGISTRY and (
+        os.path.exists(name) or name.endswith(".json"))
+
+
 def _resolve(args):
     name = args.model
     tau = getattr(args, "tau", None)
-    if os.path.exists(name) or name.endswith(".json"):
+    if _model_file(name):
         if args.param or tau is not None:
             flag = "--param" if args.param else "--tau"
             raise DataError(f"{flag} does not apply to a model file: "
@@ -115,7 +122,7 @@ def _check_out(args, suffixes=("",)):
     """
     if not args.out:
         return
-    if os.path.exists(args.model) and os.path.realpath(args.model) in {
+    if _model_file(args.model) and os.path.realpath(args.model) in {
             os.path.realpath(args.out + suffix) for suffix in suffixes}:
         sys.stderr.write(f"error: --out {args.out} would overwrite the model "
                          f"file {args.model}\n")

@@ -86,7 +86,10 @@ class SymbolicSignal:
         for i, (poly, sin) in enumerate(signal._terms):
             acc = 0.0
             for power, c in poly:
-                acc += c * t ** power
+                # t ** 0 is exactly 1 and t ** 1 exactly t: at an array of
+                # times, skipping both spares two ufunc calls
+                acc += (c if power == 0 else c * t if power == 1 else
+                        c * t ** power)
             for amp, omega, phase in sin:
                 acc += amp * sine(omega * t + phase)
             out[i] = acc

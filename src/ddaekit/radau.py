@@ -26,15 +26,18 @@ start's last stage, and keeps them and their factors for the next steps
 while h repeats exactly and Newton converges in at most two iterations.
 Hairer's transformation of the Radau IIA matrix splits the 3n x 3n stage
 matrix into one real and one complex n x n matrix.  An affine model
-(``SfDdaeModel.affine``) has one step rule of its own (``_AffineSteps``):
-its stage equations are linear with constant Jacobians, read once per
-segment, so it solves them directly, a block of steps at once
-(``_stage_block``), with the two inverses and the recurrence taken once
-per distinct h.  A block of any length takes one batched solve of its
-stage equations, an n x n recurrence z_{k+1} = Phi z_k + psi_k that
-chains every step from the block's start state, and one residual call
-over its step ends; a step whose start state is not the one the chain
-reached gets a block solved from its own.  Both rules share one split
+(``SfDdaeModel.affine``) has one step rule of its own (``_AffineSteps``),
+kept for the whole run: its stage equations are linear with constant
+Jacobians, read once per run, so it solves them directly, a block of
+steps at once (``_stage_block``), with the two inverses and the
+recurrence taken once per distinct h of the run.  A block of any length
+takes one batched solve of its stage equations, an n x n recurrence
+z_{k+1} = Phi z_k + psi_k that chains every step from the block's start
+state, one residual call over its step ends and one product for its
+steps' start defects; a step whose start state is not the one the chain
+reached gets a block solved from its own.  Where h stays, at a fixed h or
+at the floor, the step loop takes in one slice the block's steps that
+its per-step rules would accept alike.  Both rules share one split
 solve, one failed-factorization rule and one endpoint rule.  The
 continuous extension is the cubic Hermite of each step, the collocation
 polynomial, stored as monomial coefficients when the segment is complete.
@@ -310,10 +313,10 @@ def _mesh_read(keys, nodes, coeffs, t, order):
     return (P[:, None, :] @ coeffs[k])[:, 0]
 
 
-def _newton_factors(Fz, Fdot, h, stats):
-    """Inverses of the real and the complex block of the split stage matrix;
-    the larger of the two blocks' 1-norm condition numbers enters
-    ``stats["max_stage_cond"]``, with a warning the first time past COND_WARN.
+def _newton_factors(Fz, Fdot, h):
+    """(factors, cond): the inverses of the real and the complex block of the
+    split stage matrix, and the larger of the two blocks' 1-norm condition
+    numbers, which ``_note_stage_cond`` enters into a segment's stats.
 
     None, the one failed-factorization rule, when the stage matrix is not
     finite or either block is singular.
@@ -327,12 +330,16 @@ def _newton_factors(Fz, Fdot, h, stats):
         return None
     norm_real, norm_real_inv, norm_cplx, norm_cplx_inv = _one_norms(
         real, factors[0], cplx, factors[1])
-    cond = max(norm_real * norm_real_inv, norm_cplx * norm_cplx_inv)
+    return factors, max(norm_real * norm_real_inv, norm_cplx * norm_cplx_inv)
+
+
+def _note_stage_cond(cond, stats):
+    """Enter a stage condition number into ``stats["max_stage_cond"]``, with
+    a warning the first time past COND_WARN."""
     if cond > COND_WARN >= stats["max_stage_cond"]:
         logger.warning("stage Jacobian condition %.2e exceeds %.0e", cond,
                        COND_WARN)
     stats["max_stage_cond"] = max(stats["max_stage_cond"], cond)
-    return factors
 
 
 def _one_norms(*matrices):
@@ -379,6 +386,25 @@ def _jacobians(model, t, z, zdot, lags):
     return Fz, Fdot
 
 
+def _start_jacobians(problem, lags0):
+    """F_z and F_zdot at a segment's start state and zero rate, with the
+    lags ``lags0``, after the spot-check that the algebraic rows of F_z have
+    full row rank there, thresholded like the pencil rank decisions;
+    non-finite rows are left to the failed-factorization rule of
+    ``_newton_factors``."""
+    model = problem.model
+    Fz, Fdot = _jacobians(model, problem.t_start, problem.z0,
+                          np.zeros(model.n), lags0)
+    if model.a and np.isfinite(Fz[model.d:]).all():
+        sigma = np.linalg.svd(Fz[model.d:], compute_uv=False)
+        if sigma[0] == 0.0 or sigma[-1] <= 1e-10 * sigma[0]:
+            logger.warning(
+                "algebraic Jacobian row rank deficient at t = %.6g "
+                "(smallest singular value %.3e)", problem.t_start,
+                float(sigma[-1]))
+    return Fz, Fdot
+
+
 def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats,
                 record=None):
     """One simplified-Newton step of a callback model from the Newton start
@@ -400,10 +426,12 @@ def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats,
         Fz, Fdot = _jacobians(model, stage_ts[2],
                               z_prev + h * (RADAU_A[2] @ K), K[2],
                               stage_lags[2])
-        record = h, Fdot, _newton_factors(Fz, Fdot, h, stats)
+        factored = _newton_factors(Fz, Fdot, h)
+        if factored is None:
+            return None
+        _note_stage_cond(factored[1], stats)
+        record = h, Fdot, factored[0]
     factors = record[2]
-    if factors is None:
-        return None
     R = np.empty((3, model.n))
     err_prev = math.inf
     for iterations in range(1, opts.max_newton + 1):
@@ -500,7 +528,7 @@ def _stage_block(problem, t, h, size):
 
 
 class _AffineSteps:
-    """The step rule of an affine model in one segment.
+    """The step rule of an affine model, one for a whole run.
 
     The stage equations F_z Z_i + F_zdot K_i + g_i = 0, with Z_i = z_prev +
     h sum_j a_ij K_j, are linear: K = -M^-1 (F_z z_prev (x) 1 + g), with
@@ -508,36 +536,50 @@ class _AffineSteps:
     with a = -M^-1 g and Kz = M^-1 (F_z (x) 1).  So the step end z_prev +
     h sum_j a_3j K_j is Phi z_prev + psi, with Phi = I - h sum_j a_3j Kz_j
     and psi = h sum_j a_3j a_j.  The model declares F_z and F_zdot
-    constant; ``jacobians`` holds them, read once at the segment start.
-    ``per_h`` holds one record per distinct h, built when h is first met:
-    (factors, Kz, Phi), with factors M's two inverses, or None when they
-    failed, so a retry at that h fails at once.
+    constant, so ``start`` reads them, with the rank spot-check, at the
+    run's first segment start only.  ``per_h`` holds one record per
+    distinct h of the run, built when h is first met: (factors, Kz, Phi,
+    cond), with factors M's two inverses and cond their stage condition,
+    which every block solved at h enters into its segment's stats; or None
+    when the inverses failed, so a retry at that h fails at once.
 
     A ``_stage_block`` is solved whole: one batched solve gives every
     step's a, the n x n recurrence z_{k+1} = Phi z_k + psi_k from z_0 =
     z_prev chains the steps, and their K_k = a_k - Kz z_k is one product.
     One residual call over the block's end times gives every endpoint
-    residual.  A step takes its entry by its (start, h) when its z_prev is
-    the very state the chain reached there; otherwise a block is solved
-    from its t0 and z_prev.  The first block at an h covers one step, and
-    each next one at that h twice as many, up to MAX_BLOCK.
+    residual, and one product every start defect but the first.  A step
+    takes its entry by its (start, h) when its z_prev is the very state the
+    chain reached there; otherwise a block is solved from its t0 and
+    z_prev.  The run's first block at an h covers one step, and each next
+    one at that h twice as many, up to MAX_BLOCK: a segment start only
+    swaps in its problem, its stats and an empty block index.
     """
 
-    def __init__(self, problem, jacobians, opts, stats):
-        self.problem, self.opts, self.stats = problem, opts, stats
-        self.Fz, self.Fdot = jacobians
-        self.per_h, self.index, self.h, self.size = {}, {}, None, 1
+    def __init__(self, opts):
+        self.opts = opts
+        self.Fz = self.Fdot = None
+        self.per_h, self.h, self.size = {}, None, 1
+
+    def start(self, problem, stats, lags0):
+        """Take up the segment ``problem``, with its ``stats`` and an empty
+        block index; the run's first segment reads the Jacobians at its
+        start, with the lags ``lags0`` (``_start_jacobians``)."""
+        self.problem, self.stats, self.index = problem, stats, {}
+        if self.Fz is None:
+            self.Fz, self.Fdot = _start_jacobians(problem, lags0)
 
     def __call__(self, t0, h, z_prev):
         """One step; returns (z1, d0, d1, Fdot) or None."""
         if h not in self.per_h:
-            factors = _newton_factors(self.Fz, self.Fdot, h, self.stats)
-            if factors is not None:
+            record = _newton_factors(self.Fz, self.Fdot, h)
+            if record is not None:
+                factors, cond = record
                 n = len(self.Fz)
                 Kz = _newton_update(factors,
                                     np.broadcast_to(self.Fz, (3, n, n)))
-                factors = factors, Kz, np.eye(n) - h * (Kz.T @ RADAU_A[2]).T
-            self.per_h[h] = factors
+                record = (factors, Kz,
+                          np.eye(n) - h * (Kz.T @ RADAU_A[2]).T, cond)
+            self.per_h[h] = record
         record = self.per_h[h]
         if record is None:
             return None
@@ -552,17 +594,41 @@ class _AffineSteps:
         self.stats["newton_iterations"] += 1
         if not _endpoint_passes(self.res[k], self.opts, self.stats):
             return None
+        self.k = k
         return self.z[k + 1], self.d0[k], self.K[2, :, k], self.Fdot
+
+    def run(self):
+        """The run of steps from the step k just taken that the loop takes
+        in one slice, as (ends, z1s, d0s, d1s): step k and each next step
+        of the block that ``follows`` the one before it.  The loop asks for
+        it only where its controller keeps h, so each of these steps is the
+        attempt the loop would make next, and the rule and the controller
+        would accept it and keep h; each counts one Newton iteration."""
+        k, stats = self.k, self.stats
+        j = k + 1 + int(self.follows[k:].argmin())
+        if j > k + 1:
+            stats["newton_iterations"] += j - k - 1
+            stats["max_endpoint_residual"] = max(
+                stats["max_endpoint_residual"], *self.res[k + 1:j])
+        return (self.ends[k:j], self.z[k + 1:j + 1], list(self.d0[k:j]),
+                list(self.K[2].T[k:j]))
 
     def _solve_block(self, t0, h, z_prev, record):
         """Solve the block of the next ``size`` steps at h from t0 and
         z_prev: the chain states ``z``, the stages ``K``, (3, n, m), and
-        per step whether K is finite, the endpoint residual's max norm and
-        the start derivative of the collocation cubic, from h's ``record``.
+        per step whether K is finite, the endpoint residual's max norm, the
+        start derivative of the collocation cubic and the end time, from
+        h's ``record``.  ``follows`` holds per step whether the next one
+        follows it in a ``run``: that step starts before the segment end's
+        slack, its K is finite, its endpoint residual at most ``res_tol``
+        and, under the controller, its start defect at least SAFETY *
+        ``res_tol``, which holds a step at the floor with no sampled
+        residual (``integrate_segment``); the last step has none.
         """
-        factors, Kz, Phi = record
-        self.index, ends, g, lags = _stage_block(self.problem, t0, h,
-                                                 self.size)
+        factors, Kz, Phi, cond = record
+        _note_stage_cond(cond, self.stats)
+        problem, tol = self.problem, self.opts.res_tol
+        self.index, ends, g, lags = _stage_block(problem, t0, h, self.size)
         K = self.K = -_newton_update(factors, g)
         z = self.z = [z_prev]
         # K.T @ weights sums over stages, one row per step
@@ -570,28 +636,38 @@ class _AffineSteps:
             z.append(Phi @ z[-1] + psi)
         Z = np.array(z).T
         K -= Kz @ Z[:, :-1]
-        r = self.problem.model.residual(ends, Z[:, 1:], K[2], lags)
-        self.finite = np.isfinite(K).all(axis=(0, 1)).tolist()
-        self.res = np.abs(r).max(axis=0).tolist()
+        r = problem.model.residual(ends, Z[:, 1:], K[2], lags)
+        finite = np.isfinite(K).all(axis=(0, 1))
+        res = np.abs(r).max(axis=0)
+        self.finite, self.res = finite.tolist(), res.tolist()
         self.d0 = K.T @ _L_AT_0
+        self.ends = ends.tolist()
+        follows = (finite[1:] & (res[1:] <= tol)
+                   & (ends[:-1] < problem.t_end - _end_slack(problem.t_end)))
+        if self.opts.h is None:
+            defects = _start_defect(problem.model, self.Fdot, self.d0[1:].T,
+                                    K[2, :, :-1])
+            follows &= defects >= SAFETY * tol
+        self.follows = np.append(follows, False)
 
 
-def _start_defect(model, t0, z0, step, d_prev, lags0):
+def _start_defect(model, Fdot, d0, d_prev, t0=None, z0=None, lags0=None):
     """Max norm of the differential rows of a step's residual at its start,
-    where they are largest.
+    where they are largest: of one step, d0 (n,), or of one step per
+    column, d0 and d_prev (n, m).
 
-    ``d_prev`` is the end derivative of the previous step.  It is None at
-    the segment start, where the derivative may jump (history or
-    breakpoint), so the rows are evaluated there with the lags ``lags0``.
-    Elsewhere the previous cubic satisfies them at t0, and they are linear
-    in z', so the jump times the step's Jacobian is the residual.
+    ``d0`` is the start derivative of the step's cubic and ``d_prev`` the
+    end derivative of the previous step.  It is None at the segment start,
+    where the derivative may jump (history or breakpoint), so the rows are
+    evaluated there, at t0 and z0 with the lags ``lags0``.  Elsewhere the
+    previous cubic satisfies them at the start, and they are linear in z',
+    so the jump times the step's Jacobian ``Fdot`` is the residual.
     """
-    _, d0, _, Fdot = step
     if d_prev is None:
         r = model.residual(t0, z0, d0, lags0)[:model.d]
     else:
         r = Fdot[:model.d] @ (d0 - d_prev)
-    return float(np.abs(r).max()) if r.size else 0.0
+    return np.abs(r).max(axis=0, initial=0.0)
 
 
 def _sampled_residual(problem, t0, h, z0, step):
@@ -620,7 +696,7 @@ def start_consistency(model, t, z, zlags):
     return norm <= CONSISTENCY_TOL, r, norm
 
 
-def integrate_segment(problem, opts=None, h_start=None):
+def integrate_segment(problem, opts=None, h_start=None, affine_steps=None):
     """Integrate one segment; steps are halved on Newton failure.
 
     With ``opts.h`` the steps are fixed.  Otherwise a step whose residual
@@ -631,7 +707,10 @@ def integrate_segment(problem, opts=None, h_start=None):
     the first step to try, on the ladder too (default: the floor);
     ``stats["h_next"]`` is the step the segment would have taken next, and
     ``stats["start_residual"]`` the norm of the start's algebraic
-    residual.
+    residual.  A callback model takes a fresh ``_NewtonSteps`` and the
+    rank spot-check of ``_start_jacobians`` in every segment; an affine
+    model takes ``affine_steps``, the run's ``_AffineSteps`` built by its
+    caller for every segment of the run, or a fresh one.
 
     Raises InconsistentInitialState when the start fails
     ``start_consistency``, and NewtonDivergence when a step fails after all
@@ -649,21 +728,13 @@ def integrate_segment(problem, opts=None, h_start=None):
     stats = {"max_endpoint_residual": 0.0, "max_stage_cond": 0.0,
              "newton_iterations": 0, "halvings": 0, "rejected": 0,
              "n_steps": 0, "start_residual": norm_r0}
-    jacobians = _jacobians(model, problem.t_start, problem.z0,
-                           np.zeros(model.n), lags0)
     # the one step rule of the segment
-    step = (_AffineSteps(problem, jacobians, opts, stats) if model.affine
-            else _NewtonSteps(problem, opts, stats))
-    if model.a and np.isfinite(jacobians[0][model.d:]).all():
-        # spot-check: the algebraic rows must have full row rank here,
-        # thresholded like the pencil rank decisions; non-finite rows are
-        # left to the failed-factorization rule of ``_newton_factors``
-        sigma = np.linalg.svd(jacobians[0][model.d:], compute_uv=False)
-        if sigma[0] == 0.0 or sigma[-1] <= 1e-10 * sigma[0]:
-            logger.warning(
-                "algebraic Jacobian row rank deficient at t = %.6g "
-                "(smallest singular value %.3e)", problem.t_start,
-                float(sigma[-1]))
+    if model.affine:
+        step = affine_steps or _AffineSteps(opts)
+        step.start(problem, stats, lags0)
+    else:
+        _start_jacobians(problem, lags0)
+        step = _NewtonSteps(problem, opts, stats)
 
     length = problem.t_end - problem.t_start
     tau = model.tau
@@ -705,7 +776,8 @@ def integrate_segment(problem, opts=None, h_start=None):
                 continue
             if not controlled:
                 break
-            err = _start_defect(model, t, z, result, d_prev, lags0)
+            err = float(_start_defect(model, result[3], result[1], d_prev,
+                                      t, z, lags0))
             # the algebraic rows are sampled unless the differential rows
             # alone hold the step at the floor
             if h > h_floor or err < SAFETY * opts.res_tol:
@@ -718,14 +790,21 @@ def integrate_segment(problem, opts=None, h_start=None):
                 break
             stats["rejected"] += 1
             h = h_next
-        z1, d0, d1, _ = result
-        t = t + h if t + h < t_end - slack else t_end
-        ts.append(t)
-        zs.append(z1)
-        d_start.append(d0)
-        d_end.append(d1)
-        z = z1
-        d_prev = d1
-        stats["n_steps"] += 1
+        # the step taken, in one slice with the affine block's steps after
+        # it where h stays, at a fixed h or at the floor: there the rule
+        # and the controller decide each of them alike (``_AffineSteps.run``)
+        if model.affine and h_next == h and (h == h_floor or not controlled):
+            ends, z1s, d0s, d1s = step.run()
+        else:
+            z1, d0, d1, _ = result
+            ends, z1s, d0s, d1s = [t + h], [z1], [d0], [d1]
+        if ends[-1] >= t_end - slack:
+            ends[-1] = t_end
+        ts += ends
+        zs += z1s
+        d_start += d0s
+        d_end += d1s
+        t, z, d_prev = ends[-1], z1s[-1], d1s[-1]
+        stats["n_steps"] += len(ends)
     stats["h_next"] = h_next
     return SegmentSolution(ts, zs, d_start, d_end, stats)

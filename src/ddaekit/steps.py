@@ -20,8 +20,8 @@ from .errors import (DataError, DdaeError, InadmissibleHistory,
                      check_positive)
 from .forcing import SymbolicSignal
 from .radau import (MAX_AUDIT_POINTS, IntegrationOptions, SegmentProblem,
-                    _end_slack, _mesh_read, _read_slack, fit_steps,
-                    integrate_segment)
+                    _AffineSteps, _end_slack, _mesh_read, _read_slack,
+                    fit_steps, integrate_segment)
 from .sfdae import SfDdaeModel
 
 COMPLETE = "Complete"
@@ -189,6 +189,9 @@ def solve_itp(model, phi, T, opts=None):
     it, the history or the previous segment (``SegmentProblem``), starts with
     the step its predecessor would have taken next, and
     ``integrate_segment`` decides whether it starts consistently.  An
+    affine model keeps one step rule (``radau._AffineSteps``) for the whole
+    run, so its Jacobians, stage factors and block size carry from segment
+    to segment; nothing outlives the run.  An
     inconsistent start of the first segment is an inadmissible history
     (InadmissibleHistory); on a later segment it is a breakdown, returned
     as a BrokeDown trajectory rather than raised.  Models declaring
@@ -214,11 +217,12 @@ def solve_itp(model, phi, T, opts=None):
     z0 = phi.eval(0.0)
     h = None
     src = phi
+    affine_steps = _AffineSteps(opts) if model.affine else None
     for i in range(1, n_segments + 1):
         problem = SegmentProblem(model, (i - 1) * tau,
                                  T if i == n_segments else i * tau, z0, src)
         try:
-            seg = integrate_segment(problem, opts, h)
+            seg = integrate_segment(problem, opts, h, affine_steps)
         except InconsistentInitialState as exc:
             if i == 1:
                 raise InadmissibleHistory(

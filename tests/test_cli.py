@@ -615,6 +615,26 @@ def test_simulate_out_never_overwrites_the_model_file(tmp_path, monkeypatch,
     assert not (tmp_path / "run.csv").exists()
 
 
+def test_a_registry_name_is_never_shadowed_by_a_file(tmp_path, monkeypatch,
+                                                    capsys):
+    # analyze --out msd writes a file named like a registry model; the name
+    # still means the registry model, which is no file that --out could
+    # overwrite, and the file stays reachable as ./msd
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["analyze", "--model", "msd", "--out", "msd"]) == 0
+    report = capsys.readouterr().out
+    assert cli.main(["analyze", "--model", "msd"]) == 0
+    assert capsys.readouterr().out == report
+    assert cli.main(["analyze", "--model", "msd", "--out", "msd"]) == 0
+    assert capsys.readouterr().out == report
+    (tmp_path / "msd").write_text(json.dumps(_SCALAR_LINEAR))
+    assert cli.main(["analyze", "--model", "./msd"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["classification"] == {"type": "retarded", "s": 0}
+    assert cli.main(["analyze", "--model", "msd"]) == 0
+    assert capsys.readouterr().out == report
+
+
 # Flag values a user can get wrong: zero, negatives, non-finite numbers and
 # text that is no number at all.
 BAD_VALUES = ["0", "-1", "-0.5", "nan", "inf", "-inf", "abc", ""]

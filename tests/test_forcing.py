@@ -119,6 +119,27 @@ def test_eval_equals_term_by_term_formula_bit_for_bit(poly, sin, t, orders):
         assert s.eval(t, k).tobytes() == _eval_term_by_term(s, t, k).tobytes()
 
 
+@given(poly=st.lists(st.lists(st.floats(-1e3, 1e3), max_size=3),
+                     min_size=1, max_size=3),
+       sin=st.lists(st.lists(st.tuples(st.floats(-5.0, 5.0),
+                                       st.floats(0.0, 60.0),
+                                       st.floats(-7.0, 7.0)), max_size=2),
+                    min_size=3, max_size=3),
+       ts=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=8),
+       order=st.integers(0, 1))
+def test_array_eval_equals_float_eval_bit_for_bit(poly, sin, ts, order):
+    # the array path skips the powers 0 and 1 of t, which the float path
+    # computes exactly, so each column is the float read of its time;
+    # polynomials are cut where the derivative read is linear, because at
+    # powers 2 and up numpy's array power and the float pow can round apart
+    s = SymbolicSignal(poly=[row[:2 + order] for row in poly],
+                       sin=sin[:len(poly)])
+    got = s.eval(np.array(ts), order)
+    assert got.shape == (s.dim, len(ts))
+    for j, t in enumerate(ts):
+        assert got[:, j].tobytes() == s.eval(t, order).tobytes()
+
+
 _signal_rows = st.lists(
     st.tuples(st.lists(st.floats(-10.0, 10.0), max_size=5),
               st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 20.0),

@@ -444,18 +444,29 @@ def test_one_newton_iteration_solves_each_step(monkeypatch):
     # The wrap is affine and its Jacobians exact, so an affine step's
     # direct solve solves the stage equations; a second update, computed
     # here from per-stage callback residuals at the solved stages of every
-    # successful attempt, must not exceed newton_tol.  An attempt's stages
-    # are its column of the block it is served from: its entry in the
-    # block at hand, or the first column of a block solved for it.
+    # successful attempt and of every step a run takes after it, must not
+    # exceed newton_tol.  An attempt's stages are its column of the block
+    # it is served from: its entry in the block at hand, or the first
+    # column of a block solved for it.
     model, history = linear_export_model()
     newton_tol = IntegrationOptions().newton_tol
     affine_step = radau._AffineSteps.__call__
+    affine_run = radau._AffineSteps.run
     integrate = steps.integrate_segment
     problems, second, newton = [], [], []
 
     def recording_integrate(problem, *args):
         problems.append(problem)
         return integrate(problem, *args)
+
+    def check(rule, t0, h, z_prev, K):
+        Z = z_prev + h * (radau.RADAU_A @ K)
+        R = np.array([model.residual(t0 + c * h, Z[i], K[i],
+                                     problems[-1].lags(t0 + c * h))
+                      for i, c in enumerate(radau.RADAU_C.tolist())])
+        step = radau._newton_update(rule.per_h[h][0], R)
+        second.append(h * float(np.abs(step).max())
+                      / (1.0 + float(np.abs(z_prev).max())))
 
     def checked_step(self, t0, h, z_prev):
         index = self.index
@@ -464,16 +475,19 @@ def test_one_newton_iteration_solves_each_step(monkeypatch):
         if result is not None:
             K = self.K[:, :, 0 if self.index is not index else k]
             assert np.array_equal(K[2], result[2])
-            Z = z_prev + h * (radau.RADAU_A @ K)
-            R = np.array([model.residual(t0 + c * h, Z[i], K[i],
-                                         problems[-1].lags(t0 + c * h))
-                          for i, c in enumerate(radau.RADAU_C.tolist())])
-            step = radau._newton_update(self.per_h[h][0], R)
-            second.append(h * float(np.abs(step).max())
-                          / (1.0 + float(np.abs(z_prev).max())))
+            check(self, t0, h, z_prev, K)
         return result
 
+    def checked_run(self):
+        run = affine_run(self)
+        # the steps after the one just taken: their starts are the ends
+        # before them, their start states the chain's
+        for i in range(self.k + 1, self.k + len(run[0])):
+            check(self, self.ends[i - 1], self.h, self.z[i], self.K[:, :, i])
+        return run
+
     monkeypatch.setattr(radau._AffineSteps, "__call__", checked_step)
+    monkeypatch.setattr(radau._AffineSteps, "run", checked_run)
     monkeypatch.setattr(radau, "_solve_step",
                         lambda *args: newton.append(args))
     monkeypatch.setattr(steps, "integrate_segment", recording_integrate)
@@ -514,8 +528,8 @@ def test_block_steps_equal_newton_steps_on_random_regular_pencils(
                             "max_stage_cond": 0.0, "newton_iterations": 0}
                            for _ in range(2))
     t, z, k = 0.0, problem.z0, np.zeros(m.n)
-    step = radau._AffineSteps(problem, radau._jacobians(
-        m, t, z, k, problem.lags(t)), opts, affine_stats)
+    step = radau._AffineSteps(opts)
+    step.start(problem, affine_stats, problem.lags(t))
     for _ in range(8):
         want = radau._solve_step(m, t, h, z, k, problem, opts, stats)
         assume(want is not None)

@@ -123,18 +123,23 @@ class CanonicalDdae:
        seed=st.integers(0, 2 ** 32 - 1))
 def test_random_linear_ddaes_match_an_independent_method_of_steps(
         d, a, chain, seed):
+    # every draw runs on both step rules, under one bound: the wrap's own
+    # affine rule, whose blocks carry across segments, and, with the
+    # affine flag cleared, the Newton of a callback model
     system = CanonicalDdae(d, a, chain, seed)
     try:
         model = sf_model_from_linear(system.ld)
     except IllConditioned:
         assume(False)
-    assert model.s_decl <= 1
-    opts = IntegrationOptions()
-    tr = solve_itp(model, system.history, T_END, opts)
-    assert tr.complete and tr.t_end == T_END
+    assert model.s_decl <= 1 and model.affine
     system.solve()
     ts = np.linspace(0.0, T_END, 301)
     want = system.x(ts)
     scale = 1.0 + float(np.abs(want).max())
-    err = float(np.abs(evaluate_grid(tr, ts) - want).max())
-    assert err <= opts.res_tol * scale
+    opts = IntegrationOptions()
+    for affine in (True, False):
+        model.affine = affine
+        tr = solve_itp(model, system.history, T_END, opts)
+        assert tr.complete and tr.t_end == T_END
+        err = float(np.abs(evaluate_grid(tr, ts) - want).max())
+        assert err <= opts.res_tol * scale, affine

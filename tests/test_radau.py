@@ -214,10 +214,8 @@ def test_a_failed_factorization_stays_in_the_affine_record(monkeypatch):
         return _newton_factors(*args)
 
     monkeypatch.setattr(radau, "_newton_factors", counted_factors)
-    jacobians = radau._jacobians(m, 0.0, problem.z0, np.zeros(2),
-                                 problem.lags(0.0))
-    step = radau._AffineSteps(problem, jacobians, IntegrationOptions(),
-                              {"max_stage_cond": 0.0})
+    step = radau._AffineSteps(IntegrationOptions())
+    step.start(problem, {"max_stage_cond": 0.0}, problem.lags(0.0))
     assert step(0.0, 0.01, problem.z0) is None
     assert step(0.0, 0.01, problem.z0) is None
     assert factored == [0.01]
@@ -376,9 +374,7 @@ def test_split_newton_update_matches_assembled_solve(rng, n, d):
     R = rng.standard_normal((3, n))
     J = np.kron(np.eye(3), Fdot) + h * np.kron(RADAU_A, Fz)
     want = np.linalg.solve(J, R.reshape(-1)).reshape(3, n)
-    stats = {"max_stage_cond": 0.0}
-    factors = _newton_factors(Fz, Fdot, h, stats)
-    cond = stats["max_stage_cond"]
+    factors, cond = _newton_factors(Fz, Fdot, h)
     got = _newton_update(factors, R)
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e-12 * np.abs(want).max())

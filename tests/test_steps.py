@@ -781,9 +781,9 @@ def _count_factorizations(monkeypatch):
     affine_step = radau._AffineSteps.__call__
     integrate = steps.integrate_segment
 
-    def counted_factors(Fz, Fdot, h, stats):
+    def counted_factors(Fz, Fdot, h):
         factors.append(h)
-        return newton_factors(Fz, Fdot, h, stats)
+        return newton_factors(Fz, Fdot, h)
 
     def counted(step):
         def call(first, t0, h, *rest):
@@ -820,16 +820,21 @@ def test_the_last_step_of_a_segment_is_not_clipped_by_rounding(
         assert len(hs) < 2 or hs[-1] == hs[-2] or abs(hs[-1] - hs[-2]) > slack
 
 
-@pytest.mark.parametrize("amp, omega", [(0.5, 20.0), (0.2, 6.0), (0.4, 15.0)])
-def test_linear_wrap_factors_once_per_segment_and_changed_step(
-        amp, omega, monkeypatch):
-    # the shifted example with two sinusoids in f; the last two draws take
-    # rejected steps, so h changes within their segments
+def _shifted_wrap(amp, omega):
+    """The shifted example with two sinusoids in f, and its history."""
     f = SymbolicSignal(poly=[[0.2, 0.05]], sin=[[(amp, omega, 1.0),
                                                  (0.2, omega / 1.5, 2.0)]])
     g = SymbolicSignal(poly=[[1.0, 0.1, 0.01]])
     m = sf_model_from_linear(models.ex_shift_linear(0.5, f=f, g=g))
-    phi = SymbolicSignal(poly=[[0.2, 0.1]]).stack(g.shift(0.5))
+    return m, SymbolicSignal(poly=[[0.2, 0.1]]).stack(g.shift(0.5))
+
+
+@pytest.mark.parametrize("amp, omega", [(0.5, 20.0), (0.2, 6.0), (0.4, 15.0)])
+def test_linear_wrap_factors_once_per_run_and_changed_step(
+        amp, omega, monkeypatch):
+    # the last two draws take rejected steps, so h changes within their
+    # segments
+    m, phi = _shifted_wrap(amp, omega)
     factors, attempts = _count_factorizations(monkeypatch)
     reads = dict.fromkeys(("JD_z", "JD_zdot", "JA_z"), 0)
 
@@ -842,11 +847,105 @@ def test_linear_wrap_factors_once_per_segment_and_changed_step(
     for name in reads:
         setattr(m, name, counted(name, getattr(m, name)))
     tr = solve_itp(m, phi, 2.0)
-    # constant Jacobians: each is read once per segment, and the stage
-    # matrix is inverted once for each distinct h a segment attempts
-    assert len(factors) == sum(len(set(hs)) for hs in attempts)
+    # constant Jacobians: each is read once per run, and the stage matrix
+    # is inverted once for each distinct h the run attempts
+    assert len(factors) == len({h for hs in attempts for h in hs})
     assert len(factors) < 0.1 * tr.stats["steps"]
-    assert set(reads.values()) == {len(tr.segments)}
+    assert set(reads.values()) == {1}
+    assert len(tr.segments) == 4
+
+
+# (model, history, T, h) of affine runs: at the floor with rejected steps,
+# at the floor, at a fixed h, and off the floor
+AFFINE_RUNS = {"shifted-wrap": (*_shifted_wrap(0.4, 15.0), 2.0, None),
+               "linear-export": (*output_digest.linear_export_model(), 10.0,
+                                 None),
+               "linear-export-h0.001": (*output_digest.linear_export_model(),
+                                        2.0, 0.001),
+               "linear-smooth": (*output_digest.linear_smooth_model(), 10.0,
+                                 None)}
+
+
+@pytest.mark.parametrize("name", AFFINE_RUNS)
+def test_an_affine_run_leaves_nothing_to_the_next_run(name):
+    # the step rule lives for one run: a second run of the same model
+    # solves, counts and reports exactly what the first did
+    m, phi, T, h = AFFINE_RUNS[name]
+    opts = IntegrationOptions(h=h)
+    first, second = (solve_itp(m, phi, T, opts) for _ in range(2))
+    assert first.stats == second.stats
+    for a, b in zip(first.segments, second.segments, strict=True):
+        assert a.stats == b.stats
+        assert a.ts == b.ts
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("name", AFFINE_RUNS)
+def test_each_segment_reports_the_stage_condition_of_its_own_steps(
+        name, monkeypatch):
+    # a record kept from an earlier segment still enters the stage
+    # condition of every segment that steps at its h: the same value as a
+    # fresh step rule in every segment reports
+    m, phi, T, h = AFFINE_RUNS[name]
+    opts = IntegrationOptions(h=h)
+    kept = solve_itp(m, phi, T, opts)
+    integrate = steps.integrate_segment
+    monkeypatch.setattr(steps, "integrate_segment",
+                        lambda problem, opts, h_start, _: integrate(
+                            problem, opts, h_start))
+    fresh = solve_itp(m, phi, T, opts)
+    assert ([seg.stats["max_stage_cond"] for seg in kept.segments]
+            == [seg.stats["max_stage_cond"] for seg in fresh.segments])
+
+
+@pytest.mark.parametrize("name", AFFINE_RUNS)
+def test_runs_of_block_steps_take_what_the_per_step_loop_takes(
+        name, monkeypatch):
+    # the reference takes every step through the per-step path, as a run
+    # of one; the runs must make its decisions, so mesh, stats and cubics
+    # agree bit for bit, while at a fixed h or at the floor nearly every
+    # step comes in a run
+    m, phi, T, h = AFFINE_RUNS[name]
+    opts = IntegrationOptions(h=h)
+    lengths = []
+    run = radau._AffineSteps.run
+
+    def counted(self):
+        taken = run(self)
+        lengths.append(len(taken[0]))
+        return taken
+
+    monkeypatch.setattr(radau._AffineSteps, "run", counted)
+    sliced = solve_itp(m, phi, T, opts)
+    monkeypatch.setattr(radau._AffineSteps, "run", lambda self: (
+        [self.ends[self.k]], [self.z[self.k + 1]], [self.d0[self.k]],
+        [self.K[2, :, self.k]]))
+    single = solve_itp(m, phi, T, opts)
+    for a, b in zip(sliced.segments, single.segments, strict=True):
+        assert a.ts == b.ts
+        assert a.stats == b.stats
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+    taken = sum(n for n in lengths if n > 1)
+    if name == "linear-smooth":
+        assert taken == 0
+    else:
+        assert taken > 0.9 * sliced.stats["steps"]
+
+
+@pytest.mark.parametrize("name", AFFINE_RUNS)
+def test_segment_counts_sum_to_the_run_totals(name):
+    # the steps a run takes in one slice count in their segment: one step
+    # per mesh interval and one iteration per attempt
+    m, phi, T, h = AFFINE_RUNS[name]
+    tr = solve_itp(m, phi, T, IntegrationOptions(h=h))
+    segs = [seg.stats for seg in tr.segments]
+    for seg, st in zip(tr.segments, segs):
+        assert st["n_steps"] == len(seg.ts) - 1
+        assert st["newton_iterations"] == st["n_steps"] + st["rejected"]
+    for key, total in (("n_steps", "steps"),
+                       ("newton_iterations", "newton_iterations"),
+                       ("halvings", "halvings")):
+        assert sum(st[key] for st in segs) == tr.stats[total]
 
 
 def test_nonlinear_model_factors_once_per_refreshed_record(monkeypatch):
