@@ -20,25 +20,22 @@ steps, halved only on Newton failure.
 
 The stage equations are solved by simplified Newton (``_NewtonSteps``),
 with RADAU5's reuse from step to step (Hairer & Wanner, Solving ODEs II,
-IV.8): a step starts from the derivative of the last accepted step's
+IV.8): a step starts from the derivative of the last taken step's
 collocation cubic at its stage times, takes the model Jacobians at that
 start's last stage, and keeps them and their factors for the next steps
 while h repeats exactly and Newton converges in at most two iterations.
 Hairer's transformation of the Radau IIA matrix splits the 3n x 3n stage
 matrix into one real and one complex n x n matrix.  An affine model
-(``SfDdaeModel.affine``) has one step rule of its own (``_AffineSteps``),
-kept for the whole run: its stage equations are linear with constant
-Jacobians, read once per run, so it solves them directly, a block of
-steps at once (``_stage_block``), with the two inverses and the
-recurrence taken once per distinct h of the run.  A block of any length
-takes one batched solve of its stage equations, an n x n recurrence
-z_{k+1} = Phi z_k + psi_k that chains every step from the block's start
-state, one residual call over its step ends and one product for its
-steps' start defects; a step whose start state is not the one the chain
-reached gets a block solved from its own.  Where h stays, at a fixed h or
-at the floor, the step loop takes in one slice the block's steps that
-its per-step rules would accept alike.  Both rules share one split
-solve, one failed-factorization rule and one endpoint rule.  The
+(``SfDdaeModel.affine``) has a step rule of its own (``_AffineSteps``):
+its stage equations are linear with constant Jacobians, read once per run,
+so it solves them directly, a block of steps at once (``_stage_block``),
+with the two inverses and the recurrence taken once per distinct h of the
+run.  Both rules live for a whole run and share one split solve, one
+failed-factorization rule and one endpoint rule: ``start`` takes up each
+segment, a call solves one attempt, and ``run`` takes the step just
+solved, so a step solved but not taken never feeds the next attempt.
+Where h stays, at a fixed h or at the floor, an affine ``run`` also takes
+the block's steps after it that the loop would accept alike.  The
 continuous extension is the cubic Hermite of each step, the collocation
 polynomial, stored as monomial coefficients when the segment is complete.
 """
@@ -462,36 +459,40 @@ def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats,
 
 
 class _NewtonSteps:
-    """The step rule of a callback model in one segment: one
-    ``_solve_step`` per attempt, reusing the last accepted step's work
+    """The step rule of a callback model, one for a whole run: one
+    ``_solve_step`` per attempt, reusing the last taken step's work
     (Hairer & Wanner, Solving ODEs II, IV.8; Guglielmi & Hairer, RADAR5).
 
-    A step starts Newton from the derivative of the last accepted step's
+    A step starts Newton from the derivative of the last taken step's
     collocation cubic at its own stage times, s = 1 + c_j h / h_prev in
     that step's variable: the quadratic through that step's stages,
-    extrapolated.  The first step of the segment starts every stage at
-    zero.
-    ``record`` is the last fresh (h, Fdot, factors); a step at exactly its
-    h reuses it while the last accepted step took at most two iterations,
-    and a step that fails on it is retried once at that h with a fresh
-    record, before the loop halves it.  A solved step was accepted when
-    the loop starts the next step from its very end state.
+    extrapolated; a segment's first step starts every stage at zero.
+    ``solved`` and ``accepted`` are (end, h, ``_solve_step`` result) of the
+    step just solved and the one ``run`` took last; ``record`` is the last
+    fresh (h, Fdot, factors).  A step at exactly its h reuses it while the
+    last taken step took at most two iterations, and a step failing on it
+    is retried once at that h fresh, before the loop halves it.
     """
 
-    def __init__(self, problem, opts, stats):
-        self.problem, self.opts, self.stats = problem, opts, stats
+    def __init__(self, opts):
+        self.opts = opts
+
+    def start(self, problem, stats, lags0):
+        """Take up the segment ``problem`` with its ``stats``, after the
+        rank spot-check at its start (``_start_jacobians``, lags ``lags0``),
+        and forget every step before."""
+        _start_jacobians(problem, lags0)
+        self.problem, self.stats = problem, stats
         self.record = self.solved = self.accepted = None
 
     def __call__(self, t0, h, z_prev):
         """One step; returns (z1, d0, d1, Fdot) or None."""
-        if self.solved is not None and z_prev is self.solved[0]:
-            self.accepted = self.solved
         last = self.accepted
         k_guess = (np.zeros(len(z_prev)) if last is None else
-                   _start_weights(h / last[1]) @ last[2])
+                   _start_weights(h / last[1]) @ last[2][4])
         record = self.record
         reuse = (record is not None and record[0] == h and last is not None
-                 and last[3] <= 2)
+                 and last[2][5] <= 2)
         args = (self.problem.model, t0, h, z_prev, k_guess, self.problem,
                 self.opts, self.stats)
         result = _solve_step(*args, record if reuse else None)
@@ -499,19 +500,23 @@ class _NewtonSteps:
             result = _solve_step(*args)
         if result is None:
             return None
-        # (z1, h, K, iterations) of the step, and its record
-        self.solved, self.record = (result[0], h, *result[4:6]), result[6]
+        self.solved, self.record = (t0 + h, h, result), result[6]
         return result[:4]
+
+    def run(self, whole):
+        """Take the step just solved, alone whatever ``whole``, as ([end],
+        [z1], [d0], [d1])."""
+        self.accepted = end, _, result = self.solved
+        return [end], [result[0]], [result[1]], [result[2]]
 
 
 def _stage_block(problem, t, h, size):
-    """The stage data of an affine model's next ``size`` steps at h from t
-    that the loop takes whole, as (index, ends, g, lags): index maps each
-    step's (start, h) to its column k, ends are the step end times.
+    """The stage data (ends, g, lags) of an affine model's next ``size``
+    steps at h from t that end in the segment, ends being their end times.
 
     The starts are the loop's own sums t + h + h + ..., which ``np.cumsum``
-    adds in the same order, and the stage times its t + c_i h, so that a
-    step finds its entry exactly.  g, (3, n, m), holds the model's residual
+    adds in the same order, and the stage times its t + c_i h, so each step
+    ends at the next one's start.  g, (3, n, m), holds the model's residual
     at zero state and rate at each stage of each step, from one read of the
     lags and one residual call over all the block's stage times; lags,
     (n_lags, n, m), are the lag rows at the step ends.
@@ -522,9 +527,8 @@ def _stage_block(problem, t, h, size):
     lags = problem.lags(stage_ts)
     zero = np.zeros((problem.model.n, stage_ts.size))
     g = problem.model.residual(stage_ts, zero, zero, lags)
-    index = {(s, h): k for k, s in enumerate(starts.tolist())}
     g = g.reshape(-1, starts.size, 3).transpose(2, 0, 1).copy()
-    return index, stage_ts[2::3], g, lags[:, :, 2::3]
+    return stage_ts[2::3], g, lags[:, :, 2::3]
 
 
 class _AffineSteps:
@@ -547,12 +551,12 @@ class _AffineSteps:
     step's a, the n x n recurrence z_{k+1} = Phi z_k + psi_k from z_0 =
     z_prev chains the steps, and their K_k = a_k - Kz z_k is one product.
     One residual call over the block's end times gives every endpoint
-    residual, and one product every start defect but the first.  A step
-    takes its entry by its (start, h) when its z_prev is the very state the
-    chain reached there; otherwise a block is solved from its t0 and
-    z_prev.  The run's first block at an h covers one step, and each next
-    one at that h twice as many, up to MAX_BLOCK: a segment start only
-    swaps in its problem, its stats and an empty block index.
+    residual, and one product every start defect but the first.  An
+    attempt at the block's h takes its step at the cursor ``k``, which
+    ``run`` moves past the steps it takes; any other attempt gets a block
+    solved from its t0 and z_prev.  The run's first block at an h covers
+    one step, each next one at that h twice as many, up to MAX_BLOCK: a
+    segment start only swaps in its problem, its stats and an empty block.
     """
 
     def __init__(self, opts):
@@ -561,10 +565,9 @@ class _AffineSteps:
         self.per_h, self.h, self.size = {}, None, 1
 
     def start(self, problem, stats, lags0):
-        """Take up the segment ``problem``, with its ``stats`` and an empty
-        block index; the run's first segment reads the Jacobians at its
-        start, with the lags ``lags0`` (``_start_jacobians``)."""
-        self.problem, self.stats, self.index = problem, stats, {}
+        """Take up the segment ``problem`` with its ``stats`` and no block;
+        the run's first reads the Jacobians (``_start_jacobians``)."""
+        self.problem, self.stats, self.k, self.ends = problem, stats, 0, []
         if self.Fz is None:
             self.Fz, self.Fdot = _start_jacobians(problem, lags0)
 
@@ -583,29 +586,28 @@ class _AffineSteps:
         record = self.per_h[h]
         if record is None:
             return None
-        k = self.index.pop((t0, h), None)
-        if k is None or z_prev is not self.z[k]:
+        if h != self.h or self.k == len(self.ends):
             self.size = min(2 * self.size, MAX_BLOCK) if h == self.h else 1
             self.h = h
             self._solve_block(t0, h, z_prev, record)
-            k = self.index.pop((t0, h))
+        k = self.k
         if not self.finite[k]:
             return None
         self.stats["newton_iterations"] += 1
         if not _endpoint_passes(self.res[k], self.opts, self.stats):
             return None
-        self.k = k
         return self.z[k + 1], self.d0[k], self.K[2, :, k], self.Fdot
 
-    def run(self):
-        """The run of steps from the step k just taken that the loop takes
-        in one slice, as (ends, z1s, d0s, d1s): step k and each next step
-        of the block that ``follows`` the one before it.  The loop asks for
-        it only where its controller keeps h, so each of these steps is the
-        attempt the loop would make next, and the rule and the controller
-        would accept it and keep h; each counts one Newton iteration."""
+    def run(self, whole):
+        """Take the step k just solved, as (ends, z1s, d0s, d1s), and move
+        the cursor past it.  With ``whole``, which the loop sets only where
+        its controller keeps h, so is each next step of the block that
+        ``follows`` the one before it: the attempt the loop would make
+        next, which the rule and the controller would accept keeping h.
+        Each counts one Newton iteration."""
         k, stats = self.k, self.stats
-        j = k + 1 + int(self.follows[k:].argmin())
+        j = k + 1 + int(self.follows[k:].argmin()) if whole else k + 1
+        self.k = j
         if j > k + 1:
             stats["newton_iterations"] += j - k - 1
             stats["max_endpoint_residual"] = max(
@@ -615,20 +617,22 @@ class _AffineSteps:
 
     def _solve_block(self, t0, h, z_prev, record):
         """Solve the block of the next ``size`` steps at h from t0 and
-        z_prev: the chain states ``z``, the stages ``K``, (3, n, m), and
-        per step whether K is finite, the endpoint residual's max norm, the
-        start derivative of the collocation cubic and the end time, from
-        h's ``record``.  ``follows`` holds per step whether the next one
-        follows it in a ``run``: that step starts before the segment end's
-        slack, its K is finite, its endpoint residual at most ``res_tol``
-        and, under the controller, its start defect at least SAFETY *
-        ``res_tol``, which holds a step at the floor with no sampled
-        residual (``integrate_segment``); the last step has none.
+        z_prev, the cursor at its first: the chain states ``z``, the stages
+        ``K``, (3, n, m), and per step whether K is finite, the endpoint
+        residual's max norm, the start derivative of the collocation cubic
+        and the end time, from h's ``record``.  ``follows`` holds per step
+        whether the next one follows it in a ``run``: that step starts
+        before the segment end's slack, its K is finite, its endpoint
+        residual at most ``res_tol`` and, under the controller, its start
+        defect at least SAFETY * ``res_tol``, which holds a step at the
+        floor with no sampled residual (``integrate_segment``); the last
+        step has none.
         """
         factors, Kz, Phi, cond = record
         _note_stage_cond(cond, self.stats)
         problem, tol = self.problem, self.opts.res_tol
-        self.index, ends, g, lags = _stage_block(problem, t0, h, self.size)
+        ends, g, lags = _stage_block(problem, t0, h, self.size)
+        self.k = 0
         K = self.K = -_newton_update(factors, g)
         z = self.z = [z_prev]
         # K.T @ weights sums over stages, one row per step
@@ -696,7 +700,12 @@ def start_consistency(model, t, z, zlags):
     return norm <= CONSISTENCY_TOL, r, norm
 
 
-def integrate_segment(problem, opts=None, h_start=None, affine_steps=None):
+def _step_rule(model, opts):
+    """A fresh step rule for one run of ``model``, affine or callback."""
+    return (_AffineSteps if model.affine else _NewtonSteps)(opts)
+
+
+def integrate_segment(problem, opts=None, h_start=None, rule=None):
     """Integrate one segment; steps are halved on Newton failure.
 
     With ``opts.h`` the steps are fixed.  Otherwise a step whose residual
@@ -707,10 +716,9 @@ def integrate_segment(problem, opts=None, h_start=None, affine_steps=None):
     the first step to try, on the ladder too (default: the floor);
     ``stats["h_next"]`` is the step the segment would have taken next, and
     ``stats["start_residual"]`` the norm of the start's algebraic
-    residual.  A callback model takes a fresh ``_NewtonSteps`` and the
-    rank spot-check of ``_start_jacobians`` in every segment; an affine
-    model takes ``affine_steps``, the run's ``_AffineSteps`` built by its
-    caller for every segment of the run, or a fresh one.
+    residual.  ``rule`` is the step rule of the run (``_step_rule``), built
+    by the caller once for all its segments, or a fresh one; its ``start``
+    takes up the segment, and its ``run`` is the only way a step is taken.
 
     Raises InconsistentInitialState when the start fails
     ``start_consistency``, and NewtonDivergence when a step fails after all
@@ -728,13 +736,8 @@ def integrate_segment(problem, opts=None, h_start=None, affine_steps=None):
     stats = {"max_endpoint_residual": 0.0, "max_stage_cond": 0.0,
              "newton_iterations": 0, "halvings": 0, "rejected": 0,
              "n_steps": 0, "start_residual": norm_r0}
-    # the one step rule of the segment
-    if model.affine:
-        step = affine_steps or _AffineSteps(opts)
-        step.start(problem, stats, lags0)
-    else:
-        _start_jacobians(problem, lags0)
-        step = _NewtonSteps(problem, opts, stats)
+    rule = rule or _step_rule(model, opts)
+    rule.start(problem, stats, lags0)
 
     length = problem.t_end - problem.t_start
     tau = model.tau
@@ -760,7 +763,7 @@ def integrate_segment(problem, opts=None, h_start=None, affine_steps=None):
         h = h_next if t + h_next <= t_end + slack else t_end - t
         halvings = 0
         while True:
-            result = step(t, h, z)
+            result = rule(t, h, z)
             if result is None:
                 halvings += 1
                 stats["halvings"] += 1
@@ -790,14 +793,10 @@ def integrate_segment(problem, opts=None, h_start=None, affine_steps=None):
                 break
             stats["rejected"] += 1
             h = h_next
-        # the step taken, in one slice with the affine block's steps after
-        # it where h stays, at a fixed h or at the floor: there the rule
-        # and the controller decide each of them alike (``_AffineSteps.run``)
-        if model.affine and h_next == h and (h == h_floor or not controlled):
-            ends, z1s, d0s, d1s = step.run()
-        else:
-            z1, d0, d1, _ = result
-            ends, z1s, d0s, d1s = [t + h], [z1], [d0], [d1]
+        # the step taken, with an affine block's steps after it where h
+        # stays, at a fixed h or at the floor (``_AffineSteps.run``)
+        ends, z1s, d0s, d1s = rule.run(
+            h_next == h and (h == h_floor or not controlled))
         if ends[-1] >= t_end - slack:
             ends[-1] = t_end
         ts += ends

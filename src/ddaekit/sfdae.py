@@ -69,7 +69,7 @@ class SfDdaeModel:
     default_history : optional zero-argument callable building a history
     affine : declares D and A affine in (z, zdot, lags) with JD_z, JD_zdot
         and JA_z their exact, constant coefficients: the integrator then
-        reads each once per segment, inverts the stage matrix once per
+        reads each once per run, inverts the stage matrix once per
         distinct h, and solves every step's linear stage equations
         directly (``lti.sf_model_from_linear`` sets it)
     """

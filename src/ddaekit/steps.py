@@ -20,7 +20,7 @@ from .errors import (DataError, DdaeError, InadmissibleHistory,
                      check_positive)
 from .forcing import SymbolicSignal
 from .radau import (MAX_AUDIT_POINTS, IntegrationOptions, SegmentProblem,
-                    _AffineSteps, _end_slack, _mesh_read, _read_slack,
+                    _end_slack, _mesh_read, _read_slack, _step_rule,
                     fit_steps, integrate_segment)
 from .sfdae import SfDdaeModel
 
@@ -186,22 +186,23 @@ def solve_itp(model, phi, T, opts=None):
     Segment i covers [(i - 1) tau, i tau], except that the last of the
     ``plan_run`` segments ends at T, so a complete run ends exactly at T.
     Every segment reads its delayed data from the piece solved just before
-    it, the history or the previous segment (``SegmentProblem``), starts with
-    the step its predecessor would have taken next, and
-    ``integrate_segment`` decides whether it starts consistently.  An
-    affine model keeps one step rule (``radau._AffineSteps``) for the whole
-    run, so its Jacobians, stage factors and block size carry from segment
-    to segment; nothing outlives the run.  An
-    inconsistent start of the first segment is an inadmissible history
-    (InadmissibleHistory); on a later segment it is a breakdown, returned
-    as a BrokeDown trajectory rather than raised.  Models declaring
-    delayed-derivative order three or more are refused, since the dense
-    output only supplies values and first derivatives and such systems
-    break down anyway.  Other integrator errors propagate unchanged but for
-    the segment index prefixed to their message.  A history whose
-    dimension is not the model's is a ShapeError, and a run of more than
-    MAX_SEGMENTS segments or, at a fixed step, of more than MAX_STEPS steps
-    a DataError (``plan_run``); all are raised before anything is solved.
+    it, the history or the previous segment (``SegmentProblem``), starts
+    with the step its predecessor would have taken next, and
+    ``integrate_segment`` decides whether it starts consistently.  One step
+    rule (``radau._step_rule``) serves every segment of the run: an affine
+    model's Jacobians, stage factors and block size carry across segment
+    starts, and a callback model's first step in a segment starts cold;
+    nothing outlives the run.  An inconsistent start of the first segment
+    is an inadmissible history (InadmissibleHistory); on a later segment it
+    is a breakdown, returned as a BrokeDown trajectory rather than raised.
+    Models declaring delayed-derivative order three or more are refused,
+    since the dense output only supplies values and first derivatives and
+    such systems break down anyway.  Other integrator errors propagate
+    unchanged but for the segment index prefixed to their message.  A
+    history whose dimension is not the model's is a ShapeError, and a run
+    of more than MAX_SEGMENTS segments or, at a fixed step, of more than
+    MAX_STEPS steps a DataError (``plan_run``); all are raised before
+    anything is solved.
     """
     if phi.dim != model.n:
         raise ShapeError(
@@ -217,12 +218,12 @@ def solve_itp(model, phi, T, opts=None):
     z0 = phi.eval(0.0)
     h = None
     src = phi
-    affine_steps = _AffineSteps(opts) if model.affine else None
+    rule = _step_rule(model, opts)
     for i in range(1, n_segments + 1):
         problem = SegmentProblem(model, (i - 1) * tau,
                                  T if i == n_segments else i * tau, z0, src)
         try:
-            seg = integrate_segment(problem, opts, h, affine_steps)
+            seg = integrate_segment(problem, opts, h, rule)
         except InconsistentInitialState as exc:
             if i == 1:
                 raise InadmissibleHistory(

@@ -446,8 +446,8 @@ def test_one_newton_iteration_solves_each_step(monkeypatch):
     # here from per-stage callback residuals at the solved stages of every
     # successful attempt and of every step a run takes after it, must not
     # exceed newton_tol.  An attempt's stages are its column of the block
-    # it is served from: its entry in the block at hand, or the first
-    # column of a block solved for it.
+    # it is served from: the column at the rule's cursor, in the block at
+    # hand or in a block solved for it.
     model, history = linear_export_model()
     newton_tol = IntegrationOptions().newton_tol
     affine_step = radau._AffineSteps.__call__
@@ -469,20 +469,19 @@ def test_one_newton_iteration_solves_each_step(monkeypatch):
                       / (1.0 + float(np.abs(z_prev).max())))
 
     def checked_step(self, t0, h, z_prev):
-        index = self.index
-        k = index.get((t0, h))
         result = affine_step(self, t0, h, z_prev)
         if result is not None:
-            K = self.K[:, :, 0 if self.index is not index else k]
+            K = self.K[:, :, self.k]
             assert np.array_equal(K[2], result[2])
             check(self, t0, h, z_prev, K)
         return result
 
-    def checked_run(self):
-        run = affine_run(self)
+    def checked_run(self, whole):
+        k = self.k
+        run = affine_run(self, whole)
         # the steps after the one just taken: their starts are the ends
         # before them, their start states the chain's
-        for i in range(self.k + 1, self.k + len(run[0])):
+        for i in range(k + 1, k + len(run[0])):
             check(self, self.ends[i - 1], self.h, self.z[i], self.K[:, :, i])
         return run
 
@@ -534,6 +533,7 @@ def test_block_steps_equal_newton_steps_on_random_regular_pencils(
         want = radau._solve_step(m, t, h, z, k, problem, opts, stats)
         assume(want is not None)
         got = step(t, h, z)
+        step.run(False)
         scale = max(float(np.abs(v).max()) for v in (z, k, *want[:3]))
         for x, y in zip(got, want):
             assert np.abs(x - y).max() <= 1e-12 * scale
@@ -542,7 +542,7 @@ def test_block_steps_equal_newton_steps_on_random_regular_pencils(
     assert affine_stats["newton_iterations"] == 8
     assert affine_stats["max_stage_cond"] == stats["max_stage_cond"]
     # at one h the blocks cover 1, 2, 4 and 8 steps: 7 entries are left
-    assert len(step.index) == 7
+    assert len(step.ends) - step.k == 7
 
 
 def test_linear_smooth_takes_every_step_from_a_stage_block(monkeypatch):
@@ -555,7 +555,8 @@ def test_linear_smooth_takes_every_step_from_a_stage_block(monkeypatch):
 
     def recording_block(problem, t, h, size):
         block = stage_block(problem, t, h, size)
-        entries.update(block[0])
+        # each step starts at the end of the one before it
+        entries.update((start, h) for start in [t, *block[0][:-1].tolist()])
         return block
 
     def recording_step(self, t0, h, *rest):

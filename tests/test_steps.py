@@ -864,29 +864,42 @@ AFFINE_RUNS = {"shifted-wrap": (*_shifted_wrap(0.4, 15.0), 2.0, None),
                                         2.0, 0.001),
                "linear-smooth": (*output_digest.linear_smooth_model(), 10.0,
                                  None)}
+# callback runs of the paper's hybrid case, at the floor and at a fixed h
+_PMSD = models.REGISTRY["pmsd-hybrid"].make()
+CALLBACK_RUNS = {"pmsd-hybrid": (_PMSD, _PMSD.default_history(), 0.5, None),
+                 "pmsd-hybrid-h0.001": (_PMSD, _PMSD.default_history(), 0.5,
+                                        0.001)}
+RUNS = {**AFFINE_RUNS, **CALLBACK_RUNS}
 
 
-@pytest.mark.parametrize("name", AFFINE_RUNS)
+def _assert_same_segments(a, b):
+    """The segments of two trajectories agree bit for bit in mesh, stats
+    and cubics."""
+    for x, y in zip(a.segments, b.segments, strict=True):
+        assert x.ts == y.ts
+        assert x.stats == y.stats
+        assert x.coeffs.tobytes() == y.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("name", RUNS)
 def test_an_affine_run_leaves_nothing_to_the_next_run(name):
-    # the step rule lives for one run: a second run of the same model
-    # solves, counts and reports exactly what the first did
-    m, phi, T, h = AFFINE_RUNS[name]
+    # the step rule of either kind lives for one run: a second run of the
+    # same model solves, counts and reports exactly what the first did
+    m, phi, T, h = RUNS[name]
     opts = IntegrationOptions(h=h)
     first, second = (solve_itp(m, phi, T, opts) for _ in range(2))
     assert first.stats == second.stats
-    for a, b in zip(first.segments, second.segments, strict=True):
-        assert a.stats == b.stats
-        assert a.ts == b.ts
-        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+    _assert_same_segments(first, second)
 
 
-@pytest.mark.parametrize("name", AFFINE_RUNS)
+@pytest.mark.parametrize("name", RUNS)
 def test_each_segment_reports_the_stage_condition_of_its_own_steps(
         name, monkeypatch):
     # a record kept from an earlier segment still enters the stage
     # condition of every segment that steps at its h: the same value as a
-    # fresh step rule in every segment reports
-    m, phi, T, h = AFFINE_RUNS[name]
+    # fresh step rule in every segment reports.  A callback rule starts
+    # every segment cold, so there the whole run is the fresh rules' run.
+    m, phi, T, h = RUNS[name]
     opts = IntegrationOptions(h=h)
     kept = solve_itp(m, phi, T, opts)
     integrate = steps.integrate_segment
@@ -896,6 +909,8 @@ def test_each_segment_reports_the_stage_condition_of_its_own_steps(
     fresh = solve_itp(m, phi, T, opts)
     assert ([seg.stats["max_stage_cond"] for seg in kept.segments]
             == [seg.stats["max_stage_cond"] for seg in fresh.segments])
+    if name in CALLBACK_RUNS:
+        _assert_same_segments(kept, fresh)
 
 
 @pytest.mark.parametrize("name", AFFINE_RUNS)
@@ -910,21 +925,17 @@ def test_runs_of_block_steps_take_what_the_per_step_loop_takes(
     lengths = []
     run = radau._AffineSteps.run
 
-    def counted(self):
-        taken = run(self)
+    def counted(self, whole):
+        taken = run(self, whole)
         lengths.append(len(taken[0]))
         return taken
 
     monkeypatch.setattr(radau._AffineSteps, "run", counted)
     sliced = solve_itp(m, phi, T, opts)
-    monkeypatch.setattr(radau._AffineSteps, "run", lambda self: (
-        [self.ends[self.k]], [self.z[self.k + 1]], [self.d0[self.k]],
-        [self.K[2, :, self.k]]))
+    monkeypatch.setattr(radau._AffineSteps, "run",
+                        lambda self, whole: run(self, False))
     single = solve_itp(m, phi, T, opts)
-    for a, b in zip(sliced.segments, single.segments, strict=True):
-        assert a.ts == b.ts
-        assert a.stats == b.stats
-        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+    _assert_same_segments(sliced, single)
     taken = sum(n for n in lengths if n > 1)
     if name == "linear-smooth":
         assert taken == 0
@@ -946,6 +957,80 @@ def test_segment_counts_sum_to_the_run_totals(name):
                        ("newton_iterations", "newton_iterations"),
                        ("halvings", "halvings")):
         assert sum(st[key] for st in segs) == tr.stats[total]
+
+
+def test_a_step_solved_but_not_taken_never_feeds_the_next_attempt(
+        monkeypatch):
+    # linear-smooth rejects steps under the controller.  Its callback path
+    # (the affine flag cleared) starts each Newton from the last step
+    # ``run`` took, or from zero at a segment start; its affine path serves
+    # a block's step only from the state the loop took at its start.  On
+    # both, ``run`` takes first the step just solved.
+    events = []
+    solve_step = radau._solve_step
+    newton_start, newton_run = radau._NewtonSteps.start, radau._NewtonSteps.run
+    affine_step = radau._AffineSteps.__call__
+    affine_run = radau._AffineSteps.run
+
+    def recorded_solve(model, t0, h, z_prev, k_guess, *rest):
+        starts = np.broadcast_to(k_guess, (3, model.n)).copy()
+        result = solve_step(model, t0, h, z_prev, k_guess, *rest)
+        events.append(("solve", t0, h, starts, result))
+        return result
+
+    def recorded_start(self, *args):
+        events.append(("start",))
+        return newton_start(self, *args)
+
+    def served(self, t0, h, z_prev):
+        result = affine_step(self, t0, h, z_prev)
+        k = self.k
+        if result is not None and k > 0:
+            assert self.ends[k - 1] == t0
+            assert np.array_equal(self.z[k], z_prev)
+        events.append(("solve", t0, h, None, result))
+        return result
+
+    def recorded_run(run):
+        def call(self, whole):
+            taken = run(self, whole)
+            events.append(("run", [v[0] for v in taken]))
+            return taken
+        return call
+
+    monkeypatch.setattr(radau, "_solve_step", recorded_solve)
+    monkeypatch.setattr(radau._NewtonSteps, "start", recorded_start)
+    monkeypatch.setattr(radau._NewtonSteps, "run", recorded_run(newton_run))
+    monkeypatch.setattr(radau._AffineSteps, "__call__", served)
+    monkeypatch.setattr(radau._AffineSteps, "run", recorded_run(affine_run))
+    for affine in (False, True):
+        m, phi = output_digest.linear_smooth_model()
+        m.affine = affine
+        events.clear()
+        tr = solve_itp(m, phi, 10.0)
+        assert tr.complete and tr.stats["rejected"] > 0
+        # (t0, h, result) of the step run took last, of the step solved since
+        last = solved = None
+        after_untaken = 0
+        for kind, *data in events:
+            if kind == "start":
+                last = solved = None
+            elif kind == "solve":
+                t0, h, starts, result = data
+                if starts is not None:    # a Newton start
+                    want = (np.zeros_like(starts) if last is None else
+                            radau._start_weights(h / last[1]) @ last[2][4])
+                    assert np.array_equal(starts, want)
+                after_untaken += solved is not None
+                if result is not None:
+                    solved = t0, h, result
+            else:
+                (end, z1, d0, d1), (t0, h, result) = data[0], solved
+                assert end == t0 + h
+                for got, want in zip((z1, d0, d1), result):
+                    assert np.array_equal(got, want)
+                last, solved = solved, None
+        assert after_untaken >= tr.stats["rejected"]
 
 
 def test_nonlinear_model_factors_once_per_refreshed_record(monkeypatch):
