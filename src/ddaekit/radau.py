@@ -22,22 +22,24 @@ The stage equations are solved by simplified Newton (``_NewtonSteps``),
 with RADAU5's reuse from step to step (Hairer & Wanner, Solving ODEs II,
 IV.8): a step starts from the derivative of the last taken step's
 collocation cubic at its stage times, takes the model Jacobians at that
-start's last stage, and keeps them and their factors for the next steps
-while h repeats exactly and Newton converges in at most two iterations.
-Hairer's transformation of the Radau IIA matrix splits the 3n x 3n stage
-matrix into one real and one complex n x n matrix.  An affine model
-(``SfDdaeModel.affine``) has a step rule of its own (``_AffineSteps``):
-its stage equations are linear with constant Jacobians, read once per run,
-so it solves them directly, a block of steps at once (``_stage_block``),
-with the two inverses and the recurrence taken once per distinct h of the
-run.  Both rules live for a whole run and share one split solve, one
-failed-factorization rule and one endpoint rule: ``start`` takes up each
-segment, a call solves one attempt, and ``run`` takes the step just
-solved, so a step solved but not taken never feeds the next attempt.
-Where h stays, at a fixed h or at the floor, an affine ``run`` also takes
-the block's steps after it that the loop would accept alike.  The
-continuous extension is the cubic Hermite of each step, the collocation
-polynomial, stored as monomial coefficients when the segment is complete.
+start's last stage, and keeps them and their stage inverse for the next
+steps while h repeats exactly and Newton converges in at most two
+iterations.  Hairer's transformation of the Radau IIA matrix splits the
+3n x 3n stage matrix into one real and one complex n x n block, whose
+inverses make its dense inverse: a Newton update is one product.  An
+affine model (``SfDdaeModel.affine``) has a step rule of its own
+(``_AffineSteps``): its stage equations are linear with constant
+Jacobians, read once per run, so it solves them directly, a block of steps
+at once (``_stage_block``), with the inverse and the recurrence taken once
+per distinct h of the run.  Both rules live for a whole run and share one
+stage solve, one failed-factorization rule and one endpoint rule:
+``start`` takes up each segment, a call solves one attempt, and ``run``
+takes the step just solved, so a step solved but not taken never feeds
+the next attempt.  Where h stays, at a fixed h or at the floor, an affine
+``run`` also takes the block's steps after it that the loop would accept
+alike.  The continuous extension is the cubic Hermite of each step, the
+collocation polynomial, stored as monomial coefficients when the segment
+is complete.
 """
 
 import functools
@@ -96,7 +98,10 @@ def _start_weights(r):
 # 3n x 3n simplified-Newton system splits into one real n x n system with
 # shift gamma and one complex one with shift alpha + i beta.
 def _radau_split():
-    """T, inv(T) @ inv(RADAU_A), gamma and alpha + i beta."""
+    """W, (9, 3), gamma and alpha + i beta.  Block (i, j) of the stage
+    matrix's inverse, (T (x) I) diag(R, [[P, -Q], [Q, P]]) (inv(T)
+    inv(RADAU_A) (x) I), is sum_t W[3 i + j, t] S_t over S = (R, P, Q): R
+    the real block's inverse and P + i Q the complex one's."""
     ainv = np.linalg.inv(RADAU_A)
     lam, V = np.linalg.eig(ainv)
     # the eigenvector of alpha - i beta puts +beta at L[2, 1]
@@ -104,19 +109,25 @@ def _radau_split():
     T = np.column_stack([V[:, r].real, V[:, c].real, V[:, c].imag])
     TI_AINV = np.linalg.inv(T) @ ainv
     L = TI_AINV @ T
-    return T, TI_AINV, L[0, 0], complex(L[1, 1], L[2, 1])
+    (t0, t1, t2), (s0, s1, s2) = T.T, TI_AINV
+    W = np.array([np.outer(t0, s0), np.outer(t1, s1) + np.outer(t2, s2),
+                  np.outer(t2, s1) - np.outer(t1, s2)])
+    return W.reshape(3, 9).T, L[0, 0], complex(L[1, 1], L[2, 1])
 
 
-_T, _TI_AINV, _GAMMA, _ALPHA_BETA = _radau_split()
+_SPLIT, _GAMMA, _ALPHA_BETA = _radau_split()
 
 # The residual of a step's collocation cubic behaves like prod(s - c_i)
 # across the step.  Its differential rows are largest at the step start
 # (s = 0), where they follow from the derivative jump to the previous step;
 # its algebraic rows also vanish at s = 0 and are largest at _S_ALG, the
-# extremum of s prod(s - c_i) past the last interior node.
+# extremum of s prod(s - c_i) past the last interior node.  _AT_S_ALG reads
+# the cubic there, and h times its derivative, from [z0, z1, h d0, h d1],
+# through the monomial rows of ``_hermite``.
 _S_ALG = float(max(np.roots(np.polyder(np.poly([0.0, *RADAU_C]))).real))
-_AT_S_ALG = _S_ALG ** np.arange(4.0)
-_DS_AT_S_ALG = np.array([0.0, 1.0, 2.0 * _S_ALG, 3.0 * _S_ALG ** 2])
+_AT_S_ALG = np.array([_S_ALG ** np.arange(4.0),
+                      [0.0, 1.0, 2.0 * _S_ALG, 3.0 * _S_ALG ** 2]]) @ np.array(
+    [[1, 0, 0, 0], [0, 0, 1, 0], [-3, 3, -2, -1], [2, -2, 1, 1]])
 
 COND_WARN = 1e12
 
@@ -215,11 +226,12 @@ class SegmentProblem:
         each of an array of times along a trailing axis, as
         ``SfDdaeModel.residual`` takes them: one ``eval`` read of the source
         per row."""
-        tau, start = self.model.tau, self.t_start
+        tau, start, n_lags = self.model.tau, self.t_start, self.model.n_lags
         t = (min(t - tau, start) if isinstance(t, float) else
              np.minimum(t - tau, start))
-        return np.array([self.source.eval(t, k)
-                         for k in range(self.model.n_lags)])
+        if n_lags == 1 and isinstance(t, float):
+            return self.source.eval(t)[None]
+        return np.array([self.source.eval(t, k) for k in range(n_lags)])
 
 
 def _hermite(h, z0, z1, d0, d1):
@@ -247,6 +259,8 @@ class SegmentSolution:
 
     def __init__(self, ts, zs, d_start, d_end, stats):
         self.ts = np.asarray(ts, dtype=float).tolist()
+        slack = _read_slack(self.ts[-1])    # at the segment's largest bound
+        self._lo, self._hi = self.ts[0] - slack, self.ts[-1] + slack
         zs = np.asarray(zs)
         self.endpoint = zs[-1].copy()
         self.stats = stats
@@ -272,9 +286,7 @@ class SegmentSolution:
         than ``_read_slack`` raises ValueError."""
         if order not in (0, 1):
             raise ValueError("dense output supports orders 0 and 1 only")
-        ts = self.ts
-        slack = _read_slack(ts[-1])    # at the segment's largest bound
-        lo, hi = ts[0] - slack, ts[-1] + slack
+        ts, lo, hi = self.ts, self._lo, self._hi
         if isinstance(t, float):
             if t < lo or t > hi:
                 raise ValueError(
@@ -311,9 +323,10 @@ def _mesh_read(keys, nodes, coeffs, t, order):
 
 
 def _newton_factors(Fz, Fdot, h):
-    """(factors, cond): the inverses of the real and the complex block of the
-    split stage matrix, and the larger of the two blocks' 1-norm condition
-    numbers, which ``_note_stage_cond`` enters into a segment's stats.
+    """(Minv, cond): the dense 3n x 3n inverse of the stage matrix, made
+    from the inverses of the real and the complex block of the split, and
+    the larger of the two blocks' 1-norm condition numbers, which
+    ``_note_stage_cond`` enters into a segment's stats.
 
     None, the one failed-factorization rule, when the stage matrix is not
     finite or either block is singular.
@@ -322,12 +335,16 @@ def _newton_factors(Fz, Fdot, h):
     if not (np.isfinite(real).all() and np.isfinite(cplx).all()):
         return None
     try:
-        factors = np.linalg.inv(real), np.linalg.inv(cplx)
+        real_inv, cplx_inv = np.linalg.inv(real), np.linalg.inv(cplx)
     except np.linalg.LinAlgError:
         return None
     norm_real, norm_real_inv, norm_cplx, norm_cplx_inv = _one_norms(
-        real, factors[0], cplx, factors[1])
-    return factors, max(norm_real * norm_real_inv, norm_cplx * norm_cplx_inv)
+        real, real_inv, cplx, cplx_inv)
+    n = len(Fz)
+    S = np.array([real_inv, cplx_inv.real, cplx_inv.imag]).reshape(3, -1)
+    Minv = (_SPLIT @ S).reshape(3, 3, n, n)
+    return (Minv.transpose(0, 2, 1, 3).reshape(3 * n, -1),
+            max(norm_real * norm_real_inv, norm_cplx * norm_cplx_inv))
 
 
 def _note_stage_cond(cond, stats):
@@ -347,18 +364,13 @@ def _one_norms(*matrices):
     return np.abs(np.array(matrices)).sum(axis=1).max(axis=1).tolist()
 
 
-def _newton_update(factors, R):
+def _newton_update(Minv, R):
     """Solve (I (x) Fdot + h A (x) Fz) dK = R, with one row of R and dK per
-    stage, through the real and complex blocks of ``_newton_factors``.  R
-    is (3, n), a step, or (3, n, m), one step or state entry per column of
-    m; each column is the (3, n) solve up to rounding."""
-    real, cplx = factors
-    W = (_TI_AINV @ R.reshape(3, -1)).reshape(R.shape)
-    w = cplx @ (W[1] + 1j * W[2])
-    W[0] = real @ W[0]
-    W[1] = w.real
-    W[2] = w.imag
-    return (_T @ W.reshape(3, -1)).reshape(R.shape)
+    stage, as one real product with the inverse ``Minv`` of
+    ``_newton_factors``.  R is (3, n), a step, or (3, n, m), one step or
+    state entry per column of m; each column is the (3, n) solve up to
+    rounding."""
+    return (Minv @ R.reshape(len(Minv), -1)).reshape(R.shape)
 
 
 def _endpoint_passes(res, opts, stats):
@@ -406,9 +418,9 @@ def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats,
                 record=None):
     """One simplified-Newton step of a callback model from the Newton start
     ``k_guess``: one rate for all three stages, (n,), or one per stage, (3,
-    n).  ``record``, (h, Fdot, factors), holds the Jacobian with respect to
-    z' and the stage factors to iterate with; without one, the Jacobians
-    are taken at the start's last stage and factored into a fresh record.
+    n).  ``record``, (h, Fdot, Minv), holds the Jacobian with respect to
+    z' and the stage inverse to iterate with; without one, the Jacobians
+    are taken at the start's last stage and inverted into a fresh record.
 
     Returns (z1, d0, d1, Fdot, K, iterations, record), with d0 and d1 the
     end derivatives of the collocation cubic, K its stages and Fdot the
@@ -428,7 +440,7 @@ def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats,
             return None
         _note_stage_cond(factored[1], stats)
         record = h, Fdot, factored[0]
-    factors = record[2]
+    Minv = record[2]
     R = np.empty((3, model.n))
     err_prev = math.inf
     for iterations in range(1, opts.max_newton + 1):
@@ -437,7 +449,7 @@ def _solve_step(model, t0, h, z_prev, k_guess, problem, opts, stats,
             R[i] = model.residual(stage_ts[i], Z[i], K[i], stage_lags[i])
         if not np.isfinite(R).all():
             return None
-        delta = _newton_update(factors, R)
+        delta = _newton_update(Minv, R)
         K -= delta
         stats["newton_iterations"] += 1
         err = h * float(np.abs(delta).max()) / scale
@@ -469,7 +481,7 @@ class _NewtonSteps:
     extrapolated; a segment's first step starts every stage at zero.
     ``solved`` and ``accepted`` are (end, h, ``_solve_step`` result) of the
     step just solved and the one ``run`` took last; ``record`` is the last
-    fresh (h, Fdot, factors).  A step at exactly its h reuses it while the
+    fresh (h, Fdot, Minv).  A step at exactly its h reuses it while the
     last taken step took at most two iterations, and a step failing on it
     is retried once at that h fresh, before the loop halves it.
     """
@@ -542,10 +554,10 @@ class _AffineSteps:
     and psi = h sum_j a_3j a_j.  The model declares F_z and F_zdot
     constant, so ``start`` reads them, with the rank spot-check, at the
     run's first segment start only.  ``per_h`` holds one record per
-    distinct h of the run, built when h is first met: (factors, Kz, Phi,
-    cond), with factors M's two inverses and cond their stage condition,
-    which every block solved at h enters into its segment's stats; or None
-    when the inverses failed, so a retry at that h fails at once.
+    distinct h of the run, built when h is first met: (Minv, Kz, Phi,
+    cond), with Minv M's inverse and cond its stage condition, which every
+    block solved at h enters into its segment's stats; or None when the
+    inverses failed, so a retry at that h fails at once.
 
     A ``_stage_block`` is solved whole: one batched solve gives every
     step's a, the n x n recurrence z_{k+1} = Phi z_k + psi_k from z_0 =
@@ -555,14 +567,15 @@ class _AffineSteps:
     attempt at the block's h takes its step at the cursor ``k``, which
     ``run`` moves past the steps it takes; any other attempt gets a block
     solved from its t0 and z_prev.  The run's first block at an h covers
-    one step, each next one at that h twice as many, up to MAX_BLOCK: a
-    segment start only swaps in its problem, its stats and an empty block.
+    one step, each next one at that h twice as many, up to MAX_BLOCK, in
+    ``sizes``: a segment start only swaps in its problem, its stats and an
+    empty block, and a block at another h leaves the size of this one.
     """
 
     def __init__(self, opts):
         self.opts = opts
         self.Fz = self.Fdot = None
-        self.per_h, self.h, self.size = {}, None, 1
+        self.per_h, self.sizes, self.h = {}, {}, None
 
     def start(self, problem, stats, lags0):
         """Take up the segment ``problem`` with its ``stats`` and no block;
@@ -576,18 +589,18 @@ class _AffineSteps:
         if h not in self.per_h:
             record = _newton_factors(self.Fz, self.Fdot, h)
             if record is not None:
-                factors, cond = record
+                Minv, cond = record
                 n = len(self.Fz)
-                Kz = _newton_update(factors,
-                                    np.broadcast_to(self.Fz, (3, n, n)))
-                record = (factors, Kz,
+                Kz = _newton_update(Minv, np.broadcast_to(self.Fz, (3, n, n)))
+                record = (Minv, Kz,
                           np.eye(n) - h * (Kz.T @ RADAU_A[2]).T, cond)
             self.per_h[h] = record
         record = self.per_h[h]
         if record is None:
             return None
         if h != self.h or self.k == len(self.ends):
-            self.size = min(2 * self.size, MAX_BLOCK) if h == self.h else 1
+            sizes = self.sizes
+            sizes[h] = min(2 * sizes[h], MAX_BLOCK) if h in sizes else 1
             self.h = h
             self._solve_block(t0, h, z_prev, record)
         k = self.k
@@ -616,7 +629,7 @@ class _AffineSteps:
                 list(self.K[2].T[k:j]))
 
     def _solve_block(self, t0, h, z_prev, record):
-        """Solve the block of the next ``size`` steps at h from t0 and
+        """Solve the block of the next ``sizes[h]`` steps at h from t0 and
         z_prev, the cursor at its first: the chain states ``z``, the stages
         ``K``, (3, n, m), and per step whether K is finite, the endpoint
         residual's max norm, the start derivative of the collocation cubic
@@ -628,12 +641,12 @@ class _AffineSteps:
         floor with no sampled residual (``integrate_segment``); the last
         step has none.
         """
-        factors, Kz, Phi, cond = record
+        Minv, Kz, Phi, cond = record
         _note_stage_cond(cond, self.stats)
         problem, tol = self.problem, self.opts.res_tol
-        ends, g, lags = _stage_block(problem, t0, h, self.size)
+        ends, g, lags = _stage_block(problem, t0, h, self.sizes[h])
         self.k = 0
-        K = self.K = -_newton_update(factors, g)
+        K = self.K = -_newton_update(Minv, g)
         z = self.z = [z_prev]
         # K.T @ weights sums over stages, one row per step
         for psi in h * (K.T @ RADAU_A[2]):
@@ -678,10 +691,9 @@ def _sampled_residual(problem, t0, h, z0, step):
     """Max norm of a step's residual at _S_ALG, where its algebraic rows
     are largest."""
     z1, d0, d1, _ = step
-    C = _hermite(h, z0, z1, d0, d1)
+    z, h_rate = _AT_S_ALG @ np.array([z0, z1, h * d0, h * d1])
     t = t0 + _S_ALG * h
-    r = problem.model.residual(t, _AT_S_ALG @ C, _DS_AT_S_ALG @ C / h,
-                               problem.lags(t))
+    r = problem.model.residual(t, z, h_rate / h, problem.lags(t))
     return float(np.abs(r).max())
 
 

@@ -101,7 +101,8 @@ class SfDdaeModel:
         """Stacked [D; A] residual; zlags rows are z_tau^(j).  At the m times
         of an array t, every state, lag row and result takes a trailing axis
         of length m.  An empty block's callback is never called."""
-        zlags = np.atleast_2d(zlags)
+        if getattr(zlags, "ndim", 0) < 2:
+            zlags = np.atleast_2d(zlags)
         out = np.empty(z.shape)
         if self.d:
             out[:self.d] = self.D(t, z, zdot, zlags[0])

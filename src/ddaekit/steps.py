@@ -190,7 +190,7 @@ def solve_itp(model, phi, T, opts=None):
     with the step its predecessor would have taken next, and
     ``integrate_segment`` decides whether it starts consistently.  One step
     rule (``radau._step_rule``) serves every segment of the run: an affine
-    model's Jacobians, stage factors and block size carry across segment
+    model's Jacobians, stage inverses and block sizes carry across segment
     starts, and a callback model's first step in a segment starts cold;
     nothing outlives the run.  An inconsistent start of the first segment
     is an inadmissible history (InadmissibleHistory); on a later segment it

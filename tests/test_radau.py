@@ -2,6 +2,7 @@ import functools
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from scipy.linalg.lapack import dlange, zlange
 from ddaekit import models, radau
 from ddaekit.errors import InconsistentInitialState, NewtonDivergence
 from ddaekit.forcing import SymbolicSignal
-from ddaekit.radau import (_ALPHA_BETA, _GAMMA, RADAU_A, RADAU_C,
-                           IntegrationOptions, SegmentProblem,
+from ddaekit.radau import (_ALPHA_BETA, _GAMMA, MAX_HALVINGS, RADAU_A,
+                           RADAU_C, IntegrationOptions, SegmentProblem,
                            SegmentSolution, _newton_factors, _newton_update,
                            _one_norms, integrate_segment)
 from ddaekit.sfdae import SfDdaeModel
@@ -374,17 +375,23 @@ def test_split_newton_update_matches_assembled_solve(rng, n, d):
     R = rng.standard_normal((3, n))
     J = np.kron(np.eye(3), Fdot) + h * np.kron(RADAU_A, Fz)
     want = np.linalg.solve(J, R.reshape(-1)).reshape(3, n)
-    factors, cond = _newton_factors(Fz, Fdot, h)
-    got = _newton_update(factors, R)
+    Minv, cond = _newton_factors(Fz, Fdot, h)
+    # the record's dense inverse inverts the assembled stage matrix to
+    # 1e-12, or as closely as numpy's own inverse of J where that misses
+    # 1e-12 (the (7, 4) draw, at a 1-norm condition near 1e6)
+    eye = np.eye(3 * n)
+    assert np.abs(Minv @ J - eye).max() <= max(
+        1e-12, np.abs(np.linalg.inv(J) @ J - eye).max())
+    got = _newton_update(Minv, R)
     np.testing.assert_allclose(got, want, rtol=0,
                                atol=1e-12 * np.abs(want).max())
     # a block, (3, n, m): each column is the (3, n) solve up to rounding
     for m in (1, 4):
         B = rng.standard_normal((3, n, m))
-        block = _newton_update(factors, B)
+        block = _newton_update(Minv, B)
         assert block.shape == B.shape
         for j in range(m):
-            col = _newton_update(factors, B[:, :, j])
+            col = _newton_update(Minv, B[:, :, j])
             np.testing.assert_allclose(block[:, :, j], col, rtol=0,
                                        atol=1e-12 * np.abs(col).max())
     # the reported condition is the worse of the two blocks' in the 1-norm
@@ -393,8 +400,58 @@ def test_split_newton_update_matches_assembled_solve(rng, n, d):
                                      np.linalg.cond(cplx, 1)), rel=1e-9)
     # taken from LAPACK's norms of both blocks and their inverses; numpy
     # rounds a complex |z| differently from zlange, but a real one alike
-    lapack = max(dlange("1", real) * dlange("1", factors[0]),
-                 zlange("1", cplx) * zlange("1", factors[1]))
+    real_inv, cplx_inv = np.linalg.inv(real), np.linalg.inv(cplx)
+    lapack = max(dlange("1", real) * dlange("1", real_inv),
+                 zlange("1", cplx) * zlange("1", cplx_inv))
     assert cond == pytest.approx(lapack, rel=1e-15, abs=0)
-    norms = _one_norms(real, factors[0], cplx, factors[1])
-    assert norms[:2] == [dlange("1", real), dlange("1", factors[0])]
+    norms = _one_norms(real, real_inv, cplx, cplx_inv)
+    assert norms[:2] == [dlange("1", real), dlange("1", real_inv)]
+
+
+@pytest.mark.parametrize("name", ["pmsd-hybrid", "ex-advanced"])
+def test_a_float_lag_read_is_the_array_reads_column(name):
+    # n_lags 1 (pmsd-hybrid) and 2 (ex-advanced): a float read, which the
+    # callback step makes at every stage time, equals the array read of
+    # the affine stage block bit for bit, from the history and from a
+    # solved segment
+    model = models.REGISTRY[name].make({})
+    history = model.default_history()
+    tau = model.tau
+    first = solve_itp(model, history, tau).segments[0]
+    for problem in (SegmentProblem(model, 0.0, tau, history.eval(0.0),
+                                   history),
+                    SegmentProblem(model, tau, 2 * tau, first.endpoint,
+                                   first)):
+        ts = problem.t_start + np.linspace(0.0, tau, 17)
+        grid = problem.lags(ts)
+        assert grid.shape == (model.n_lags, model.n, ts.size)
+        for j, t in enumerate(ts.tolist()):
+            lags = problem.lags(t)
+            assert lags.shape == (model.n_lags, model.n)
+            assert lags.tobytes() == grid[:, :, j].copy().tobytes()
+
+
+@pytest.mark.parametrize("h", [None, 0.01], ids=["controlled", "fixed"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_residual_diverges_without_a_warning(bad, h, caplog):
+    # z' = -z, with D non-finite past t = 0.3: Newton fails at every stage
+    # past it, so the steps halve down to 0.3 and the step there fails
+    # after all halvings (at the floor under the controller), and neither
+    # numpy nor the integrator warns on the way
+    m = SfDdaeModel(
+        n=1, d=1, a=0, tau=1.0, s_decl=0,
+        D=lambda t, z, zdot, ztau: np.array(
+            [zdot[0] + z[0] if t <= 0.3 else bad]),
+        A=lambda t, z, zlags: np.zeros(0),
+        JD_z=lambda t, z, zdot, ztau: np.eye(1),
+        JD_zdot=lambda t, z, zdot, ztau: np.eye(1),
+        JA_z=lambda t, z, zlags: np.zeros((0, 1)))
+    problem = SegmentProblem(m, 0.0, 1.0, np.ones(1), ZERO)
+    halvings = 7 if h is None else MAX_HALVINGS
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NewtonDivergence,
+                           match=f" after {halvings} halvings$") as err:
+            integrate_segment(problem, IntegrationOptions(h=h))
+    assert caught == [] and caplog.records == []
+    assert err.value.t == pytest.approx(0.2999609375, rel=0, abs=1e-15)

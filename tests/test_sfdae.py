@@ -153,6 +153,10 @@ def test_residual_zero_on_shift_example_closed_form():
         zlags = phi.eval(t - 0.5)[None, :]
         r = m.residual(t, z, zdot, zlags)
         assert np.abs(r).max() < 1e-14
+        # one lag row may also come as a 1-D array or a list, which
+        # ``residual`` wraps into a 2-D lag array
+        for row in (zlags[0], zlags[0].tolist()):
+            assert m.residual(t, z, zdot, row).tobytes() == r.tobytes()
 
 
 def test_residual_first_order_in_perturbation(rng):

@@ -832,8 +832,8 @@ def _shifted_wrap(amp, omega):
 @pytest.mark.parametrize("amp, omega", [(0.5, 20.0), (0.2, 6.0), (0.4, 15.0)])
 def test_linear_wrap_factors_once_per_run_and_changed_step(
         amp, omega, monkeypatch):
-    # the last two draws take rejected steps, so h changes within their
-    # segments
+    # the (0.2, 6.0) draw rejects steps, so h changes within its
+    # segments; the other two stay at the floor
     m, phi = _shifted_wrap(amp, omega)
     factors, attempts = _count_factorizations(monkeypatch)
     reads = dict.fromkeys(("JD_z", "JD_zdot", "JA_z"), 0)
@@ -857,7 +857,7 @@ def test_linear_wrap_factors_once_per_run_and_changed_step(
 
 # (model, history, T, h) of affine runs: at the floor with rejected steps,
 # at the floor, at a fixed h, and off the floor
-AFFINE_RUNS = {"shifted-wrap": (*_shifted_wrap(0.4, 15.0), 2.0, None),
+AFFINE_RUNS = {"shifted-wrap": (*_shifted_wrap(0.2, 6.0), 2.0, None),
                "linear-export": (*output_digest.linear_export_model(), 10.0,
                                  None),
                "linear-export-h0.001": (*output_digest.linear_export_model(),
@@ -949,6 +949,8 @@ def test_segment_counts_sum_to_the_run_totals(name):
     # per mesh interval and one iteration per attempt
     m, phi, T, h = AFFINE_RUNS[name]
     tr = solve_itp(m, phi, T, IntegrationOptions(h=h))
+    # the shifted-wrap run is labelled as the one with rejected steps
+    assert tr.stats["rejected"] > 0 or name != "shifted-wrap"
     segs = [seg.stats for seg in tr.segments]
     for seg, st in zip(tr.segments, segs):
         assert st["n_steps"] == len(seg.ts) - 1
