@@ -1,6 +1,7 @@
 """Regularity and index analysis of square real matrix pencils.
 
-A pencil (E, A) is regular when det(sE - A) is not the zero polynomial.
+A pencil (E, A) is regular when det(sE - A) is not the zero polynomial,
+which singular-value ratios of s E - A at sample points decide.
 Regular pencils decompose as S E T = diag(I_d, N), S A T = diag(J, I_a)
 with N nilpotent; the nilpotency index nu is the differentiation index of
 the DAE E z' = A z + f.  The decomposition is computed by Wong-sequence
@@ -11,7 +12,6 @@ structure is numerically unstable.  The module needs numpy alone.
 
 import cmath
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +26,6 @@ DEFAULT_TOL = 1e-10
 # Rank decisions are refused when the retained/discarded singular value gap
 # is below this factor.
 GAP_FACTOR = 10.0
-
-_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def as_matrix(M, name):
@@ -130,8 +128,8 @@ class PencilReport:
             "regular": self.regular,
             "tolerances": {"tol": self.tol},
             "det_samples": [
-                {"s": [s.real, s.imag], "det": [v.real, v.imag], "scale": sc}
-                for s, v, sc in self.det_samples
+                {"s": [s.real, s.imag], "ratio": ratio}
+                for s, ratio in self.det_samples
             ],
         }
         if self.regular:
@@ -141,54 +139,36 @@ class PencilReport:
         return data
 
 
-def _det_samples(p):
-    """Sample det(sE - A) on a circle, all n + 1 samples in one stacked
-    call; each sample carries a Hadamard scale."""
-    n = p.n
-    eps = 1e-8
-    radius = (np.linalg.norm(p.A) + eps) / (np.linalg.norm(p.E) + eps)
-    # A quarter-step offset keeps every sample off the real axis for every n
-    # (a half step puts one on it for even n), where the real spectrum would
-    # otherwise be met systematically.
-    s = [radius * cmath.exp(2j * cmath.pi * (k + 0.25) / (n + 1))
-         for k in range(n + 1)]
-    M = np.array(s)[:, None, None] * p.E - p.A
-    dets = np.linalg.det(M)
-    rows = np.sqrt((np.abs(M) ** 2).sum(axis=2))
-    scales = np.prod(np.maximum(rows, 1e-300), axis=1)
-    return [(sk, complex(det), float(scale))
-            for sk, det, scale in zip(s, dets, scales)]
+def _det_samples(p, tol):
+    """(regular, samples) of a pencil: its one regularity test.
 
-
-def _regularity(p, tol):
-    """(regular, determinant samples) of the pencil.
-
-    The determinant is evaluated at n+1 distinct points; a polynomial of
-    degree <= n vanishing at all of them is identically zero.  Each sample
-    is compared against tol times its Hadamard row bound.  The empty pencil
-    is regular by convention.
+    E and A are scaled separately to a largest entry of 1, which keeps
+    regularity.  Each sample is sigma_min / sigma_max of s E - A at one
+    point s of the unit circle, the measure of the rank decisions below.
+    The pencil is regular at the first ratio above tol and singular when
+    none of n + 1 samples is: det(sE - A), of degree <= n, then vanishes at
+    n + 1 points.  The empty pencil is regular by convention.
     """
     check_positive("tol", tol)
     if p.n == 0:
         return True, []
-    with np.errstate(over="ignore", invalid="ignore"):
-        samples = _det_samples(p)
-    # Regularity does not change when E and A are multiplied by the same
-    # factor.  Samples that overflow or underflow are taken again from the
-    # pencil scaled by a power of two, exactly, to a largest entry below 1.
-    if not all(cmath.isfinite(det) and _TINY <= scale < np.inf
-               for _, det, scale in samples):
-        big = max(np.abs(p.E).max(), np.abs(p.A).max())
-        if big > 0.0:
-            e = -math.frexp(big)[1]
-            samples = _det_samples(MatrixPencil(np.ldexp(p.E, e),
-                                                np.ldexp(p.A, e)))
-    return any(abs(det) > tol * scale for _, det, scale in samples), samples
+    E, A = (M / (np.abs(M).max() or 1.0) for M in (p.E, p.A))
+    samples = []
+    for k in range(p.n + 1):
+        # A quarter-step offset keeps every sample off the real axis, and so
+        # off the real spectrum, for every n; a half step fails for even n.
+        s = cmath.exp(2j * cmath.pi * (k + 0.25) / (p.n + 1))
+        sigma = np.linalg.svd(s * E - A, compute_uv=False)
+        ratio = float(sigma[-1] / sigma[0]) if sigma[0] else 0.0
+        samples.append((s, ratio))
+        if ratio > tol:
+            return True, samples
+    return False, samples
 
 
 def is_regular(p, tol=DEFAULT_TOL):
     """True when det(sE - A) is not the zero polynomial."""
-    return _regularity(p, tol)[0]
+    return _det_samples(p, tol)[0]
 
 
 def _rank_split(sigma, tol, floor, context):
@@ -273,7 +253,7 @@ def _decompose(p, tol):
         empty = np.zeros((0, 0))
         return WeierstrassForm(empty, empty, empty, empty, 0, 0, 0,
                                0.0, 0.0, 1.0)
-    norm_E, norm_A = (np.linalg.svd(M, compute_uv=False)[0] for M in (E, A))
+    norm_E, norm_A = np.linalg.svd(np.array([E, A]), compute_uv=False)[:, 0]
     W, nu = _wong(A, E, np.zeros((n, 0)), tol, "wong-W", norm_A, norm_E)
     V, _ = _wong(E, A, np.eye(n), tol, "wong-V", norm_E, norm_A)
     d, a = V.shape[1], W.shape[1]
@@ -336,6 +316,6 @@ def equivalence_residual(p, w):
 
 def analyze(p, tol=DEFAULT_TOL):
     """Full PencilReport: regularity plus the Weierstrass form when regular."""
-    regular, samples = _regularity(p, tol)
+    regular, samples = _det_samples(p, tol)
     return PencilReport(regular, samples, tol,
                         _decompose(p, tol) if regular else None)

@@ -13,8 +13,15 @@ pairs: base then change, then change then base.
 Per workload the result holds, for every end-to-end metric of
 ``BENCHMARK.json``: the median and quartiles of each tree's runs, the
 change of the medians, and in how many pairs the change tree was better.
-It also holds the seed, the base commit, the ``env`` line of each tree's
-first run and both trees' source digests.
+It also holds the seed, the base commit, the change tree's commit and
+whether its ``git status --porcelain`` was empty, the ``env`` line of each
+tree's first run and both trees' source digests.
+
+Each metric's change-tree median is also compared with the same median in
+the newest earlier ``BENCH_<n>.json`` of this checkout (the highest n below
+that of ``--out``); a change beyond 10% either way is printed with a
+``FLAG`` mark and recorded as ``flagged``.  That file may have used another
+seed and run length, so the comparison is a trajectory, not a paired test.
 
 The exit status is 1 when any run reads ``"correct": false`` or a failed
 op, or ends without its result line.  pytest does not collect this file.
@@ -32,6 +39,40 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("hybrid-sim", "linear-export", "pencil-batch")
+FLAG_CHANGE = 0.10
+
+
+def git(*args):
+    """Stripped stdout of one git command in this checkout."""
+    return subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True,
+                          text=True).stdout.strip()
+
+
+def bench_number(path):
+    """n of a ``BENCH_<n>.json`` path, or None for any other name."""
+    stem = path.stem.partition("BENCH_")[2]
+    return int(stem) if path.suffix == ".json" and stem.isdigit() else None
+
+
+def previous_bench(out):
+    """The newest ``BENCH_<n>.json`` in this checkout's root with n below
+    that of ``out`` (any n when ``out`` is not such a file), or None."""
+    limit = (out and bench_number(out)) or float("inf")
+    found = [(n, path) for path in ROOT.glob("BENCH_*.json")
+             if (n := bench_number(path)) is not None and n < limit]
+    return max(found)[1] if found else None
+
+
+def against_previous(summary, previous):
+    """Per metric of one workload's summary: the previous file's median of
+    the change tree, this run's change of it and whether it is flagged."""
+    out = {}
+    for name, m in summary.items():
+        old = previous.get(name, {}).get("change", {}).get("median")
+        rel = m["change"]["median"] / old - 1.0 if old else None
+        out[name] = {"median": old, "relative_change": rel,
+                     "flagged": rel is not None and abs(rel) > FLAG_CHANGE}
+    return out
 
 
 def unpack(ref, into):
@@ -105,12 +146,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     ok = True
-    sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.base],
-                         capture_output=True, text=True).stdout.strip()
+    sha = git("rev-parse", args.base)
+    previous = previous_bench(args.out)
     report = {"base": args.base, "base_sha": sha,
               "change": "A/A copy" if args.aa else "working tree",
+              "change_sha": sha if args.aa else git("rev-parse", "HEAD"),
+              "change_clean": args.aa or git("status", "--porcelain") == "",
+              "previous": previous and previous.name,
               "seed": args.seed, "pairs": args.pairs,
               "seconds": args.seconds, "workloads": {}}
+    previous = json.loads(previous.read_text())["workloads"] if previous \
+        else {}
     with tempfile.TemporaryDirectory() as tmp:
         base = unpack(args.base, Path(tmp) / "base")
         change = unpack(args.base, Path(tmp) / "copy") if args.aa else ROOT
@@ -139,18 +185,27 @@ def main(argv=None):
                     pairs.append(pair)
             if not pairs:
                 continue
+            summary = summarize(metrics, [p["base"] for p in pairs],
+                                [p["change"] for p in pairs])
+            trajectory = against_previous(
+                summary, previous.get(workload, {}).get("metrics", {}))
             report["workloads"][workload] = {
                 "env": envs,
                 "source_digest": {side: (env or {}).get("source_digest")
                                   for side, env in envs.items()},
-                "metrics": summarize(metrics, [p["base"] for p in pairs],
-                                     [p["change"] for p in pairs])}
-            for name, m in report["workloads"][workload]["metrics"].items():
+                "metrics": summary, "previous": trajectory}
+            for name, m in summary.items():
                 rel = m["relative_change"]
                 print(f"  {workload} {name}: {m['base']['median']:.4g} -> "
                       f"{m['change']['median']:.4g} ("
                       + ("n/a" if rel is None else f"{rel:+.1%}")
                       + f"), better in {m['wins']}/{m['pairs']}")
+                old = trajectory[name]
+                if old["relative_change"] is not None:
+                    print(f"    against {report['previous']}: "
+                          f"{old['median']:.4g} -> {m['change']['median']:.4g}"
+                          f" ({old['relative_change']:+.1%})"
+                          + (" FLAG" if old["flagged"] else ""))
     if args.out:
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0 if ok else 1

@@ -80,6 +80,21 @@ def test_a_regular_pencil_of_any_scale_is_regular(tmp_path, scale):
     assert data["status"] == "Complete"
 
 
+@pytest.mark.parametrize("e, a", [(1e-160, 1e160), (1e-300, 1e300),
+                                  (1.0, 1e-320)])
+def test_separate_scales_never_read_singular(tmp_path, e, a):
+    # diag(e, 0) and diag(0, -a) is regular at any scales of its own, but
+    # the transformation onto its blocks has condition a / e (or e / a)
+    # beyond 1e14: an ill-conditioned analysis, never a singular verdict
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps({"E": [[e, 0.0], [0.0, 0.0]],
+                                "A": [[0.0, 0.0], [0.0, -a]]}))
+    rc, out, err = run_cli("analyze", "--model", str(path))
+    assert rc == 3, err
+    assert '"regular": false' not in out
+    assert "ill-conditioned" in err and "Traceback" not in err
+
+
 def test_analyze_linear_ddae_includes_classification(tmp_path):
     d = models.ex_advanced_linear(1.0)
     path = tmp_path / "advanced.json"

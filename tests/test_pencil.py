@@ -50,15 +50,20 @@ def test_zero_A_invertible_E_regular():
     assert is_regular(MatrixPencil(np.eye(3), np.zeros((3, 3))))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the |det| threshold scales with the Hadamard "
-                   "product of the row norms, which a random n x n "
-                   "matrix's |det| falls below as n grows")
-def test_a_random_gaussian_pencil_of_size_60_is_regular():
-    # regular with probability 1, yet read as singular at n = 60
-    rng = np.random.default_rng(60)
-    E, A = rng.standard_normal((2, 60, 60))
+@pytest.mark.parametrize("n", [50, 60, 200])
+def test_a_random_gaussian_pencil_is_regular(n):
+    # regular with probability 1, yet |det(sE - A)| falls below tol times
+    # the Hadamard bound of its rows from n of about 50, so a determinant
+    # test would read it singular.
+    # The same pencil with a shared kernel vector v, E P and A P with
+    # P = I - v v^T, is singular at every s.
+    rng = np.random.default_rng(n)
+    E, A = rng.standard_normal((2, n, n))
     assert is_regular(MatrixPencil(E, A))
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    P = np.eye(n) - np.outer(v, v)
+    assert not is_regular(MatrixPencil(E @ P, A @ P))
 
 
 def test_empty_pencil_regular_by_convention():
@@ -272,10 +277,10 @@ def test_determinant_factorization_on_samples(rng):
         if not is_regular(p):
             continue
         w = weierstrass(p)
-        report = analyze(p)
         ratios = []
-        for s, det, _ in report.det_samples:
-            lhs = det
+        for k in range(5):
+            s = 1.5 * cmath.exp(2j * cmath.pi * (k + 0.25) / 5)
+            lhs = np.linalg.det(s * E - A)
             rhs = (np.linalg.det(s * np.eye(w.d) - w.J)
                    * np.linalg.det(s * w.N - np.eye(w.a)))
             ratios.append(lhs / rhs)
@@ -290,20 +295,26 @@ def test_report_fields_and_json():
     assert rep.regular and rep.nu == 2 and rep.mu == 1 and rep.d == 0
     data = rep.to_json()
     assert data["regular"] and data["nu"] == 2 and data["mu"] == 1
-    assert len(data["det_samples"]) == 3
+    # a regular pencil's first sample, [[s, -1], [-1, 0]], is the verdict
+    [sample] = data["det_samples"]
+    assert sorted(sample) == ["ratio", "s"] and sample["ratio"] > 0.1
 
     rep = analyze(MatrixPencil(np.diag([1.0, 0.0]), np.zeros((2, 2))))
     assert not rep.regular
-    assert "nu" not in rep.to_json()
+    data = rep.to_json()
+    assert "nu" not in data
+    # a singular pencil lists all n + 1 samples
+    assert len(data["det_samples"]) == 3
+    assert all(sample["ratio"] == 0.0 for sample in data["det_samples"])
 
 
 def test_analyze_samples_the_determinant_once(monkeypatch):
     calls = []
     sample = pencil._det_samples
 
-    def counting(p):
+    def counting(p, tol):
         calls.append(p)
-        return sample(p)
+        return sample(p, tol)
 
     monkeypatch.setattr(pencil, "_det_samples", counting)
     E = np.diag([1.0, 0.0])
@@ -314,8 +325,8 @@ def test_analyze_samples_the_determinant_once(monkeypatch):
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
 def test_tolerance_must_be_finite_and_positive(tol):
-    # a NaN or infinite tolerance fails every determinant comparison and
-    # would call this regular pencil singular
+    # a NaN or infinite tolerance fails every singular-value ratio
+    # comparison and would call this regular pencil singular
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         analyze(MatrixPencil(np.eye(2), np.zeros((2, 2))), tol)
 
@@ -329,8 +340,10 @@ def _split_index_pencil():
 
 
 def test_analyze_takes_no_2_norm_and_one_svd_per_rank_decision(monkeypatch):
-    # the 2-norms of E and A and cond(P) come from three singular-value
-    # calls, and each rank decision from one SVD of its own
+    # three singular-value calls: the regularity test's first sample,
+    # which is the verdict of this regular pencil (a singular one would
+    # take n + 1), one stacked call for the 2-norms of E and A, and one
+    # for cond(P); each rank decision takes one SVD of its own
     norms, svds, decisions = [], [], []
     norm, svd, rank_split = np.linalg.norm, np.linalg.svd, pencil._rank_split
 
@@ -379,6 +392,10 @@ def test_a_common_scale_does_not_change_the_verdict(scale, rng, recwarn):
     # second underflow; regularity does not change with the scale of the
     # pencil, so each reads as its unit pencil does, without a warning
     E, A = np.diag([1.0, 0.0]), np.diag([0.0, -1.0])
+    # nor with separate scales of E and A, so far apart that no factor
+    # common to both brings both near 1
+    for e, a in [(1e-160, 1e160), (1e-300, 1e300), (1.0, 1e-320)]:
+        assert is_regular(MatrixPencil(e * E, a * A))
     for E, A in [(E, A), (rng.standard_normal((4, 4)),
                           rng.standard_normal((4, 4)))]:
         unit = analyze(MatrixPencil(E, A))
@@ -392,23 +409,37 @@ def test_a_common_scale_does_not_change_the_verdict(scale, rng, recwarn):
     assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
-def test_det_samples_match_one_det_per_sample(rng):
-    # reference: the per-sample loop the stacked sampling replaced; the
-    # arithmetic is the same, so the results are equal, not close
+def test_det_samples_match_one_svd_per_sample(rng):
+    # reference: each ratio is sigma_min / sigma_max of s E - A, with E and
+    # A scaled to a largest entry of 1 (a zero matrix stays zero), from an
+    # SVD of its own; sampling stops at the first ratio above tol, and a
+    # singular pencil (a shared kernel vector e_1) lists n + 1 samples
+    def unit(M):
+        big = np.abs(M).max()
+        return M / big if big else M
+
     for n in range(1, 7):
-        E = rng.standard_normal((n, n))
-        A = rng.standard_normal((n, n))
-        E[0] = 0.0
-        samples = pencil._det_samples(MatrixPencil(E, A))
-        radius = ((np.linalg.norm(A) + 1e-8) / (np.linalg.norm(E) + 1e-8))
-        assert len(samples) == n + 1
-        for k, (s, det, scale) in enumerate(samples):
-            s_ref = radius * cmath.exp(2j * cmath.pi * (k + 0.25) / (n + 1))
-            assert s == s_ref
-            M = s * E - A
-            rows = np.sqrt((np.abs(M) ** 2).sum(axis=1))
-            assert det == complex(np.linalg.det(M))
-            assert scale == float(np.prod(np.maximum(rows, 1e-300)))
+        for singular in (False, True):
+            E = 3.0 * rng.standard_normal((n, n))
+            A = rng.standard_normal((n, n)) / 7.0
+            E[0] = 0.0
+            if singular:
+                E[:, 0] = A[:, 0] = 0.0
+            p = MatrixPencil(E, A)
+            assert is_regular(p) is not singular
+            for tol in (pencil.DEFAULT_TOL, 0.3):
+                regular, samples = pencil._det_samples(p, tol)
+                for k, (s, ratio) in enumerate(samples):
+                    assert s == cmath.exp(2j * cmath.pi * (k + 0.25) / (n + 1))
+                    sigma = np.linalg.svd(s * unit(E) - unit(A),
+                                          compute_uv=False)
+                    # the same arithmetic, so equal, not close; a zero
+                    # sigma_max counts as ratio 0
+                    assert ratio == (sigma[-1] / sigma[0] if sigma[0] else 0)
+                ratios = [ratio for _, ratio in samples]
+                assert all(r <= tol for r in ratios[:-1])
+                assert regular is (ratios[-1] > tol)
+                assert regular or len(samples) == n + 1
 
 
 def test_pencil_json_roundtrip():
